@@ -320,11 +320,21 @@ def algebra_from_structure_constants(field: Field, structure, unit,
 # -- invariants ------------------------------------------------------------
 
 
+_radical_cache: dict = {}      # emptied by modules.clear_caches()
+
+
 def radical(R: Algebra) -> Mat:
-    """Basis (columns) of the nilradical.
+    """Basis (columns) of the nilradical, memoised per ring fingerprint.
 
     Kernel of the t-fold Frobenius where p^t >= dim, see module docstring.
     """
+    got = _radical_cache.get(R.fingerprint)
+    if got is None:
+        got = _radical_cache[R.fingerprint] = _frobenius_kernel(R)
+    return got
+
+
+def _frobenius_kernel(R: Algebra) -> Mat:
     p = R.field.p
     d = R.dim
     t = 0

@@ -112,9 +112,7 @@ def _dim_value(v: DimensionValue):
         return v.n
     if v.kind == "infinite":
         return "∞"
-    if v.kind == "zero":
-        return "-∞ (zero module)"
-    return f"unknown beyond {v.n}"
+    return "-∞ (zero module)"
 
 
 # -- command handlers --------------------------------------------------------

@@ -34,11 +34,11 @@ from .modules import (Module, ModuleHom, _cache, _quotient_by_columns,
 
 @dataclass(frozen=True)
 class DimensionValue:
-    """Exact homological dimension: finite n, infinite, a bounded unknown,
-    or the zero-module sentinel (dimension of the zero module is taken as
-    -infinity; two zero sentinels compare equal)."""
+    """Exact homological dimension: finite n, infinite, or the zero-module
+    sentinel (dimension of the zero module is taken as -infinity; two zero
+    sentinels compare equal)."""
 
-    kind: str                   # "finite" | "infinite" | "unknown_beyond" | "zero"
+    kind: str                   # "finite" | "infinite" | "zero"
     n: int | None = None
     witness: str | None = None
 
@@ -49,10 +49,6 @@ class DimensionValue:
     @staticmethod
     def infinite(witness: str | None = None) -> "DimensionValue":
         return DimensionValue("infinite", None, witness)
-
-    @staticmethod
-    def unknown_beyond(B: int, witness: str | None = None) -> "DimensionValue":
-        return DimensionValue("unknown_beyond", B, witness)
 
     @staticmethod
     def zero_sentinel() -> "DimensionValue":
@@ -71,9 +67,7 @@ class DimensionValue:
             return str(self.n)
         if self.kind == "infinite":
             return "infinite"
-        if self.kind == "zero":
-            return "zero module"
-        return f"unknown beyond {self.n}"
+        return "zero module"
 
 
 # -- complexes -------------------------------------------------------------------

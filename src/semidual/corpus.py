@@ -65,8 +65,7 @@ def random_module(ring: Algebra, seed: int, max_n: int = 3, max_m: int = 4) -> M
     d = ring.dim
     entries = [[rng.integers(0, p, size=d) for _ in range(m)] for _ in range(n)]
     mod, _ = presentation_to_module(ring, n, m, entries)
-    mod.label = f"M[{ring.name};{seed}]"
-    return mod
+    return mod.relabelled(f"M[{ring.name};{seed}]")
 
 
 def random_module_pool(ring: Algebra, count: int, max_dim: int,

@@ -354,8 +354,3 @@ def extend_basis(have: Mat, candidates: Mat) -> list[int]:
     aug = np.hstack([have.data, candidates.data])
     _, piv = _echelon(aug, p)
     return [c - have.cols for c in piv if c >= have.cols]
-
-
-def column_space_dim(cols: np.ndarray, p: int) -> int:
-    _, piv = _echelon(cols, p)
-    return len(piv)

@@ -12,10 +12,17 @@ can always be called explicitly.
 Direct powers W^b (used pervasively by resolutions: free modules are powers
 of the regular module, injective resolutions are powers of its dual) carry
 their block structure instead of materialised action matrices.  Basis order
-inside a power is copy-major: b consecutive copies of W's basis.  Hom and
-tensor constructions route around the blocks, so Hom(W^b, N) costs b small
-problems instead of one giant one; their answers agree with the generic
-construction because the identifications are the canonical ones.
+inside a power is copy-major: b consecutive copies of W's basis.
+
+Hom and tensor are both read off one cached presentation R^a -> R^g -> M of
+the source (left factor) M: its g minimal generators, a basis of the a
+relations among them, and a k-linear section of the cover R^g -> M.  With
+the relation coefficients acting on N, Hom(M, N) is the kernel of
+N^g -> N^a and M (x) N the cokernel of N^a -> N^g; a map M -> N is stored
+as its values on the generators.  A free module has no relations, so
+Hom(R, N) and R (x) N are N itself.  Powers are routed around: Hom(W^b, N),
+Hom(M, V^b), W^b (x) N and M (x) V^b are b copies of the small answer, and
+M (x) R^b is M^b in M's own coordinates.
 
 Hom spaces and tensor products both come as "space" objects holding the
 carrier Module plus the translation between coordinates and honest matrices
@@ -25,15 +32,16 @@ carrier together with materialised interpretation data.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, _radical_cache
 from .errors import InputError, TheoremViolationError
 from .linalg import Mat, _mul_arrays, expressor, extend_basis, kernel_basis, rref, solve, transpose
 
-_caches: list[dict] = []
+_caches: list[dict] = [_radical_cache]
 
 
 def _cache() -> dict:
@@ -157,6 +165,13 @@ class Module:
                 h.update(self._action.tobytes())
             self._fp = h.digest()
         return self._fp
+
+    def relabelled(self, label: str) -> "Module":
+        """Shallow copy under another label.  Shares the fingerprint, so
+        every cache keyed by it still hits."""
+        out = copy.copy(self)
+        out.label = label
+        return out
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -477,20 +492,33 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
     gens[:, s].  Column (s, mu) is e_mu * gens_s; copy-major layout."""
     g = gens.shape[1]
     d = M.ring.dim
-    out = np.zeros((M.dim, g * d), dtype=np.int64)
-    for s in range(g):
-        for mu in range(d):
-            out[:, s * d + mu] = M.act(mu, gens[:, s:s + 1])[:, 0]
-    return out
+    out = np.zeros((M.dim, g, d), dtype=np.int64)
+    for mu in range(d):
+        out[:, :, mu] = M.act(mu, gens)
+    return out.reshape(M.dim, g * d)
 
 
-def minimal_cover(M: Module) -> tuple[Module, ModuleHom, np.ndarray]:
-    """(free module F, surjection F -> M, generator columns)."""
-    gens = minimal_generators(M)
-    g = gens.shape[1]
-    F = free_module(M.ring, g)
-    mat = cover_matrix(M, gens)
-    return F, ModuleHom(F, M, mat, check=False), gens
+_presentation_cache = _cache()
+
+
+def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0.
+
+    gens (M.dim x g) are the minimal generators, rel ((g*d) x a) a basis of
+    the kernel of the cover R^g -> M, and sec ((g*d) x M.dim) a k-linear
+    section of the cover.  Block s of a column of rel or sec, rows
+    s*d..(s+1)*d, is the ring coefficient of generator s.
+    """
+    got = _presentation_cache.get(M.fingerprint)
+    if got is None:
+        field = M.ring.field
+        gens = minimal_generators(M)
+        cover = Mat(field, cover_matrix(M, gens))
+        sec = solve(cover, Mat(field, np.eye(M.dim, dtype=np.int64)))
+        assert sec is not None, "minimal cover is not surjective"
+        got = (gens, kernel_basis(cover).data, sec.data)
+        _presentation_cache[M.fingerprint] = got
+    return got
 
 
 def is_free(M: Module) -> int | None:
@@ -582,84 +610,55 @@ class HomSpace:
         return ModuleHom(self.source, self.target, self.mat_of(coords), check=check)
 
 
-class _GenericHom(HomSpace):
-    """Solve the commutation system f A_i = B_i f directly."""
+def _relation_blocks(rel: np.ndarray, N: Module) -> np.ndarray:
+    """(g, n, a, n) array whose block [s, :, t, :] is the action on N of
+    rel_st, the coefficient of generator s in relation t."""
+    d, n, p = N.ring.dim, N.dim, N.ring.field.p
+    g, a = rel.shape[0] // d, rel.shape[1]
+    coeffs = rel.reshape(g, d, a).transpose(1, 0, 2).reshape(d, g * a)
+    acts = N.action.reshape(d, n * n).T
+    blocks = _mul_arrays(np.ascontiguousarray(acts), np.ascontiguousarray(coeffs), p)
+    return blocks.reshape(n, n, g, a).transpose(2, 0, 3, 1)
+
+
+class _PresentedHom(HomSpace):
+    """Hom(M, N) = ker(N^g -> N^a), read off M's presentation.
+
+    A map is its values on the g generators of M; the values must satisfy
+    every relation.  When M has no relations (M = R) this is N^g itself.
+    """
 
     def _build(self):
         M, N = self.source, self.target
-        p = self.ring.field.p
-        t, s = N.dim, M.dim
-        d = self.ring.dim
-        if t * s == 0:
-            self.module = zero_module(self.ring)
-            self._basis = np.zeros((0, t, s), dtype=np.int64)
-            self._expr = np.zeros((0, t * s), dtype=np.int64)
+        self._gens, rel, self._sec = presentation(M)
+        g, a, n = self._gens.shape[1], rel.shape[1], N.dim
+        label = f"Hom({M.label},{N.label})"
+        self._K = self._E = None
+        if a == 0 or n == 0:
+            self.module = power_module(N, g, label=label)
             return
-        eye_t = np.eye(t, dtype=np.int64)
-        eye_s = np.eye(s, dtype=np.int64)
-        blocks = [
-            (np.kron(eye_t, M.action[i].T) - np.kron(N.action[i], eye_s)) % p
-            for i in range(d)
-        ]
-        system = Mat(self.ring.field, np.vstack(blocks))
-        K = kernel_basis(system).data            # (t*s) x q
-        q = K.shape[1]
-        self._basis = K.T.reshape(q, t, s)
-        self._expr = (expressor(Mat(self.ring.field, K)).data if q
-                      else np.zeros((0, t * s), dtype=np.int64))
-        act = np.zeros((d, q, q), dtype=np.int64)
-        for i in range(d):
-            if q:
-                moved = np.stack([N.act(i, self._basis[l]) for l in range(q)])
-                act[i] = _mul_arrays(self._expr, moved.reshape(q, t * s).T, p)
-        self.module = Module(self.ring, act,
-                             label=f"Hom({M.label},{N.label})", check=False)
+        system = _relation_blocks(rel, N).transpose(2, 1, 0, 3).reshape(a * n, g * n)
+        self._K = kernel_basis(Mat(self.ring.field, system)).data
+        sq = _submodule_from_columns(power_module(N, g), self._K, label)
+        self.module = sq.carrier
+        self._E = sq.section
 
     def mat_of(self, coords):
-        t, s = self.target.dim, self.source.dim
         p = self.ring.field.p
-        return np.tensordot(np.asarray(coords) % p, self._basis, axes=([0], [0])) % p
+        vals = np.asarray(coords) % p
+        if self._K is not None:
+            vals = _mul_arrays(self._K, vals.reshape(-1, 1), p)[:, 0]
+        # the map R^g -> N sending generator s to its value, after the section
+        N = self.target
+        images = cover_matrix(N, vals.reshape(self._gens.shape[1], N.dim).T)
+        return _mul_arrays(images, self._sec, p)
 
     def coords_of(self, mat):
         p = self.ring.field.p
-        return _mul_arrays(self._expr, np.asarray(mat).reshape(-1, 1), p)[:, 0]
-
-
-class _FreeSourceHom(HomSpace):
-    """Hom(R^b, N) = N^b: a map is its values on the b free generators."""
-
-    def _build(self):
-        b = free_copies(self.source)
-        self.copies = b
-        N = self.target
-        self.module = power_module(N, b, label=f"Hom({self.source.label},{N.label})")
-        # column layout of the source: copy s occupies columns s*d..(s+1)*d
-        self._d = self.ring.dim
-
-    def mat_of(self, coords):
-        # value on generator s is the block s of coords; the matrix column
-        # (s, mu) is e_mu * value_s
-        N = self.target
-        b, d = self.copies, self._d
-        coords = np.asarray(coords).reshape(b, N.dim)
-        out = np.zeros((N.dim, b * d), dtype=np.int64)
-        for s in range(b):
-            vals = coords[s].reshape(-1, 1)
-            for mu in range(d):
-                out[:, s * d + mu] = N.act(mu, vals)[:, 0]
-        return out
-
-    def coords_of(self, mat):
-        # evaluate at the unit of each copy
-        b, d = self.copies, self._d
-        unit = self.ring.unit.reshape(-1, 1)
-        N = self.target
-        out = np.zeros((b, N.dim), dtype=np.int64)
-        p = self.ring.field.p
-        for s in range(b):
-            out[s] = _mul_arrays(np.ascontiguousarray(mat[:, s * d:(s + 1) * d]),
-                                 unit, p)[:, 0]
-        return out.reshape(-1)
+        vals = _mul_arrays(np.asarray(mat), self._gens, p).T.reshape(-1, 1)
+        if self._E is not None:
+            vals = _mul_arrays(self._E, vals, p)
+        return vals[:, 0]
 
 
 class _BlockSourceHom(HomSpace):
@@ -733,14 +732,12 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     got = _homspace_cache.get(key)
     if got is not None:
         return got
-    if free_copies(M) is not None:
-        cls = _FreeSourceHom
-    elif M.block is not None:
+    if M.block is not None:
         cls = _BlockSourceHom
     elif N.block is not None:
         cls = _BlockTargetHom
     else:
-        cls = _GenericHom
+        cls = _PresentedHom
     hs = cls(M, N)
     _homspace_cache[key] = hs
     return hs
@@ -833,27 +830,6 @@ class _RightFreeTensor(TensorSpace):
         return out.reshape(-1)
 
 
-class _LeftFreeTensor(TensorSpace):
-    """R^b (x) N = N^b."""
-
-    def _build(self):
-        b = free_copies(self.left)
-        self.copies = b
-        self.module = power_module(self.right, b,
-                                   label=f"{self.left.label}(x){self.right.label}")
-
-    def pure(self, u, v):
-        N = self.right
-        b = self.copies
-        d = self.ring.dim
-        u = np.asarray(u).reshape(b, d)
-        out = np.zeros((b, N.dim), dtype=np.int64)
-        for s in range(b):
-            if u[s].any():
-                out[s] = N.act_element(u[s], np.asarray(v).reshape(-1, 1))[:, 0]
-        return out.reshape(-1)
-
-
 class _BlockLeftTensor(TensorSpace):
     """W^b (x) N = (W (x) N)^b."""
 
@@ -898,59 +874,36 @@ class _BlockRightTensor(TensorSpace):
         return out.reshape(-1)
 
 
-class _GenericTensor(TensorSpace):
-    """Present the left factor, then M (x) N = coker(N^a -> N^g).
-
-    With R^a -> R^g -> M -> 0 a presentation picking g minimal generators
-    of M and a spanning set of the kernel, right-exactness of the tensor
-    gives M (x) N as the cokernel of the induced map on N-blocks.
+class _PresentedTensor(TensorSpace):
+    """M (x) N = coker(N^a -> N^g), read off the left factor's presentation
+    by right-exactness.  When M has no relations (M = R) this is N^g itself.
     """
 
     def _build(self):
         M, N = self.left, self.right
-        p = self.ring.field.p
-        if M.dim == 0 or N.dim == 0:
-            self.module = zero_module(self.ring)
-            self._Q = np.zeros((0, 0), dtype=np.int64)
-            self._sec = np.zeros((M.dim, 0), dtype=np.int64)
-            self._gens = np.zeros((M.dim, 0), dtype=np.int64)
+        gens, rel, self._sec = presentation(M)
+        g, a, n = gens.shape[1], rel.shape[1], N.dim
+        label = f"{M.label}(x){N.label}"
+        self._Q = None
+        if a == 0 or n == 0:
+            self.module = power_module(N, g, label=label)
             return
-        gens = minimal_generators(M)
-        g = gens.shape[1]
-        cover = cover_matrix(M, gens)           # M.dim x g*d
-        K = kernel_basis(Mat(self.ring.field, cover)).data   # (g*d) x a
-        a = K.shape[1]
-        d = self.ring.dim
-        n = N.dim
-        rel = np.zeros((g * n, a * n), dtype=np.int64)
-        for t in range(a):
-            for s in range(g):
-                elem = K[s * d:(s + 1) * d, t]
-                if elem.any():
-                    rel[s * n:(s + 1) * n, t * n:(t + 1) * n] = N.element_matrix(elem)
-        ambient = power_module(N, g)
-        sq = _quotient_by_columns(ambient, rel, f"{M.label}(x){N.label}")
+        rel_mat = _relation_blocks(rel, N).reshape(g * n, a * n)
+        sq = _quotient_by_columns(power_module(N, g), rel_mat, label)
         self.module = sq.carrier
-        self._Q = sq.map.mat                    # (dim) x (g*n)
-        # section of the cover: cover @ sec = identity on M
-        sec = solve(Mat(self.ring.field, cover), Mat(self.ring.field, np.eye(M.dim, dtype=np.int64)))
-        assert sec is not None, "minimal cover is not surjective"
-        self._sec = sec.data                    # (g*d) x M.dim
-        self._gens = gens
+        self._Q = sq.map.mat
 
     def pure(self, u, v):
+        # u = sum_s w_s gens_s, so u (x) v is the class of (w_s v)_s in N^g
         p = self.ring.field.p
         N = self.right
         d = self.ring.dim
-        g = self._gens.shape[1]
-        w = _mul_arrays(self._sec, np.asarray(u).reshape(-1, 1), p)[:, 0]
-        emb = np.zeros((g, N.dim), dtype=np.int64)
-        vcol = np.asarray(v).reshape(-1, 1)
-        for s in range(g):
-            elem = w[s * d:(s + 1) * d]
-            if elem.any():
-                emb[s] = N.act_element(elem, vcol)[:, 0]
-        return _mul_arrays(self._Q, emb.reshape(-1, 1), p)[:, 0]
+        w = _mul_arrays(self._sec, np.asarray(u).reshape(-1, 1), p).reshape(-1, d)
+        moved = cover_matrix(N, np.asarray(v).reshape(-1, 1))   # n x d
+        emb = _mul_arrays(w, moved.T, p).reshape(-1, 1)
+        if self._Q is not None:
+            emb = _mul_arrays(self._Q, emb, p)
+        return emb[:, 0]
 
 
 def tensor_space(M: Module, N: Module) -> TensorSpace:
@@ -960,14 +913,12 @@ def tensor_space(M: Module, N: Module) -> TensorSpace:
         return got
     if free_copies(N) is not None:
         cls = _RightFreeTensor
-    elif free_copies(M) is not None:
-        cls = _LeftFreeTensor
     elif M.block is not None:
         cls = _BlockLeftTensor
     elif N.block is not None:
         cls = _BlockRightTensor
     else:
-        cls = _GenericTensor
+        cls = _PresentedTensor
     ts = cls(M, N)
     _tensorspace_cache[key] = ts
     return ts

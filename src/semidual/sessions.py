@@ -97,8 +97,7 @@ class SessionFile:
             rows = [list(spec.entries[r * spec.cols:(r + 1) * spec.cols])
                     for r in range(spec.rows)]
             mod, _ = presentation_to_module(R, spec.rows, spec.cols, rows)
-        mod.label = name
-        return mod
+        return mod.relabelled(name)
 
 
 def _is_identifier(s: str) -> bool:

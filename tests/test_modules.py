@@ -5,10 +5,11 @@ import pytest
 
 from oracles import enumerate_homs, hom_space_dim, tensor_dim_quotient
 
+from semidual.algebra import algebra_from_monomial_quotient
 from semidual.corpus import (corpus_rings, random_module, random_module_pool,
                              ring_square_zero_two_vars, ring_truncated_line)
 from semidual.errors import InputError
-from semidual.linalg import Mat, rank
+from semidual.linalg import Field, Mat, rank
 from semidual.modules import (Module, ModuleHom, adjunction_iso, coevaluation_mu,
                               cokernel, direct_sum, dualizing_module,
                               evaluation_nu, free_module, hom_functor_map,
@@ -29,6 +30,26 @@ def R1():
 @pytest.fixture(scope="module")
 def R2():
     return ring_truncated_line()
+
+
+@pytest.fixture(scope="module")
+def rings():
+    return list(corpus_rings().values())
+
+
+def _assert_hom_contract(hs, seed=0, basis=True):
+    """coords_of inverts mat_of, every mat_of is R-linear, and the carrier
+    action is postcomposition."""
+    p = hs.ring.field.p
+    rng = np.random.default_rng(seed)
+    units = list(np.eye(hs.dim, dtype=np.int64)) if basis else []
+    for c in units + [rng.integers(0, p, size=hs.dim)]:
+        f = hs.mat_of(c)
+        ModuleHom(hs.source, hs.target, f, check=True)
+        assert np.array_equal(hs.coords_of(f), c)
+        for i in range(hs.ring.dim):
+            moved = hs.module.act(i, c.reshape(-1, 1))[:, 0]
+            assert np.array_equal(hs.mat_of(moved), hs.target.act(i, f))
 
 
 def _rand_hom(M, N, seed):
@@ -126,16 +147,35 @@ def test_hom_dualizing_to_residue_field_golden(R1):
         h.validate()
 
 
-def test_hom_dims_match_oracle_random(R1, R2):
-    for ring in (R1, R2):
+def test_hom_dims_match_oracle_random(rings):
+    # every construction path: dense, power source, power target, free source
+    for ring in rings:
         p = ring.field.p
-        for seed in range(6):
+        for seed in range(12):
             M = random_module(ring, seed)
             N = random_module(ring, seed + 100)
             if M.dim == 0 or N.dim == 0 or M.dim * N.dim > 64:
                 continue
-            want = hom_space_dim(p, list(M.action), list(N.action))
-            assert hom_space(M, N).dim == want
+            pairs = [(M, N), (power_module(M, 2), N), (M, power_module(N, 2)),
+                     (regular_module(ring), N)]
+            for src, dst in pairs:
+                hs = hom_space(src, dst)
+                assert hs.dim == hom_space_dim(p, list(src.action), list(dst.action))
+                _assert_hom_contract(hs, seed)
+
+
+def test_hom_matlis_closed_forms_t27():
+    # T27 = GF(3)[x,y,z]/(x^3,y^3,z^3), d = 27: Hom(M, D) = Hom_k(M, k)
+    T = algebra_from_monomial_quotient(Field(3), ["x", "y", "z"],
+                                       ["x^3", "y^3", "z^3"], name="T27")
+    D = dualizing_module(T)
+    assert hom_space(D, D).dim == 27
+    mods = [residue_field_module(T), radical_submodule(T), D, regular_module(T),
+            *random_module_pool(T, 3, max_dim=26)]
+    for M in mods:
+        hs = hom_space(M, D)
+        assert hs.dim == M.dim
+        _assert_hom_contract(hs, basis=False)
 
 
 def test_hom_carrier_action_is_postcomposition(R1):
@@ -218,8 +258,8 @@ def test_tensor_golden_dims(R1):
     assert tensor_space(k, k).dim == 1
 
 
-def test_tensor_dims_match_oracle_and_symmetry(R1, R2):
-    for ring in (R1, R2):
+def test_tensor_dims_match_oracle_and_symmetry(rings):
+    for ring in rings:
         p = ring.field.p
         for seed in range(6):
             M = random_module(ring, seed)
@@ -569,6 +609,10 @@ def test_random_module_determinism(R1):
     assert a.fingerprint == b.fingerprint
     c = random_module(R1, 6)
     assert a.fingerprint != c.fingerprint or a.dim != c.dim
+    # seed 0 is R1 itself; its label is its own, not the shared R1's
+    z = random_module(R1, 0)
+    assert z.fingerprint == regular_module(R1).fingerprint
+    assert z.label == "M[R1;0]" and regular_module(R1).label == "R1"
 
 
 def test_random_module_bounds_and_yield(R1):

@@ -4,6 +4,8 @@ import pytest
 
 from semidual.corpus import corpus_rings, corpus_sessions
 from semidual.errors import InputError, ParseError
+from semidual.modules import (dualizing_module, regular_module,
+                              residue_field_module)
 from semidual.sessions import (ModuleSpec, SessionFile, parse_session,
                                parse_session_text, render)
 
@@ -58,7 +60,7 @@ class TestParseValid:
         assert ring is s.ring()
 
     def test_module_instantiation(self):
-        s = parse_session_text(GOOD)
+        s = parse_session_text(GOOD + '\n[module.R]\nkind = "free"\nrank = 1\n')
         ring = s.ring()
         assert s.module("k").dim == 1
         assert s.module("D").dim == 3
@@ -66,6 +68,17 @@ class TestParseValid:
         # coker of (x y): R / (x,y) = k
         assert s.module("M").dim == 1
         assert s.module("M").label == "M"
+        # named copies share fingerprints with the ring's cached modules but
+        # leave their labels alone
+        shared = {"R": regular_module(ring), "D": dualizing_module(ring),
+                  "k": residue_field_module(ring)}
+        labels = {name: mod.label for name, mod in shared.items()}
+        for name, mod in shared.items():
+            named = s.module(name)
+            assert named.label == name
+            assert named.fingerprint == mod.fingerprint
+        assert {name: mod.label for name, mod in shared.items()} == labels
+        assert regular_module(ring).label == "R1"
 
     def test_unknown_module_name(self):
         s = parse_session_text(GOOD)
