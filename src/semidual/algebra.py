@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotCofiniteError, ParseError
-from .linalg import Field, Mat, kernel_basis, rank, vstack
+from .linalg import Field, Mat, _mul_arrays, kernel_basis, rank, vstack
 
 
 class Algebra:
@@ -78,14 +78,17 @@ class Algebra:
     # -- element arithmetic ------------------------------------------------
 
     def mul(self, u, v) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64) % self.field.p
-        v = np.asarray(v, dtype=np.int64) % self.field.p
-        return np.einsum("i,j,ijk->k", u, v, self.structure) % self.field.p
+        # (u*) applied to v: two reduced contractions, since one three-factor
+        # int64 sum overflows once (p-1)^3 >= 2^63
+        v = np.asarray(v, dtype=np.int64).reshape(-1, 1) % self.field.p
+        return _mul_arrays(self.mult_matrix(u), v, self.field.p)[:, 0]
 
     def mult_matrix(self, u) -> np.ndarray:
         """Matrix of multiplication by the element u."""
-        u = np.asarray(u, dtype=np.int64) % self.field.p
-        return np.einsum("i,ikj->kj", u, self.left_mult) % self.field.p
+        p = self.field.p
+        d = self.dim
+        u = np.asarray(u, dtype=np.int64).reshape(1, d) % p
+        return _mul_arrays(u, self.left_mult.reshape(d, d * d), p).reshape(d, d)
 
     def one(self) -> np.ndarray:
         return self.unit.copy()
@@ -320,7 +323,8 @@ def algebra_from_structure_constants(field: Field, structure, unit,
 # -- invariants ------------------------------------------------------------
 
 
-_radical_cache: dict = {}      # emptied by modules.clear_caches()
+_radical_cache: dict = {}      # both emptied by modules.clear_caches()
+_report_cache: dict = {}
 
 
 def radical(R: Algebra) -> Mat:
@@ -347,7 +351,6 @@ def _frobenius_kernel(R: Algebra) -> Mat:
         e = np.zeros(d, dtype=np.int64)
         e[i] = 1
         frob[:, i] = _element_power(R, e, p)
-    from .linalg import _mul_arrays
     total = np.eye(d, dtype=np.int64)
     for _ in range(t):
         total = _mul_arrays(frob, total, p)
@@ -366,7 +369,7 @@ def _element_power(R: Algebra, u: np.ndarray, exp: int) -> np.ndarray:
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class RingReport:
     dim: int
     is_local: bool
@@ -388,12 +391,19 @@ class RingReport:
 
 
 def ring_report(R: Algebra) -> RingReport:
-    """Local / socle / Gorenstein / Loewy data.
+    """Local / socle / Gorenstein / Loewy data, memoised per ring fingerprint.
 
     is_local means local with residue field GF(p) itself, i.e. the radical
     has codimension 1.  is_gorenstein is local with 1-dimensional socle;
     for non-local rings it is reported False rather than guessed.
     """
+    got = _report_cache.get(R.fingerprint)
+    if got is None:
+        got = _report_cache[R.fingerprint] = _compute_report(R)
+    return got
+
+
+def _compute_report(R: Algebra) -> RingReport:
     p = R.field.p
     d = R.dim
     rad = radical(R)
@@ -409,7 +419,7 @@ def ring_report(R: Algebra) -> RingReport:
     loewy = 1
     span = rad.data
     while span.shape[1] > 0:
-        cols = [R.mult_matrix(rad.data[:, j]) @ span % p for j in range(r)]
+        cols = [_mul_arrays(R.mult_matrix(rad.data[:, j]), span, p) for j in range(r)]
         nxt = np.hstack(cols) if cols else np.zeros((d, 0), dtype=np.int64)
         nxt_mat, piv = _col_space(nxt, R.field)
         loewy += 1

@@ -298,13 +298,10 @@ def kernel_basis(a: Mat) -> Mat:
     """
     p = a.field.p
     R, piv = _echelon(a.data, p)
-    piv_set = set(piv)
-    free = [c for c in range(a.cols) if c not in piv_set]
-    K = np.zeros((a.cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for i, pc in enumerate(piv):
-            K[pc, j] = (-R[i, fc]) % p
+    free = np.delete(np.arange(a.cols), piv)    # setdiff1d would import numpy.ma
+    K = np.zeros((a.cols, free.size), dtype=np.int64)
+    K[free, np.arange(free.size)] = 1
+    K[piv] = (-R[:len(piv)][:, free]) % p
     return Mat(a.field, K)
 
 

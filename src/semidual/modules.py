@@ -37,11 +37,11 @@ import hashlib
 
 import numpy as np
 
-from .algebra import Algebra, _radical_cache
+from .algebra import Algebra, _radical_cache, _report_cache
 from .errors import InputError, TheoremViolationError
 from .linalg import Mat, _mul_arrays, expressor, extend_basis, kernel_basis, rref, solve, transpose
 
-_caches: list[dict] = [_radical_cache]
+_caches: list[dict] = [_radical_cache, _report_cache]
 
 
 def _cache() -> dict:
@@ -522,18 +522,13 @@ def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def is_free(M: Module) -> int | None:
-    """Rank if M is free, else None."""
-    if M.dim == 0:
-        return 0
-    gens = minimal_generators(M)
-    g = gens.shape[1]
-    if g * M.ring.dim != M.dim:
-        return None
-    mat = cover_matrix(M, gens)
-    from .linalg import rank as _rank
-    if _rank(Mat(M.ring.field, mat)) != M.dim:
-        return None
-    return g
+    """Rank if M is free, else None.
+
+    The g minimal generators span M (Nakayama), so the cover R^g -> M is
+    onto and is an isomorphism exactly when g * dim R = dim M.
+    """
+    g = minimal_generators(M).shape[1]
+    return g if g * M.ring.dim == M.dim else None
 
 
 def is_injective(M: Module) -> int | None:

@@ -100,6 +100,11 @@ class SemidualizingCertificate:
 def check_semidualizing(C: Module, B: int = 5) -> SemidualizingCertificate:
     """Decide the semidualizing conditions for C up to degree bound B.
 
+    After the homothety checks, a free or injective C passes without a
+    resolution: Ext^i(P, -) = 0 and Ext^i(-, E) = 0 for i >= 1, so the
+    vanishing holds in every degree and is reported verified to B.  Any
+    other C is resolved and Ext^i(C,C) computed for 1 <= i <= B.
+
     Failures are reported in the certificate, never raised.
     """
     if B < 1:
@@ -109,6 +114,8 @@ def check_semidualizing(C: Module, B: int = 5) -> SemidualizingCertificate:
         return SemidualizingCertificate(False, 0, "homothety not injective")
     if not chi.is_surjective():
         return SemidualizingCertificate(False, 0, "homothety not surjective")
+    if is_free(C) is not None or is_injective(C) is not None:
+        return SemidualizingCertificate(True, B, None)
     dims = ext_dims(C, C, B)
     for j in range(1, B + 1):
         if dims[j] != 0:

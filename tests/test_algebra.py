@@ -215,6 +215,68 @@ def test_mult_matrix_agrees_with_mul():
         assert np.array_equal((R.mult_matrix(u) @ v) % 5, R.mul(u, v))
 
 
+def _poly_product(u, v, p, reduce):
+    """Python-int product of two coefficient vectors (low degree first),
+    with x^k for k >= len(u) rewritten by reduce(k) (None: x^k = 0)."""
+    n = len(u)
+    prod = [0] * (2 * n - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] += int(a) * int(b)
+    out = prod[:n]
+    for k in range(n, 2 * n - 1):
+        if reduce(k) is not None:
+            out = [o + prod[k] * r for o, r in zip(out, reduce(k))]
+    return [o % p for o in out]
+
+
+def _product_rings(p):
+    """GF(p)[x]/(x^3) as a monomial quotient, and GF(p)[x]/(x^3 - a*x - b)
+    given by full structure constants, each with its Python-int oracle."""
+    mono = algebra_from_monomial_quotient(Field(p), ["x"], ["x^3"])
+    rng = np.random.default_rng(7)
+    a, b = (int(t) for t in rng.integers(0, p, size=2))
+    cubic = {3: [b, a, 0], 4: [0, b, a]}        # x^3 = a*x + b, x^4 = a*x^2 + b*x
+    powers = [[1, 0, 0], [0, 1, 0], [0, 0, 1], cubic[3], cubic[4]]
+    c = np.array([[powers[i + j] for j in range(3)] for i in range(3)], dtype=np.int64)
+    sc = algebra_from_structure_constants(Field(p), c, [1, 0, 0])
+    return [(mono, lambda k: None), (sc, cubic.get)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+def test_mul_and_mult_matrix_exact_for_every_prime(p):
+    rng = np.random.default_rng(p % 997)
+    for R, reduce in _product_rings(p):
+        pairs = [rng.integers(0, p, size=(2, 3)) for _ in range(50)]
+        # at p = 2^31 - 1 over x^3 = 0 this pair is [4, 13, 28]
+        pairs.append(np.array([[p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]]) % p)
+        for u, v in pairs:
+            want = _poly_product(u, v, p, reduce)
+            assert R.mul(u, v).tolist() == want
+            M = R.mult_matrix(u)
+            for j in range(3):
+                assert M[:, j].tolist() == _poly_product(u, np.eye(3, dtype=np.int64)[j], p, reduce)
+
+
+def test_ring_report_memoised_frozen_and_cleared():
+    from dataclasses import FrozenInstanceError
+
+    from semidual.algebra import _report_cache
+    from semidual.modules import clear_caches
+
+    R = ring_r3()
+    clear_caches()
+    rep = ring_report(R)
+    assert ring_report(ring_r3()) is rep       # same fingerprint, one report
+    assert _report_cache
+    with pytest.raises(FrozenInstanceError):
+        rep.socle_dim = 2
+    clear_caches()
+    assert not _report_cache
+    again = ring_report(R)
+    assert again is not rep and again == rep
+
+
 def test_fingerprint_distinguishes():
     assert ring_r1().fingerprint == ring_r1().fingerprint
     assert ring_r1().fingerprint != ring_r3().fingerprint

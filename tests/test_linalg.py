@@ -224,3 +224,42 @@ def test_large_prime_products_stay_exact():
     # check one entry by hand with python ints
     want = ((p - 1) * (p - 1) + (p - 2) * 1) % p
     assert sq.entry(0, 0) == want
+
+
+def _kernel_loop_reference(a: Mat) -> np.ndarray:
+    """kernel_basis entry by entry: one column per free column, 1 at the
+    free coordinate, minus the echelon entry at each pivot coordinate."""
+    p = a.field.p
+    R, piv = rref(a)
+    free = [c for c in range(a.cols) if c not in set(piv)]
+    K = np.zeros((a.cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        K[fc, j] = 1
+        for i, pc in enumerate(piv):
+            K[pc, j] = (-R.entry(i, fc)) % p
+    return K
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_kernel_basis_matches_loop_reference(p):
+    f = Field(p)
+    rng = np.random.default_rng(p % 1000)
+    shapes = [(0, 0), (0, 5), (4, 0), (3, 3), (5, 5), (4, 7), (7, 4), (1, 9), (9, 1)]
+    mats = [zeros(f, m, n) for m, n in shapes]
+    mats.append(identity(f, 6))
+    mats.append(Mat(f, np.hstack([np.eye(4, dtype=np.int64),
+                                  rng.integers(0, p, size=(4, 3))])))   # full row rank
+    for m, n in shapes * 4:
+        dense = rng.integers(0, p, size=(m, n))
+        sparse = dense * (rng.random((m, n)) < 0.4)   # free columns between pivots
+        mats += [Mat(f, dense), Mat(f, sparse)]
+        if m > 1:
+            low = sparse.copy()
+            low[1:] = (low[:1] * rng.integers(0, p, size=(m - 1, 1))) % p   # rank <= 1
+            mats.append(Mat(f, low))
+    for a in mats:
+        K = kernel_basis(a)
+        want = _kernel_loop_reference(a)
+        assert K.data.shape == want.shape
+        assert np.array_equal(K.data, want)
+        assert mat_mul(a, K).is_zero()

@@ -6,12 +6,13 @@ import pytest
 from oracles import enumerate_homs, hom_space_dim, tensor_dim_quotient
 
 from semidual.algebra import algebra_from_monomial_quotient
-from semidual.corpus import (corpus_rings, random_module, random_module_pool,
-                             ring_square_zero_two_vars, ring_truncated_line)
+from semidual.corpus import (corpus_rings, corpus_sessions, random_module,
+                             random_module_pool, ring_square_zero_two_vars,
+                             ring_truncated_line)
 from semidual.errors import InputError
 from semidual.linalg import Field, Mat, rank
 from semidual.modules import (Module, ModuleHom, adjunction_iso, coevaluation_mu,
-                              cokernel, direct_sum, dualizing_module,
+                              cokernel, cover_matrix, direct_sum, dualizing_module,
                               evaluation_nu, free_module, hom_functor_map,
                               hom_module, hom_space, homothety_chi, identity_hom,
                               image, is_free, is_injective, kernel, matlis_dual,
@@ -582,6 +583,32 @@ def test_is_injective_cases(R1, R2):
     assert is_injective(power_module(D, 3)) == 3
     assert is_free(free_module(R2, 1)) == 1
     assert is_injective(free_module(R2, 1)) == 1  # R2 is Gorenstein
+
+
+def _is_free_by_rank(M):
+    """is_free through the rank of the minimal cover R^g -> M."""
+    if M.dim == 0:
+        return 0
+    gens = minimal_generators(M)
+    g = gens.shape[1]
+    if g * M.ring.dim != M.dim:
+        return None
+    return g if rank(Mat(M.ring.field, cover_matrix(M, gens))) == M.dim else None
+
+
+def test_is_free_matches_rank_route_on_corpus_modules(rings):
+    sessions = corpus_sessions()
+    for ring in rings:
+        R, D = regular_module(ring), dualizing_module(ring)
+        mods = [R, D, residue_field_module(ring), radical_submodule(ring),
+                zero_module(ring), free_module(ring, 3), power_module(D, 2),
+                direct_sum([D, R]), matlis_dual(radical_submodule(ring))]
+        session = sessions[ring.name]
+        mods += [session.module(m) for m in session.modules]
+        mods += random_module_pool(ring, 12, 3 * ring.dim)
+        for M in mods:
+            assert is_free(M) == _is_free_by_rank(M), M.label
+            assert is_injective(M) == _is_free_by_rank(matlis_dual(M)), M.label
 
 
 def test_direct_sum_and_its_freeness(R1):

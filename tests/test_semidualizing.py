@@ -9,11 +9,11 @@ from semidual.algebra import radical
 from semidual.complexes import (DimensionValue, betti_numbers,
                                 exactness_profile, ext_dims, id_exact,
                                 pd_exact, syzygy, tor_dims)
-from semidual.corpus import corpus_rings, random_module_pool
+from semidual.corpus import corpus_rings, corpus_sessions, random_module_pool
 from semidual.errors import (InputError, NotSemidualizingError,
                              TheoremViolationError)
 from semidual.modules import (Module, ModuleHom, direct_sum, dualizing_module,
-                              free_module, hom_space, power_module,
+                              free_module, hom_space, homothety_chi, power_module,
                               radical_submodule, regular_module,
                               residue_field_module, tensor_space)
 import semidual.semidualizing as sd
@@ -51,10 +51,54 @@ def test_regular_module_is_semidualizing(rings):
 
 def test_dualizing_module_is_semidualizing(rings):
     for ring in rings.values():
-        if ring.name == "R4":
-            continue        # covered at lower bound to keep the suite fast
         cert = sd.check_semidualizing(dualizing_module(ring), 5)
         assert cert.passed
+        assert cert.ext_vanishing_verified_to == 5
+
+
+def _certificate_by_resolution(C, B):
+    """The certificate with Ext^i(C,C), 1 <= i <= B, always computed from a
+    minimal free resolution of C, free or injective C included."""
+    chi = homothety_chi(C.ring, C)
+    if not chi.is_injective():
+        return sd.SemidualizingCertificate(False, 0, "homothety not injective")
+    if not chi.is_surjective():
+        return sd.SemidualizingCertificate(False, 0, "homothety not surjective")
+    dims = ext_dims(C, C, B)
+    for j in range(1, B + 1):
+        if dims[j] != 0:
+            return sd.SemidualizingCertificate(
+                True, j - 1, f"Ext^{j}(C,C) has dimension {dims[j]}")
+    return sd.SemidualizingCertificate(True, B, None)
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4"])
+def test_free_or_injective_certificate_matches_resolution_route(rings, name):
+    ring = rings[name]
+    R, D = regular_module(ring), dualizing_module(ring)
+    cands = {"R": R, "D": D, "R^2": power_module(R, 2), "D^2": power_module(D, 2),
+             "k": residue_field_module(ring)}
+    session = corpus_sessions()[name]
+    cands.update({f"session {m}": session.module(m) for m in session.modules})
+    for label, C in cands.items():
+        cert = sd.check_semidualizing(C, 5)
+        assert cert == _certificate_by_resolution(C, 5), label
+    for C in (R, D):
+        assert ext_dims(C, C, 5)[1:] == [0] * 5
+    for label in ("R^2", "D^2"):
+        cert = sd.check_semidualizing(cands[label], 5)
+        assert not cert.homothety_bijective
+        assert cert.failure_witness == "homothety not surjective"
+
+
+def test_free_or_injective_certificate_needs_no_resolution(rings, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("resolved a free or injective C")
+
+    monkeypatch.setattr(sd, "ext_dims", refuse)
+    for ring in rings.values():
+        for C in (regular_module(ring), dualizing_module(ring)):
+            assert sd.check_semidualizing(C, 50) == sd.SemidualizingCertificate(True, 50, None)
 
 
 def test_residue_field_fails_homothety(r1_mods):
