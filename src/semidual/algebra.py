@@ -49,12 +49,16 @@ class Algebra:
             raise InputError(f"unit must be a vector of length {d}")
         if not np.array_equal(c, c.transpose(1, 0, 2)):
             raise InputError("structure constants are not commutative")
-        lhs = np.einsum("ijk,klm->ijlm", c, c) % p
-        rhs = np.einsum("jlk,ikm->ijlm", c, c) % p
-        if not np.array_equal(lhs, rhs):
+        # prod[i, j, l, m] = coefficient of e_m in (e_i e_j) e_l; by
+        # commutativity e_i (e_j e_l) = (e_j e_l) e_i is prod[j, l, i, m].
+        # The contraction runs through _mul_arrays, which is exact for any p.
+        prod = _mul_arrays(c.reshape(d * d, d), c.reshape(d, d * d), p)
+        prod = prod.reshape(d, d, d, d)
+        if not np.array_equal(prod, prod.transpose(2, 0, 1, 3)):
             raise InputError("structure constants are not associative")
         eye = np.eye(d, dtype=np.int64)
-        if not np.array_equal(np.einsum("j,jik->ik", u, c) % p, eye):
+        if not np.array_equal(_mul_arrays(u.reshape(1, d), c.reshape(d, d * d), p)
+                              .reshape(d, d), eye):
             raise InputError("unit vector does not act as identity")
         if labels is None:
             labels = [f"e{i}" for i in range(d)]

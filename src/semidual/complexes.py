@@ -249,17 +249,23 @@ class MinimalFreeResolution(AugmentedComplex):
 
     Extra fields: betti (list of ranks), entries[j] ((b_{j-1}, b_j, d) array
     of ring-element entries of the j-th differential, j >= 1), complete
-    (True when the resolution terminated with a zero syzygy).
+    (True once a zero syzygy has been found).
+
+    The kernel of the last arrow (the syzygy that F_{B+1} would cover) is
+    computed only when the resolution is extended, so `complete` may read
+    False for a resolution that a further degree would show to terminate:
+    a free M resolved to length 0 is not yet complete, and becomes complete
+    at length >= 1.
     """
 
     def __init__(self, ring, modules, arrows, augmentation, aug_map,
-                 betti, entries, complete, kernel_cols):
+                 betti, entries):
         super().__init__(ring, modules, arrows, "homological",
                          augmentation, aug_map, check=False)
         self.betti = betti
         self.entries = entries
-        self.complete = complete
-        self._kernel_cols = kernel_cols   # kernel of the last differential
+        self.complete = False
+        self._kernel_cols = None   # kernel of the last arrow, None until needed
 
     def resolution_length(self) -> int:
         return self.top
@@ -294,24 +300,24 @@ def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
     cached = _freeres_cache.get(M.fingerprint)
     if cached is not None and cached.top >= length:
         return cached
+    R = M.ring
     if cached is None:
-        R = M.ring
         gens = minimal_generators(M)
         b0 = gens.shape[1]
         F0 = free_module(R, b0)
         eps = ModuleHom(F0, M, cover_matrix(M, gens), check=False)
-        K = kernel_basis(Mat(R.field, eps.mat)).data
-        res = MinimalFreeResolution(R, [F0], [], M, eps, [b0], [None],
-                                    complete=(K.shape[1] == 0), kernel_cols=K)
+        res = MinimalFreeResolution(R, [F0], [], M, eps, [b0], [None])
     else:
         res = cached
-    R = M.ring
     d = R.dim
     while res.top < length:
         j = res.top + 1
-        K = res._kernel_cols
         F_prev = res.modules[-1]
-        if res.complete or K.shape[1] == 0:
+        if res._kernel_cols is None:
+            last = res.arrows[-1] if res.arrows else res.aug_map
+            res._kernel_cols = kernel_basis(Mat(R.field, last.mat)).data
+        K = res._kernel_cols
+        if K.shape[1] == 0:
             res.modules.append(zero_module(R))
             res.arrows.append(ModuleHom(zero_module(R), F_prev,
                                         np.zeros((F_prev.dim, 0), dtype=np.int64),
@@ -330,10 +336,7 @@ def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
         res.betti.append(bj)
         res.entries.append(np.ascontiguousarray(
             gens.reshape(res.betti[j - 1], d, bj).transpose(0, 2, 1)))
-        K2 = kernel_basis(Mat(R.field, diff.mat)).data
-        res._kernel_cols = K2
-        if K2.shape[1] == 0:
-            res.complete = True
+        res._kernel_cols = None
     _freeres_cache[M.fingerprint] = res
     return res
 

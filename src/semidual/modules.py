@@ -183,7 +183,7 @@ class Module:
 class ModuleHom:
     """R-linear map between modules, stored as a dst.dim x src.dim matrix."""
 
-    __slots__ = ("src", "dst", "mat")
+    __slots__ = ("src", "dst", "mat", "_rank")
 
     def __init__(self, src: Module, dst: Module, mat, check: bool = True):
         if src.ring is not dst.ring and src.ring.fingerprint != dst.ring.fingerprint:
@@ -195,6 +195,7 @@ class ModuleHom:
         self.src = src
         self.dst = dst
         self.mat = _frozen(arr)
+        self._rank = None
         if check:
             self.validate()
 
@@ -222,8 +223,11 @@ class ModuleHom:
         return Mat(self.src.ring.field, self.mat)
 
     def rank(self) -> int:
-        from .linalg import rank as _rank
-        return _rank(self.matrix())
+        """Rank of the matrix, computed once: `mat` is frozen."""
+        if self._rank is None:
+            from .linalg import rank as _rank
+            self._rank = _rank(self.matrix())
+        return self._rank
 
     def is_injective(self) -> bool:
         return self.rank() == self.src.dim

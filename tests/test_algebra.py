@@ -258,6 +258,45 @@ def test_mul_and_mult_matrix_exact_for_every_prime(p):
                 assert M[:, j].tolist() == _poly_product(u, np.eye(3, dtype=np.int64)[j], p, reduce)
 
 
+def _quartic_table(coeffs, p):
+    """Structure constants of GF(p)[x]/(x^4 - c3*x^3 - c2*x^2 - c1*x - c0)
+    in the basis 1, x, x^2, x^3, computed with Python ints."""
+    powers = [[int(k == n) for k in range(4)] for n in range(4)]
+    for _ in range(3):
+        top = powers[-1][3]
+        shifted = [0] + powers[-1][:3]
+        powers.append([(s + top * c) % p for s, c in zip(shifted, coeffs)])
+    return np.array([[powers[i + j] for j in range(4)] for i in range(4)],
+                    dtype=np.int64)
+
+
+def _associative_by_python_ints(c, p):
+    d = len(c)
+    t = c.tolist()
+    for i in range(d):
+        for j in range(d):
+            for l in range(d):
+                lhs = [sum(t[i][j][k] * t[k][l][m] for k in range(d)) % p for m in range(d)]
+                rhs = [sum(t[j][l][k] * t[i][k][m] for k in range(d)) % p for m in range(d)]
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def test_structure_constant_checks_exact_at_large_prime():
+    p = 2 ** 31 - 1
+    c = _quartic_table((2147483145, 2147483132, 2147482763, 2147483627), p)
+    assert _associative_by_python_ints(c, p)
+    R = algebra_from_structure_constants(Field(p), c, [1, 0, 0, 0])
+    assert R.dim == 4
+    bad = c.copy()
+    bad[1, 2, 0] = (bad[1, 2, 0] + 1) % p
+    bad[2, 1, 0] = (bad[2, 1, 0] + 1) % p
+    assert not _associative_by_python_ints(bad, p)
+    with pytest.raises(InputError, match="associative"):
+        algebra_from_structure_constants(Field(p), bad, [1, 0, 0, 0])
+
+
 def test_ring_report_memoised_frozen_and_cleared():
     from dataclasses import FrozenInstanceError
 

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from semidual.cli import Report, main, run_command
-from semidual.corpus import corpus_sessions, data_path, golden_cases
+from semidual.corpus import corpus_sessions, data_path, data_text, golden_cases
 from semidual.errors import InputError
 from semidual.modules import clear_caches
 
@@ -154,6 +154,21 @@ class TestExitCodes:
                    "--kind", "proper-pc"])
         assert rc == 2
         assert "--c is required" in capsys.readouterr().err
+
+
+def test_large_prime_copy_of_r1_verifies(tmp_path, capsys):
+    text = data_text("R1.session")
+    assert "field = 2\n" in text
+    path = tmp_path / "R1_large_prime.session"
+    path.write_text(text.replace("field = 2\n", "field = 2147483647\n"))
+    assert main(["verify-all", str(path), "--bound", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "pass"
+    for command, key in (("ext", "Ext^"), ("tor", "Tor_")):
+        argv = [command, str(path), "--from", "k", "--to", "k", "--bound", "3", "--json"]
+        assert main(argv) == 0
+        dims = json.loads(capsys.readouterr().out)["dimensions"]
+        assert [dims[f"{key}{i}"] for i in range(4)] == [1, 2, 4, 8]
 
 
 @pytest.fixture(scope="module")

@@ -10,13 +10,13 @@ from semidual.complexes import (AugmentedComplex, DimensionValue, betti_numbers,
                                 minimal_injective_resolution, pd_exact, id_exact,
                                 syzygy, tensor_complex_from_resolution, tor_abs,
                                 tor_dims)
-from semidual.corpus import (corpus_rings, random_module_pool,
+from semidual.corpus import (corpus_rings, corpus_sessions, random_module_pool,
                              ring_complete_intersection,
                              ring_square_zero_two_vars, ring_truncated_line,
                              ring_type_three)
 from semidual.errors import InvalidComplexError
 from semidual.linalg import Mat, rank
-from semidual.modules import (ModuleHom, dualizing_module, free_module,
+from semidual.modules import (ModuleHom, clear_caches, dualizing_module, free_module,
                               hom_functor_map, hom_space, matlis_dual,
                               power_module, radical_span, regular_module,
                               residue_field_module, tensor_space, zero_hom,
@@ -71,6 +71,44 @@ def test_resolution_of_free_module_is_length_zero(R1):
     assert res.complete
     assert res.betti[0] == 3
     assert all(b == 0 for b in res.betti[1:])
+    clear_caches()
+    assert not minimal_free_resolution(F, 0).complete   # syzygy not taken yet
+    res = minimal_free_resolution(F, 1)
+    assert res.complete
+    assert res.betti == [3, 0]
+
+
+def test_resolution_takes_one_kernel_per_new_degree(monkeypatch):
+    import semidual.complexes as cx
+    k = residue_field_module(ring_type_three())
+    clear_caches()
+    real = cx.kernel_basis
+    calls = []
+    monkeypatch.setattr(cx, "kernel_basis", lambda m: calls.append(m.data.shape) or real(m))
+    res = minimal_free_resolution(k, 4)
+    assert res.betti == [1, 3, 9, 27, 81]
+    assert len(calls) == 4        # eps, d_1, d_2, d_3; not the unused d_4
+    minimal_free_resolution(k, 5)
+    assert len(calls) == 5
+    assert calls[-1] == res.arrows[3].mat.shape
+
+
+def _resolution_arrays(res):
+    return ([np.array(res.betti)] + res.entries[1:]
+            + [a.mat for a in res.arrows] + [res.aug_map.mat])
+
+
+def test_extended_resolution_equals_one_shot_resolution():
+    for name, session in corpus_sessions().items():
+        for mod in session.modules:
+            M = session.module(mod)
+            clear_caches()
+            minimal_free_resolution(M, 2)
+            extended = _resolution_arrays(minimal_free_resolution(M, 5))
+            clear_caches()
+            one_shot = _resolution_arrays(minimal_free_resolution(M, 5))
+            assert len(extended) == len(one_shot) == 12, (name, mod)
+            assert all(np.array_equal(a, b) for a, b in zip(extended, one_shot)), (name, mod)
 
 
 def test_resolution_of_block_module(R1):
@@ -190,6 +228,9 @@ def test_injective_resolution_of_injective_is_length_zero(R1):
     assert ires.complete
     assert ires.bass[0] == 1
     assert all(b == 0 for b in ires.bass[1:])
+    clear_caches()
+    minimal_injective_resolution(D, 0)
+    assert minimal_injective_resolution(D, 1).complete
 
 
 def test_injective_resolution_of_residue_field(R1):

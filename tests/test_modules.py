@@ -116,6 +116,21 @@ def test_hom_validation_rejects_nonlinear(R1):
     ModuleHom(k, reg, good)
 
 
+def test_rank_is_computed_once_per_map(R1, monkeypatch):
+    import semidual.linalg as linalg
+    D = dualizing_module(R1)
+    f = _rand_hom(D, D, 3)
+    real = linalg.rank
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m.data.shape) or real(m))
+    r = f.rank()
+    f.is_injective()
+    f.is_surjective()
+    f.is_bijective()
+    assert calls == [(D.dim, D.dim)]
+    assert f.rank() == r == real(f.matrix())
+
+
 def test_zero_module_everywhere(R1):
     z = zero_module(R1)
     k = residue_field_module(R1)
