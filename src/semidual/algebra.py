@@ -15,7 +15,10 @@ The radical is computed as the kernel of an iterated Frobenius map: in
 characteristic p the map x -> x^p is GF(p)-linear, and an element of a
 d-dimensional commutative algebra is nilpotent iff x^(p^t) = 0 once
 p^t >= d.  This realises "the set of nilpotent elements" as the kernel of
-an explicit matrix.
+an explicit matrix.  The Frobenius matrix is computed for all basis
+elements at once: square-and-multiply runs on the d x d array whose rows
+are the powers of e_1..e_d, and each step multiplies all rows in one
+contraction of their Khatri-Rao product with the structure constants.
 """
 
 from __future__ import annotations
@@ -238,12 +241,13 @@ class MonomialData:
     index: dict
 
     def reduce_monomial(self, exps: tuple[int, ...]) -> int | None:
-        """Basis index of the monomial, or None if it lies in the ideal."""
-        if any(_divides(r, exps) for r in self.relations):
-            return None
-        idx = self.index.get(exps)
-        assert idx is not None, f"monomial {exps} escaped the standard basis"
-        return idx
+        """Basis index of the monomial, or None if it lies in the ideal.
+
+        A monomial lies outside the monomial ideal exactly when it is a
+        standard monomial: one outside the exponent box is a multiple of a
+        pure-power relation.
+        """
+        return self.index.get(exps)
 
     def element_from_terms(self, field: Field, terms) -> np.ndarray:
         vec = np.zeros(len(self.basis_exponents), dtype=np.int64)
@@ -350,27 +354,31 @@ def _frobenius_kernel(R: Algebra) -> Mat:
     while power < d:
         power *= p
         t += 1
-    frob = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        e = np.zeros(d, dtype=np.int64)
-        e[i] = 1
-        frob[:, i] = _element_power(R, e, p)
+    # left-to-right square-and-multiply on all rows at once: row i of
+    # `power` is e_i^m, m the number formed by the leading bits of p read
+    eye = np.eye(d, dtype=np.int64)
+    power = eye
+    for bit in bin(p)[3:]:
+        power = _rowwise_products(R, power, power)
+        if bit == "1":
+            power = _rowwise_products(R, power, eye)
+    frob = power.T                    # column i is e_i^p
     total = np.eye(d, dtype=np.int64)
     for _ in range(t):
         total = _mul_arrays(frob, total, p)
     return kernel_basis(Mat(R.field, total))
 
 
-def _element_power(R: Algebra, u: np.ndarray, exp: int) -> np.ndarray:
-    acc = R.one()
-    base = u.copy()
-    e = exp
-    while e:
-        if e & 1:
-            acc = R.mul(acc, base)
-        base = R.mul(base, base)
-        e >>= 1
-    return acc
+def _rowwise_products(R: Algebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is the product u_i * v_i, for every row in one contraction.
+
+    Row i of the Khatri-Rao product holds u_ia * v_ib at (a, b); each entry
+    is below p^2 < 2^62, so it is exact in int64 before the reduction, and
+    the structure constants then contract it through _mul_arrays.
+    """
+    p, d = R.field.p, R.dim
+    kr = (U[:, :, None] * V[:, None, :]).reshape(len(U), d * d) % p
+    return _mul_arrays(kr, R.structure.reshape(d * d, d), p)
 
 
 @dataclass(frozen=True)

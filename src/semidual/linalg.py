@@ -175,21 +175,29 @@ def mat_add(a: Mat, b: Mat) -> Mat:
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p.  Uses BLAS through float64 when the inner
-    dimension keeps products below 2^52, otherwise chunks the sum."""
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    per = (p - 1) ** 2
+    """Exact (a @ b) mod p for a matrix a and a matrix b, or a stack b of
+    shape (s, n, k) of matrices, which gives the (s, m, k) stack of products.
+    Uses BLAS through float64 when the inner dimension keeps products below
+    2^52, otherwise chunks the sum."""
     inner = a.shape[1]
+    shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
+    if inner == 0:
+        return np.zeros(shape, dtype=np.int64)
+    per = (p - 1) ** 2
     if per * inner < _FLOAT_EXACT:
+        # rounded and reduced in place: one float and one int result alive
         prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(prod).astype(np.int64) % p
+        np.rint(prod, out=prod)
+        out = prod.astype(np.int64)
+        del prod
+        return np.remainder(out, p, out=out)
     # large p: int64 accumulation, chunked so sums stay below 2^62
     chunk = max(1, (2 ** 62) // per)
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    acc = np.zeros(shape, dtype=np.int64)
     for lo in range(0, inner, chunk):
         hi = min(lo + chunk, inner)
-        acc = (acc + a[:, lo:hi] @ b[lo:hi]) % p
+        acc += a[:, lo:hi] @ b[..., lo:hi, :]
+        np.remainder(acc, p, out=acc)
     return acc
 
 

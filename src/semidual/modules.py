@@ -14,6 +14,12 @@ of the regular module, injective resolutions are powers of its dual) carry
 their block structure instead of materialised action matrices.  Basis order
 inside a power is copy-major: b consecutive copies of W's basis.
 
+act_all applies every basis element of R to a set of columns in one
+contraction, a (d, dim, k) stack; a power applies its base's action.
+Covers, submodule and quotient structures, and the action matrices of ring
+elements (element_matrices) are each read off one such contraction rather
+than a loop over the d basis elements.
+
 Hom and tensor are both read off one cached presentation R^a -> R^g -> M of
 the source (left factor) M: its g minimal generators, a basis of the a
 relations among them, and a k-linear section of the cover R^g -> M.  With
@@ -114,6 +120,21 @@ class Module:
         base, b = self._block
         return _block_apply(base.action[i], b, cols, p)
 
+    def act_all(self, cols: np.ndarray) -> np.ndarray:
+        """(d, dim, k) stack whose slice i is the action of e_i on the k
+        columns, in one contraction; a power acts through its base."""
+        p = self.ring.field.p
+        d = self.ring.dim
+        k = cols.shape[1]
+        if self._block is None:
+            n = self.dim
+            return _mul_arrays(self._action.reshape(d * n, n), cols, p).reshape(d, n, k)
+        base, b = self._block
+        w = base.dim
+        shaped = cols.reshape(b, w, k).transpose(1, 0, 2).reshape(w, b * k)
+        out = _mul_arrays(base.action.reshape(d * w, w), shaped, p)
+        return out.reshape(d, w, b, k).transpose(0, 2, 1, 3).reshape(d, b * w, k)
+
     def act_element(self, elem: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Apply the action of an arbitrary ring element."""
         p = self.ring.field.p
@@ -124,14 +145,24 @@ class Module:
 
     def element_matrix(self, elem: np.ndarray) -> np.ndarray:
         """Dense matrix of the action of a ring element (small modules)."""
+        return self.element_matrices(np.asarray(elem).reshape(-1, 1))[0]
+
+    def element_matrices(self, elems: np.ndarray) -> np.ndarray:
+        """(m, dim, dim) stack of the dense action matrices of the m ring
+        elements given as the columns of elems, in one contraction."""
         p = self.ring.field.p
-        elem = np.asarray(elem) % p
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        act = self.action
-        for i in range(self.ring.dim):
-            if elem[i]:
-                out = (out + int(elem[i]) * act[i]) % p
-        return out
+        d = self.ring.dim
+        coeffs = np.ascontiguousarray((np.asarray(elems, dtype=np.int64) % p).T)
+        if self._block is None:
+            n = self.dim
+            return _mul_arrays(coeffs, self._action.reshape(d, n * n), p).reshape(len(coeffs), n, n)
+        base, b = self._block
+        w = base.dim
+        small = base.element_matrices(elems)
+        out = np.zeros((len(small), b, w, b, w), dtype=np.int64)
+        diag = np.arange(b)
+        out[:, diag, :, diag, :] = small          # I_b kron small
+        return out.reshape(len(small), b * w, b * w)
 
     def validate(self) -> None:
         ring = self.ring
@@ -402,16 +433,12 @@ def _submodule_from_columns(ambient: Module, cols: np.ndarray, label: str,
     """Module structure on the span of the given independent columns.
     The span must be closed under the action; this is asserted."""
     p = ambient.ring.field.p
-    d = ambient.ring.dim
     k = cols.shape[1]
     E = expressor(Mat(ambient.ring.field, cols)).data if k else np.zeros((0, ambient.dim), dtype=np.int64)
-    act = np.zeros((d, k, k), dtype=np.int64)
-    for i in range(d):
-        moved = ambient.act(i, cols)
-        coords = _mul_arrays(E, moved, p)
-        assert np.array_equal(_mul_arrays(cols, coords, p), moved), \
-            "columns do not span a submodule"
-        act[i] = coords
+    moved = ambient.act_all(cols)
+    act = _mul_arrays(E, moved, p)
+    assert np.array_equal(_mul_arrays(cols, act, p), moved), \
+        "columns do not span a submodule"
     carrier = Module(ambient.ring, act, label=label, check=False)
     inj = ModuleHom(carrier, ambient, cols, check=False)
     return Subquotient(carrier, inj, E, kind)
@@ -435,20 +462,14 @@ def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subqu
     n = ambient.dim
     red, piv = rref(transpose(Mat(ambient.ring.field, cols)))
     E = red.data[: len(piv)]          # echelon basis of the subspace, as rows
-    keep = [j for j in range(n) if j not in set(piv)]
-    q = len(keep)
+    keep = np.delete(np.arange(n), piv)
+    q = keep.size
     Q = np.zeros((q, n), dtype=np.int64)
-    for t, j in enumerate(keep):
-        Q[t, j] = 1
-    for i, pc in enumerate(piv):
-        Q[:, pc] = (-E[i, keep]) % p
+    Q[np.arange(q), keep] = 1
+    Q[:, piv] = (-E[:, keep].T) % p
     sigma = np.zeros((n, q), dtype=np.int64)
-    for t, j in enumerate(keep):
-        sigma[j, t] = 1
-    d = ambient.ring.dim
-    act = np.zeros((d, q, q), dtype=np.int64)
-    for i in range(d):
-        act[i] = _mul_arrays(Q, ambient.act(i, sigma), p)
+    sigma[keep, np.arange(q)] = 1
+    act = _mul_arrays(Q, ambient.act_all(sigma), p)
     carrier = Module(ambient.ring, act, label=label, check=False)
     proj = ModuleHom(ambient, carrier, Q, check=False)
     return Subquotient(carrier, proj, sigma, "quotient")
@@ -470,8 +491,9 @@ def radical_span(M: Module) -> np.ndarray:
     rad = radical(M.ring)
     if rad.cols == 0 or M.dim == 0:
         return np.zeros((M.dim, 0), dtype=np.int64)
-    return np.hstack([M.act_element(rad.data[:, j], np.eye(M.dim, dtype=np.int64))
-                      for j in range(rad.cols)])
+    # block j is the action matrix of the j-th radical basis element
+    mats = M.element_matrices(rad.data)
+    return mats.transpose(1, 0, 2).reshape(M.dim, rad.cols * M.dim)
 
 
 def minimal_generators(M: Module) -> np.ndarray:
@@ -495,11 +517,7 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
     """Matrix of the map R^g -> M sending the s-th free generator to
     gens[:, s].  Column (s, mu) is e_mu * gens_s; copy-major layout."""
     g = gens.shape[1]
-    d = M.ring.dim
-    out = np.zeros((M.dim, g, d), dtype=np.int64)
-    for mu in range(d):
-        out[:, :, mu] = M.act(mu, gens)
-    return out.reshape(M.dim, g * d)
+    return M.act_all(gens).transpose(1, 2, 0).reshape(M.dim, g * M.ring.dim)
 
 
 _presentation_cache = _cache()

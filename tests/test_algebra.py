@@ -16,7 +16,7 @@ from semidual.errors import (
     ParseError,
     UnsupportedRingError,
 )
-from semidual.linalg import Field
+from semidual.linalg import Field, Mat, _mul_arrays, kernel_basis
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -133,6 +133,80 @@ def test_radical_elements_are_nilpotent():
         from semidual.linalg import Mat, rank, hstack
         aug = hstack([rad, Mat(R.field, R.one().reshape(-1, 1))])
         assert rank(aug) == rad.cols + 1
+
+
+def _element_power(R, u, exp):
+    """u^exp by square-and-multiply, one element at a time."""
+    acc = R.one()
+    base = u.copy()
+    e = exp
+    while e:
+        if e & 1:
+            acc = R.mul(acc, base)
+        base = R.mul(base, base)
+        e >>= 1
+    return acc
+
+
+def _radical_by_elements(R):
+    """Kernel of the t-fold Frobenius, its matrix built column by column."""
+    p, d = R.field.p, R.dim
+    t, power = 0, 1
+    while power < d:
+        power *= p
+        t += 1
+    frob = np.zeros((d, d), dtype=np.int64)
+    for i in range(d):
+        frob[:, i] = _element_power(R, np.eye(d, dtype=np.int64)[i], p)
+    total = np.eye(d, dtype=np.int64)
+    for _ in range(t):
+        total = _mul_arrays(frob, total, p)
+    return kernel_basis(Mat(R.field, total)).data
+
+
+def _square_of_quadratic(a, b, p):
+    """(c0, c1, c2, c3) with x^4 - c3*x^3 - c2*x^2 - c1*x - c0 equal to
+    ((x - a)(x - b))^2 mod p, whose quotient has a 2-dimensional radical."""
+    s, q = a + b, a * b
+    return (-q * q % p, 2 * s * q % p, -(s * s + 2 * q) % p, 2 * s % p)
+
+
+def test_batched_frobenius_radical_matches_per_element_oracle():
+    from semidual.modules import clear_caches
+
+    big = Field(2 ** 31 - 1)
+    rings = [ring_r1(), ring_r2(), ring_r3(), ring_r4(),
+             algebra_from_monomial_quotient(GF3, ["x", "y", "z"],
+                                            ["x^3", "y^3", "z^3"], name="T27"),
+             algebra_from_monomial_quotient(big, ["x", "y"], ["x^3", "x*y^2", "y^4"]),
+             algebra_from_structure_constants(
+                 big, _quartic_table((2147483145, 2147483132, 2147482763, 2147483627),
+                                     big.p), [1, 0, 0, 0]),
+             algebra_from_structure_constants(
+                 big, _quartic_table(_square_of_quadratic(1234567891, 987654321, big.p),
+                                     big.p), [1, 0, 0, 0])]
+    clear_caches()
+    for R in rings:
+        want = _radical_by_elements(R)
+        got = radical(R).data
+        assert got.shape == want.shape and np.array_equal(got, want), R.name
+    assert radical(rings[-1]).cols == 2
+
+
+def test_reduce_monomial_matches_divisibility_scan():
+    from itertools import product
+
+    from semidual.corpus import corpus_rings
+
+    for R in corpus_rings().values():
+        data = R.monomial_data
+        bounds = [max(e[v] for e in data.basis_exponents) + 1
+                  for v in range(len(data.variables))]
+        for exps in product(*[range(2 * b + 1) for b in bounds]):
+            in_ideal = any(all(r <= m for r, m in zip(rel, exps))
+                           for rel in data.relations)
+            want = None if in_ideal else data.index[exps]
+            assert data.reduce_monomial(exps) == want, (R.name, exps)
 
 
 def test_ring_reports_match_hand_values():

@@ -6,6 +6,7 @@ from semidual.errors import InputError
 from semidual.linalg import (
     Field,
     Mat,
+    _mul_arrays,
     expressor,
     extend_basis,
     hstack,
@@ -263,3 +264,24 @@ def test_kernel_basis_matches_loop_reference(p):
         assert K.data.shape == want.shape
         assert np.array_equal(K.data, want)
         assert mat_mul(a, K).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+def test_mul_arrays_matrix_and_stack_match_python_ints(p):
+    """A matrix times a matrix or a stack of matrices, against Python ints;
+    at 2^31 - 1 the chunked int64 path runs, below it the float64 one."""
+    rng = np.random.default_rng(p % 1000)
+    for m, n, k, s in [(3, 4, 5, 2), (1, 1, 1, 1), (4, 0, 3, 2), (0, 3, 2, 3),
+                       (2, 3, 0, 2), (5, 70, 4, 3), (3, 4, 2, 0)]:
+        a = rng.integers(0, p, size=(m, n))
+        b = rng.integers(0, p, size=(s, n, k))
+        a[:, :1] = p - 1                 # the largest products
+        b[..., :1, :] = p - 1
+        want = [[[sum(int(a[i, t]) * int(b[r, t, j]) for t in range(n)) % p
+                  for j in range(k)] for i in range(m)] for r in range(s)]
+        got = _mul_arrays(a, b, p)
+        assert got.shape == (s, m, k) and got.dtype == np.int64
+        assert got.tolist() == want
+        for r in range(s):
+            flat = _mul_arrays(a, b[r], p)
+            assert flat.shape == (m, k) and flat.tolist() == want[r]

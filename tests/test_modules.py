@@ -5,20 +5,21 @@ import pytest
 
 from oracles import enumerate_homs, hom_space_dim, tensor_dim_quotient
 
-from semidual.algebra import algebra_from_monomial_quotient
-from semidual.corpus import (corpus_rings, corpus_sessions, random_module,
+from semidual.algebra import algebra_from_monomial_quotient, radical
+from semidual.corpus import (corpus_rings, corpus_sessions, data_text, random_module,
                              random_module_pool, ring_square_zero_two_vars,
                              ring_truncated_line)
 from semidual.errors import InputError
-from semidual.linalg import Field, Mat, rank
-from semidual.modules import (Module, ModuleHom, adjunction_iso, coevaluation_mu,
+from semidual.linalg import Field, Mat, _mul_arrays, expressor, rank, rref, transpose
+from semidual.modules import (Module, ModuleHom, _quotient_by_columns,
+                              _submodule_from_columns, adjunction_iso, coevaluation_mu,
                               cokernel, cover_matrix, direct_sum, dualizing_module,
                               evaluation_nu, free_module, hom_functor_map,
                               hom_module, hom_space, homothety_chi, identity_hom,
                               image, is_free, is_injective, kernel, matlis_dual,
                               matlis_dual_hom, minimal_generators, power_module,
-                              presentation_to_module, radical_submodule,
-                              regular_module, residue_field_module,
+                              presentation_to_module, radical_span,
+                              radical_submodule, regular_module, residue_field_module,
                               tensor_functor_map, tensor_module, tensor_space,
                               zero_hom, zero_module)
 
@@ -624,6 +625,119 @@ def test_is_free_matches_rank_route_on_corpus_modules(rings):
         for M in mods:
             assert is_free(M) == _is_free_by_rank(M), M.label
             assert is_injective(M) == _is_free_by_rank(matlis_dual(M)), M.label
+
+
+# Per-basis-element loop references for the batched module actions.
+
+
+def _act_all_loop(M, cols):
+    return np.stack([M.act(i, cols) for i in range(M.ring.dim)])
+
+
+def _element_matrix_loop(M, elem):
+    p = M.ring.field.p
+    out = np.zeros((M.dim, M.dim), dtype=np.int64)
+    for i in range(M.ring.dim):
+        if elem[i]:
+            out = (out + int(elem[i]) * M.action[i]) % p
+    return out
+
+
+def _cover_matrix_loop(M, gens):
+    out = np.zeros((M.dim, gens.shape[1], M.ring.dim), dtype=np.int64)
+    for mu in range(M.ring.dim):
+        out[:, :, mu] = M.act(mu, gens)
+    return out.reshape(M.dim, gens.shape[1] * M.ring.dim)
+
+
+def _radical_span_loop(M):
+    rad = radical(M.ring)
+    if rad.cols == 0 or M.dim == 0:
+        return np.zeros((M.dim, 0), dtype=np.int64)
+    return np.hstack([_element_matrix_loop(M, rad.data[:, j]) for j in range(rad.cols)])
+
+
+def _submodule_loop(ambient, cols):
+    """(action, inclusion, section) of the span of cols, one e_i at a time."""
+    p, d, k = ambient.ring.field.p, ambient.ring.dim, cols.shape[1]
+    E = (expressor(Mat(ambient.ring.field, cols)).data if k
+         else np.zeros((0, ambient.dim), dtype=np.int64))
+    act = np.zeros((d, k, k), dtype=np.int64)
+    for i in range(d):
+        act[i] = _mul_arrays(E, ambient.act(i, cols), p)
+    return act, cols, E
+
+
+def _quotient_loop(ambient, cols):
+    """(action, projection, section) of the quotient by the span of cols."""
+    p, n, d = ambient.ring.field.p, ambient.dim, ambient.ring.dim
+    red, piv = rref(transpose(Mat(ambient.ring.field, cols)))
+    E = red.data[: len(piv)]
+    keep = [j for j in range(n) if j not in set(piv)]
+    q = len(keep)
+    Q = np.zeros((q, n), dtype=np.int64)
+    sigma = np.zeros((n, q), dtype=np.int64)
+    for t, j in enumerate(keep):
+        Q[t, j] = 1
+        sigma[j, t] = 1
+    for i, pc in enumerate(piv):
+        Q[:, pc] = (-E[i, keep]) % p
+    act = np.zeros((d, q, q), dtype=np.int64)
+    for i in range(d):
+        act[i] = _mul_arrays(Q, ambient.act(i, sigma), p)
+    return act, Q, sigma
+
+
+def _session_at_prime(name, p):
+    from semidual.sessions import parse_session_text
+    text = data_text(f"{name}.session")
+    field_line = next(line for line in text.splitlines() if line.startswith("field = "))
+    return parse_session_text(text.replace(field_line, f"field = {p}"))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2 ** 31 - 1])
+def test_batched_actions_match_per_element_loops(p):
+    rng = np.random.default_rng(p % 1000)
+    for name in ("R1", "R2", "R3", "R4"):
+        session = _session_at_prime(name, p)
+        ring = session.ring()
+        mods = [session.module(m) for m in session.modules]
+        mods += [power_module(mods[-1], 2), free_module(ring, 3),
+                 power_module(dualizing_module(ring), 2), zero_module(ring)]
+        for M in mods:
+            label = (name, p, M.label)
+            for k in (0, 1, 3):
+                cols = rng.integers(0, p, size=(M.dim, k))
+                got = M.act_all(cols)
+                assert got.shape == (ring.dim, M.dim, k), label
+                assert np.array_equal(got, _act_all_loop(M, cols)), label
+            elems = rng.integers(0, p, size=(ring.dim, 3))
+            elems[:, 0] = ring.unit
+            for j in range(3):
+                want = _element_matrix_loop(M, elems[:, j])
+                assert np.array_equal(M.element_matrix(elems[:, j]), want), label
+                assert np.array_equal(M.element_matrices(elems)[j], want), label
+            gens = minimal_generators(M)
+            assert np.array_equal(cover_matrix(M, gens), _cover_matrix_loop(M, gens)), label
+            span = radical_span(M)
+            assert np.array_equal(span, _radical_span_loop(M)), label
+            # action-stable subspaces: rad M, R v for a random v, 0 and M
+            stable = [span, M.act_all(rng.integers(0, p, size=(M.dim, 1)))[:, :, 0].T]
+            bases = [np.zeros((M.dim, 0), dtype=np.int64), np.eye(M.dim, dtype=np.int64)]
+            for gen in stable:
+                red, piv = rref(transpose(Mat(ring.field, gen)))
+                bases.append(red.data[: len(piv)].T)
+            for cols in bases:
+                sub = _submodule_from_columns(M, cols, "S")
+                act, inc, sec = _submodule_loop(M, cols)
+                assert np.array_equal(sub.carrier.action, act), label
+                assert np.array_equal(sub.map.mat, inc), label
+                assert np.array_equal(sub.section, sec), label
+                quo = _quotient_by_columns(M, cols, "Q")
+                act, proj, sec = _quotient_loop(M, cols)
+                assert np.array_equal(quo.carrier.action, act), label
+                assert np.array_equal(quo.map.mat, proj), label
+                assert np.array_equal(quo.section, sec), label
 
 
 def test_direct_sum_and_its_freeness(R1):
