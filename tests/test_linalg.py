@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semidual import linalg
+from semidual.complexes import minimal_free_resolution
+from semidual.corpus import ring_type_three
 from semidual.errors import InputError
 from semidual.linalg import (
+    _SPLIT_MIN_CELLS,
     Field,
     Mat,
     _mul_arrays,
+    _panel_echelon,
     expressor,
     extend_basis,
     hstack,
@@ -21,6 +26,7 @@ from semidual.linalg import (
     vstack,
     zeros,
 )
+from semidual.modules import residue_field_module
 
 from oracles import enumerate_kernel, enumerate_solutions, naive_rref
 
@@ -157,22 +163,29 @@ def test_extend_basis():
     assert picked == [1, 3]  # greedy, first-come
 
 
-mat_strategy = st.integers(1, 24).flatmap(
-    lambda seed: st.tuples(
-        st.sampled_from([2, 3, 5, 7, 97]),
-        st.integers(0, 8),
-        st.integers(0, 8),
-        st.integers(0, 2 ** 31 - 1),
-    )
+# Shapes reach past _SPLIT_MIN_CELLS and the density runs from all-zero to
+# all-nonzero, so that sparse draws go through the private-row split.
+mat_strategy = st.tuples(
+    st.sampled_from([2, 3, 5, 7, 97, 65521, 2 ** 31 - 1]),
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.sampled_from([0.0, 0.03, 0.06, 0.1, 0.2, 0.5, 1.0]),
+    st.integers(0, 2 ** 31 - 1),
 )
+
+
+def _draw_matrix(p, m, n, density, rng):
+    """An m x n matrix over GF(p) whose entries are nonzero with
+    probability `density`."""
+    return rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < density)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mat_strategy)
 def test_rref_matches_naive(params):
-    p, m, n, seed = params
+    p, m, n, density, seed = params
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, p, size=(m, n))
+    data = _draw_matrix(p, m, n, density, rng)
     a = Mat(Field(p), data)
     got, piv = rref(a)
     want, want_piv = naive_rref(data.tolist(), p)
@@ -183,9 +196,9 @@ def test_rref_matches_naive(params):
 @settings(max_examples=100, deadline=None)
 @given(mat_strategy)
 def test_kernel_properties(params):
-    p, m, n, seed = params
+    p, m, n, density, seed = params
     rng = np.random.default_rng(seed)
-    a = Mat(Field(p), rng.integers(0, p, size=(m, n)))
+    a = Mat(Field(p), _draw_matrix(p, m, n, density, rng))
     k = kernel_basis(a)
     assert k.cols == n - rank(a)
     if k.cols:
@@ -196,9 +209,9 @@ def test_kernel_properties(params):
 @settings(max_examples=100, deadline=None)
 @given(mat_strategy)
 def test_solve_properties(params):
-    p, m, n, seed = params
+    p, m, n, density, seed = params
     rng = np.random.default_rng(seed)
-    a = Mat(Field(p), rng.integers(0, p, size=(m, n)))
+    a = Mat(Field(p), _draw_matrix(p, m, n, density, rng))
     x_true = Mat(Field(p), rng.integers(0, p, size=(n, 2)))
     b = mat_mul(a, x_true)
     x = solve(a, b)
@@ -285,3 +298,103 @@ def test_mul_arrays_matrix_and_stack_match_python_ints(p):
         for r in range(s):
             flat = _mul_arrays(a, b[r], p)
             assert flat.shape == (m, k) and flat.tolist() == want[r]
+
+
+def _split_kinds(data: np.ndarray) -> tuple[int, int]:
+    """(private, coupled) row counts: nonzero rows that share no column with
+    another row, and rows that do."""
+    nz = data != 0
+    coupled = nz[:, nz.sum(axis=0) > 1].any(axis=1)
+    return int((nz.any(axis=1) & ~coupled).sum()), int(coupled.sum())
+
+
+def _structured_sparse(p: int, rng, n_private: int, n_coupled: int) -> np.ndarray:
+    """Private rows on disjoint column supports, coupled rows sharing a block
+    of 80 columns (wider than one 64-column panel) with one dependent row,
+    three zero rows and ten zero columns, 140 columns in all.  Columns and
+    rows are scrambled, so private and coupled pivots interleave."""
+    cols = 140
+    perm = rng.permutation(cols)
+    coupled_cols, private_cols = perm[10:90], perm[90:]
+    data = np.zeros((n_private + n_coupled + 3, cols), dtype=np.int64)
+    for i, part in enumerate(np.array_split(private_cols, n_private)):
+        support = part[(rng.random(part.size) < 0.5) | (np.arange(part.size) == 0)]
+        data[i, support] = rng.integers(1, p, size=support.size)
+    if n_coupled:
+        block = rng.integers(1, p, size=(n_coupled, 80)) * (rng.random((n_coupled, 80)) < 0.3)
+        block[:, 0] = rng.integers(1, p, size=n_coupled)       # every row shares column 0
+        if n_coupled > 2:
+            block[-1] = (block[0] + (p - 1) * block[1]) % p
+        data[n_private:n_private + n_coupled, coupled_cols] = block
+    return data[rng.permutation(data.shape[0])]
+
+
+def _outputs(a: Mat) -> list:
+    """Everything derived from the echelon form, for one matrix."""
+    p, f = a.field.p, a.field
+    rng = np.random.default_rng(a.rows * 1000 + a.cols)
+    b = mat_mul(a, Mat(f, rng.integers(0, p, size=(a.cols, 2))))
+    off = Mat(f, rng.integers(0, p, size=(a.rows, 1)))
+    red, piv = rref(a)
+    k = kernel_basis(a)
+    row_basis = transpose(Mat(f, red.data[:len(piv)]))
+    half = a.cols // 2
+    return [red, piv, rank(a), k, solve(a, b), solve(a, off), expressor(row_basis),
+            extend_basis(Mat(f, a.data[:, :half]), Mat(f, a.data[:, half:])),
+            extend_basis(zeros(f, a.rows, 0), a)]
+
+
+def _panel_only(arr, p):
+    return _panel_echelon(arr.astype(np.int64) % p, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
+    """Structured sparse matrices through the private-row split: the RREF
+    against the pure-Python oracle, and every echelon consumer against the
+    panel elimination alone."""
+    f = Field(p)
+    rng = np.random.default_rng(p % 1009)
+    mixed = [_structured_sparse(p, rng, n_private, n_coupled)
+             for n_private, n_coupled in [(12, 10), (30, 3), (5, 30)]]
+    for data in mixed:
+        private, coupled = _split_kinds(data)
+        assert private and coupled and data.size > _SPLIT_MIN_CELLS
+    only_private = _structured_sparse(p, rng, 20, 0)
+    assert _split_kinds(only_private)[1] == 0
+    one_row = np.zeros((1, 300), dtype=np.int64)
+    one_row[0, 7::11] = rng.integers(1, p, size=one_row[0, 7::11].size)
+    one_col = np.zeros((300, 1), dtype=np.int64)
+    one_col[3::13] = rng.integers(1, p, size=one_col[3::13].shape)
+    diagonal = np.diag(rng.integers(1, p, size=40))[rng.permutation(40)]
+    empty = [np.zeros(shape, dtype=np.int64) for shape in [(0, 0), (0, 200), (200, 0), (20, 20)]]
+    cases = mixed + [only_private, one_row, one_col, diagonal] + empty
+    for data in cases:
+        a = Mat(f, data)
+        got, piv = rref(a)
+        want, want_piv = naive_rref(data.tolist(), p)
+        assert piv == want_piv
+        assert got.tolist() == want
+        split = _outputs(a)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "_echelon", _panel_only)
+            reference = _outputs(a)
+        assert split == reference
+
+
+def test_private_rows_need_no_elimination(monkeypatch):
+    """The third differential of the resolution of k over R4 has one nonzero
+    per row and per column: its rank makes no matrix product."""
+    R4 = ring_type_three()
+    d3 = minimal_free_resolution(residue_field_module(R4), 3).arrow(3).mat
+    assert d3.shape == (36, 108) and d3.size > _SPLIT_MIN_CELLS
+    assert _split_kinds(d3) == (27, 0)
+    calls = []
+
+    def counted(a, b, p):
+        calls.append(a.shape)
+        return _mul_arrays(a, b, p)
+
+    monkeypatch.setattr(linalg, "_mul_arrays", counted)
+    assert rank(Mat(R4.field, d3)) == 27
+    assert calls == []
