@@ -6,36 +6,85 @@ pivoting (scan columns left to right, take the topmost nonzero entry), so
 every result -- echelon form, pivot columns, kernel basis order, solve
 output -- is deterministic.
 
-The echelon core has two stages.  First, one count of nonzeros per column
-finds the private rows: nonzero rows that share no column with any other
-row.  Such a row is already reduced once it is scaled by the inverse of its
-leading entry, so it needs no elimination.  Over a monomial quotient each
-differential entry is a scalar times a monomial, and most of the matrices
-reduced there have only private rows.  Second, the remaining coupled rows,
-restricted to the columns they touch, go through a panel elimination:
-panels of columns are reduced with plain rank-1 updates, then one
-accumulated update is applied to the trailing block per panel.  The
-accumulated update is a float64 matrix product, exact as long as
-width * (p-1)^2 stays below 2^52; the panel width shrinks automatically for
-large p.  Private and coupled rows touch disjoint columns, so their reduced
-rows, merged by pivot column, form a reduced row echelon form of the whole
-matrix; that form is unique, so the split changes no output.  Small
-matrices skip the split.  Everything else (kernel, solve, rank, inverse) is
-derived from the echelon form.
+The method is chosen by operand size, because tiny operands pay mostly
+fixed per-call cost, and every tier is exact by a bound.  Products
+(`_mul_arrays`) of at most _INT64_MAX_MACS multiply-adds are taken directly
+in int64 when inner * (p-1)^2 < 2^63, so no sum can overflow; larger ones go
+through BLAS in float64 when inner * (p-1)^2 < 2^52, below which every float
+sum is an exact integer; the rest is summed in int64 chunks.
+
+Matrices of at most _SMALL_CELLS cells are row reduced on a list of rows of
+Python ints, which are exact at any p.  Larger ones go through two stages.
+First, one count of nonzeros per column finds the private rows: nonzero
+rows that share no column with any other row.  Such a row is already
+reduced once it is scaled by the inverse of its leading entry, so it needs
+no elimination.  Over a monomial quotient each differential entry is a
+scalar times a monomial, and most of the matrices reduced there have only
+private rows.  Second, the remaining coupled rows, restricted to the
+columns they touch, go through a panel elimination: panels of columns are
+reduced with plain rank-1 updates, then one accumulated update is applied
+to the trailing block per panel.  The accumulated update is a float64
+matrix product, exact as long as width * (p-1)^2 stays below 2^52; the
+panel width shrinks automatically for large p.  Private and coupled rows
+touch disjoint columns, so their reduced rows, merged by pivot column, form
+a reduced row echelon form of the whole matrix; that form is unique, so
+neither the split nor the size tier changes any output.  Everything else
+(kernel, solve, rank, inverse) is derived from the echelon form.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
 
 import numpy as np
 
 from .errors import InputError
 
 _FLOAT_EXACT = 2 ** 52
-# Matrices of at most this many cells go straight to the panel elimination.
-# Measured on the echelon inputs of the benchmark's small-rings pass, the
-# split costs about 8 us more per call than it saves at 65-128 cells and
-# saves 5-30 us per call at 129-320 cells.
-_SPLIT_MIN_CELLS = 128
+_INT64_EXACT = 2 ** 63
+# Products of at most this many multiply-adds (stack included) are taken in
+# int64 without BLAS.  Measured on the products of one small-rings benchmark
+# pass (52,209 calls), best of 3 per call: up to 2^12 multiply-adds int64
+# saves 1.4-2.6 us of the float path's 4-7 us per call; at 2^13 the two tie,
+# and from 2^14 up the float path wins (at 2^16, 47 us against 71 us).
+_INT64_MAX_MACS = 2 ** 12
+# Matrices of at most this many cells are reduced over Python ints; larger
+# ones go through the private-row split and the panel elimination.
+# Measured on the echelon inputs of one small-rings benchmark pass, best of
+# 3 per call: at 129-256 cells 31 us against 81 us per call (270 calls), at
+# 257-512 cells 45 us against 70 us, at 513-1024 cells 84 us against 90 us.
+_SMALL_CELLS = 256
+# glibc's malloc serves a block above its mmap threshold with fresh pages
+# and returns them on free.  The threshold starts at 128 KiB and rises to
+# the size of each such block freed, up to 32 MiB, and the top of the heap
+# is returned once more than twice the threshold is free there.  So whether
+# a multi-megabyte array lands on memory the process has already touched or
+# on fresh pages, each one a minor page fault, depends on which arrays
+# happened to be freed before it: in the benchmark's deep-r4 ops the same
+# computation took 8,000 or 15,800 faults per pass, and 15-20% more time,
+# depending on unrelated small allocations.  Both thresholds are pinned at
+# the ceiling that rule reaches; with them a pass takes about 250 faults.
+_MALLOC_MMAP_THRESHOLD = 32 * 2 ** 20
+_MALLOC_TRIM_THRESHOLD = 2 * _MALLOC_MMAP_THRESHOLD
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds; other C libraries are left
+    alone."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, _MALLOC_MMAP_THRESHOLD)      # M_MMAP_THRESHOLD
+    mallopt(-1, _MALLOC_TRIM_THRESHOLD)      # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 def _is_prime(n: int) -> bool:
@@ -192,13 +241,23 @@ def mat_add(a: Mat, b: Mat) -> Mat:
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for a matrix a and a matrix b, or a stack b of
     shape (s, n, k) of matrices, which gives the (s, m, k) stack of products.
-    Uses BLAS through float64 when the inner dimension keeps products below
-    2^52, otherwise chunks the sum."""
+    Entries lie in [0, p).
+
+    Three tiers, each exact because no partial sum can leave the range it is
+    computed in: small int64 products, of at most _INT64_MAX_MACS
+    multiply-adds with inner * (p-1)^2 < 2^63, are taken directly, which skips
+    the float round trip but has no BLAS behind it; larger ones use BLAS
+    through float64 when inner * (p-1)^2 < 2^52; otherwise the sum is
+    chunked in int64."""
     inner = a.shape[1]
     shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
     if inner == 0:
         return np.zeros(shape, dtype=np.int64)
     per = (p - 1) ** 2
+    if (a.shape[0] * b.size <= _INT64_MAX_MACS and per * inner < _INT64_EXACT
+            and a.dtype == b.dtype == np.int64):
+        out = a @ b
+        return np.remainder(out, p, out=out)
     if per * inner < _FLOAT_EXACT:
         # rounded and reduced in place: one float and one int result alive
         prod = a.astype(np.float64) @ b.astype(np.float64)
@@ -233,15 +292,20 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     they touch, go through the panel elimination.  The two sets of rows touch
     disjoint columns, so merging their reduced rows by pivot column gives a
     reduced row echelon form of the whole matrix, and since that form is
-    unique it is exactly what eliminating the whole matrix gives.
+    unique it is exactly what eliminating the whole matrix gives.  A matrix
+    with no private row is restricted the same way, to its nonzero rows and
+    columns, unless it has none to drop.  Matrices of at most _SMALL_CELLS
+    cells are reduced over Python ints instead.
     """
+    if arr.size <= _SMALL_CELLS:
+        return _small_echelon(arr, p)
     R = arr.astype(np.int64, copy=True) % p
-    if R.size <= _SPLIT_MIN_CELLS:
-        return _panel_echelon(R, p)
     nz = R != 0
-    coupled = nz[:, np.count_nonzero(nz, axis=0) > 1].any(axis=1)
-    private = np.flatnonzero(~coupled & nz.any(axis=1))
-    if private.size == 0:
+    counts = np.count_nonzero(nz, axis=0)
+    live = nz.any(axis=1)
+    coupled = nz[:, counts > 1].any(axis=1)
+    private = np.flatnonzero(live & ~coupled)
+    if private.size == 0 and live.all() and counts.all():
         return _panel_echelon(R, p)
     lead = nz[private].argmax(axis=1)
     inv = np.array([pow(v, p - 2, p) for v in R[private, lead].tolist()], dtype=np.int64)
@@ -255,6 +319,37 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     out[slot[:private.size]] = (R[private] * inv[:, None]) % p
     out[slot[private.size:, None], ccol] = Rc[:len(cpiv)]
     return out, np.sort(pivots).tolist()
+
+
+def _small_echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p of a small matrix, by first-nonzero
+    pivoting on a list of rows of Python ints, which are exact at any p.
+    Only rows with a nonzero multiplier are touched."""
+    rows, cols = arr.shape
+    M = np.remainder(arr, p).tolist()
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if M[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            M[r], M[i] = M[i], M[r]
+        row = M[r]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = M[r] = [x * inv % p for x in row]
+        for i in range(rows):
+            m = M[i][c]
+            if m and i != r:
+                M[i] = [(x - m * y) % p for x, y in zip(M[i], row)]
+        pivots.append(c)
+        r += 1
+    return np.array(M, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -277,6 +372,8 @@ def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     while r < rows and c0 < cols:
         c1 = min(c0 + width, cols)
         panel = R[:, c0:c1]
+        # the bookkeeping for the trailing update; the last panel has none
+        trailing = c1 < cols
         batch: list[int] = []     # pivot row index per panel pivot
         invs: list[int] = []      # inverse applied when scaling that pivot row
         mults: list[np.ndarray] = []  # panel column captured before zeroing
@@ -302,11 +399,12 @@ def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             if mask.any():
                 panel[mask] = (panel[mask] - np.outer(colv[mask], panel[rr])) % p
             pivots.append(c0 + c)
-            batch.append(rr)
-            invs.append(inv)
-            mults.append(colv)
+            if trailing:
+                batch.append(rr)
+                invs.append(inv)
+                mults.append(colv)
             rr += 1
-        if batch and c1 < cols:
+        if batch:
             k = len(batch)
             M = np.stack(mults, axis=1)           # rows x k, multiplier per step
             T0 = R[batch, c1:]                    # stale trailing of pivot rows

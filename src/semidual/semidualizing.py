@@ -356,7 +356,9 @@ class _PCExtEngine:
     matrices must coincide (naturality of the module structure on Hom); the
     comparison map of the transfer theorem is the identity in these
     coordinates, and checking the assembled matrices against each other is
-    exactly checking that the adjunction squares commute.
+    exactly checking that the adjunction squares commute.  Once they are
+    checked, both routes are one complex, so the homology that the
+    comparison map is materialized on is computed once, not once per route.
     """
 
     def __init__(self, C: Module, M: Module, N: Module):
@@ -425,29 +427,27 @@ class _PCExtEngine:
         return (self.space_dim(i) - self.rank(i, route)
                 - self.rank(i + 1, route))
 
-    def _complex(self, route: str, top: int) -> AugmentedComplex:
+    def _complex(self, top: int) -> AugmentedComplex:
         res = minimal_free_resolution(self.hcm.module, top)
-        mats = self._formula if route == "formula" else self._proper
         modules = [power_module(self.hcn.module, res.betti[j])
                    for j in range(top + 1)]
-        arrows = [ModuleHom(modules[j - 1], modules[j], mats[j - 1],
+        arrows = [ModuleHom(modules[j - 1], modules[j], self._formula[j - 1],
                             check=False) for j in range(1, top + 1)]
         return AugmentedComplex(self.C.ring, modules, arrows,
                                 "cohomological", check=False)
 
     def homology_iso(self, i: int, limit: int = 600) -> ModuleHom | None:
         """Materialize the comparison on homology in degree i, when the
-        chain groups are small enough; asserts bijectivity."""
+        chain groups are small enough; asserts bijectivity.  After compare()
+        the two routes are one complex, so the map is reduce after
+        represent on its one homology."""
         self.compare(i + 1)
         for j in range(max(i - 1, 0), i + 2):
             if self.space_dim(j) > limit:
                 return None
-        cf = self._complex("formula", i + 1)
-        cp = self._complex("proper", i + 1)
-        Hf, rep_f, _ = homology_data(cf, i)
-        Hp, _, red_p = homology_data(cp, i)
+        H, represent, reduce_ = homology_data(self._complex(i + 1), i)
         p = self.field.p
-        iso = ModuleHom(Hf, Hp, _mul_arrays(red_p, rep_f, p), check=False)
+        iso = ModuleHom(H, H, _mul_arrays(reduce_, represent, p), check=False)
         if not iso.is_bijective():
             raise TheoremViolationError(
                 "comparison map is not bijective on homology in degree "

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +11,14 @@ from semidual.complexes import minimal_free_resolution
 from semidual.corpus import ring_type_three
 from semidual.errors import InputError
 from semidual.linalg import (
-    _SPLIT_MIN_CELLS,
+    _INT64_MAX_MACS,
+    _SMALL_CELLS,
     Field,
     Mat,
+    _echelon,
     _mul_arrays,
     _panel_echelon,
+    _small_echelon,
     expressor,
     extend_basis,
     hstack,
@@ -163,7 +170,7 @@ def test_extend_basis():
     assert picked == [1, 3]  # greedy, first-come
 
 
-# Shapes reach past _SPLIT_MIN_CELLS and the density runs from all-zero to
+# Shapes reach past _SMALL_CELLS and the density runs from all-zero to
 # all-nonzero, so that sparse draws go through the private-row split.
 mat_strategy = st.tuples(
     st.sampled_from([2, 3, 5, 7, 97, 65521, 2 ** 31 - 1]),
@@ -281,8 +288,10 @@ def test_kernel_basis_matches_loop_reference(p):
 
 @pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
 def test_mul_arrays_matrix_and_stack_match_python_ints(p):
-    """A matrix times a matrix or a stack of matrices, against Python ints;
-    at 2^31 - 1 the chunked int64 path runs, below it the float64 one."""
+    """A matrix times a matrix or a stack of matrices, against Python ints.
+    The small shapes take the direct int64 tier below 2^31 - 1; the 5 x 70
+    stack takes the float64 tier there and the chunked int64 one at
+    2^31 - 1, where every inner dimension past 2 is chunked."""
     rng = np.random.default_rng(p % 1000)
     for m, n, k, s in [(3, 4, 5, 2), (1, 1, 1, 1), (4, 0, 3, 2), (0, 3, 2, 3),
                        (2, 3, 0, 2), (5, 70, 4, 3), (3, 4, 2, 0)]:
@@ -290,8 +299,7 @@ def test_mul_arrays_matrix_and_stack_match_python_ints(p):
         b = rng.integers(0, p, size=(s, n, k))
         a[:, :1] = p - 1                 # the largest products
         b[..., :1, :] = p - 1
-        want = [[[sum(int(a[i, t]) * int(b[r, t, j]) for t in range(n)) % p
-                  for j in range(k)] for i in range(m)] for r in range(s)]
+        want = _python_product(a, b, p)
         got = _mul_arrays(a, b, p)
         assert got.shape == (s, m, k) and got.dtype == np.int64
         assert got.tolist() == want
@@ -350,7 +358,8 @@ def _panel_only(arr, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
 def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
-    """Structured sparse matrices through the private-row split: the RREF
+    """Structured sparse matrices through the private-row split, and
+    matrices under _SMALL_CELLS through the Python-int echelon: the RREF
     against the pure-Python oracle, and every echelon consumer against the
     panel elimination alone."""
     f = Field(p)
@@ -359,7 +368,7 @@ def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
              for n_private, n_coupled in [(12, 10), (30, 3), (5, 30)]]
     for data in mixed:
         private, coupled = _split_kinds(data)
-        assert private and coupled and data.size > _SPLIT_MIN_CELLS
+        assert private and coupled and data.size > _SMALL_CELLS
     only_private = _structured_sparse(p, rng, 20, 0)
     assert _split_kinds(only_private)[1] == 0
     one_row = np.zeros((1, 300), dtype=np.int64)
@@ -368,7 +377,12 @@ def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
     one_col[3::13] = rng.integers(1, p, size=one_col[3::13].shape)
     diagonal = np.diag(rng.integers(1, p, size=40))[rng.permutation(40)]
     empty = [np.zeros(shape, dtype=np.int64) for shape in [(0, 0), (0, 200), (200, 0), (20, 20)]]
-    cases = mixed + [only_private, one_row, one_col, diagonal] + empty
+    small = [_draw_matrix(p, m, n, density, rng)
+             for m, n, density in [(16, 16, 0.3), (9, 12, 1.0), (4, 60, 0.1), (1, 200, 0.5),
+                                   (30, 3, 0.5), (10, 10, 0.0), (0, 9, 0.0)]]
+    small.append(np.diag(rng.integers(1, p, size=12))[rng.permutation(12)])
+    assert all(data.size <= _SMALL_CELLS for data in small)
+    cases = mixed + [only_private, one_row, one_col, diagonal] + empty + small
     for data in cases:
         a = Mat(f, data)
         got, piv = rref(a)
@@ -387,7 +401,7 @@ def test_private_rows_need_no_elimination(monkeypatch):
     per row and per column: its rank makes no matrix product."""
     R4 = ring_type_three()
     d3 = minimal_free_resolution(residue_field_module(R4), 3).arrow(3).mat
-    assert d3.shape == (36, 108) and d3.size > _SPLIT_MIN_CELLS
+    assert d3.shape == (36, 108) and d3.size > _SMALL_CELLS
     assert _split_kinds(d3) == (27, 0)
     calls = []
 
@@ -398,3 +412,182 @@ def test_private_rows_need_no_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_mul_arrays", counted)
     assert rank(Mat(R4.field, d3)) == 27
     assert calls == []
+
+
+# -- size tiers ---------------------------------------------------------------------
+
+
+class _NumpySpy:
+    """Stands in for numpy inside linalg and records the calls that tell the
+    product tiers apart: np.rint runs only on the float64 tier, np.zeros
+    only on the chunked one."""
+
+    def __init__(self):
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("rint", "zeros"):
+            return attr
+
+        def spied(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+        return spied
+
+
+def _product_and_tier(a, b, p, monkeypatch):
+    spy = _NumpySpy()
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "np", spy)
+        got = _mul_arrays(a, b, p)
+    tier = "float64" if "rint" in spy.calls else "chunked" if "zeros" in spy.calls else "int64"
+    return got, tier
+
+
+def _python_product(a, b, p) -> list:
+    """(a @ b) mod p over Python ints, for a matrix or a stack b."""
+    stack = b if b.ndim == 3 else b[None]
+    out = [[[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in mat.T]
+            for row in a] for mat in stack]
+    return out if b.ndim == 3 else out[0]
+
+
+def test_int64_product_guard_boundary(monkeypatch):
+    """At p = 2^31 - 1 two largest products still fit in int64, three do
+    not: inner 2 takes the int64 tier, inner 3 the chunked one, both exact.
+    Operands that are not int64, whose own products could wrap, never take
+    the int64 tier."""
+    p = 2 ** 31 - 1
+    assert 2 * (p - 1) ** 2 < 2 ** 63 <= 3 * (p - 1) ** 2
+    for inner, want_tier in [(1, "int64"), (2, "int64"), (3, "chunked")]:
+        a = np.full((2, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 3), p - 1, dtype=np.int64)
+        got, tier = _product_and_tier(a, b, p, monkeypatch)
+        assert tier == want_tier
+        assert got.dtype == np.int64 and got.tolist() == _python_product(a, b, p)
+    p = 65521
+    a = np.full((4, 16), p - 1, dtype=np.int32)
+    got, tier = _product_and_tier(a, a.T, p, monkeypatch)
+    assert tier == "float64"
+    assert got.dtype == np.int64 and got.tolist() == _python_product(a, a.T, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_int64_product_tier_matches_python_ints_and_float(p, monkeypatch):
+    """Shapes on both sides of _INT64_MAX_MACS, stacked right operands, and
+    zero and empty shapes: each product against Python ints, in the tier
+    its size selects, and against the same product with the int64 tier
+    switched off."""
+    rng = np.random.default_rng(p % 997)
+    assert _INT64_MAX_MACS == 8 * 16 * 32
+    big_p = p == 2 ** 31 - 1          # every inner past 2 is over the int64 guard
+    cases = [((8, 16), (16, 32), "chunked" if big_p else "int64"),
+             ((8, 16), (16, 33), "chunked" if big_p else "float64"),
+             ((8, 16), (4, 16, 8), "chunked" if big_p else "int64"),
+             ((8, 16), (5, 16, 8), "chunked" if big_p else "float64"),
+             ((3, 2), (4, 2, 5), "int64"),
+             ((64, 2), (2, 32), "int64"),
+             ((64, 2), (2, 33), "chunked" if big_p else "float64"),
+             ((2, 3), (3, 0), "chunked" if big_p else "int64"),
+             ((0, 3), (3, 4), "chunked" if big_p else "int64"),
+             ((3, 4), (0, 4, 2), "chunked" if big_p else "int64")]
+    for a_shape, b_shape, want_tier in cases:
+        a = rng.integers(0, p, size=a_shape)
+        b = rng.integers(0, p, size=b_shape)
+        if a.size and b.size:
+            a[:, :1] = p - 1                 # the largest products
+            b[..., :1, :] = p - 1
+        for scale in (1, 0):                 # random, then all zero
+            got, tier = _product_and_tier(a * scale, b * scale, p, monkeypatch)
+            assert tier == want_tier, (a_shape, b_shape)
+            assert got.dtype == np.int64
+            assert got.shape == b_shape[:-2] + (a_shape[0], b_shape[-1])
+            assert got.tolist() == _python_product(a * scale, b * scale, p)
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "_INT64_MAX_MACS", -1)
+                assert np.array_equal(_mul_arrays(a * scale, b * scale, p), got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_small_echelon_matches_naive_and_panel(p, monkeypatch):
+    """Shapes on both sides of _SMALL_CELLS, zero and empty ones included:
+    _echelon against the oracle, the Python-int path taken exactly up to
+    the cutoff, and the Python-int echelon against the panel elimination on
+    every shape."""
+    rng = np.random.default_rng(p % 991)
+    taken: list[tuple] = []
+
+    def counted(arr, q):
+        taken.append(arr.shape)
+        return _small_echelon(arr, q)
+
+    monkeypatch.setattr(linalg, "_small_echelon", counted)
+    shapes = [(16, 16), (16, 17), (1, 256), (1, 257), (256, 1), (257, 1),
+              (12, 9), (3, 86), (0, 0), (0, 300), (300, 0), (7, 0), (0, 7)]
+    for m, n in shapes:
+        for density in (0.0, 0.1, 0.5, 1.0):
+            data = _draw_matrix(p, m, n, density, rng)
+            taken.clear()
+            R, piv = _echelon(data, p)
+            assert taken == ([(m, n)] if m * n <= _SMALL_CELLS else [])
+            want, want_piv = naive_rref(data.tolist(), p)
+            assert R.dtype == np.int64 and R.shape == (m, n)
+            assert piv == want_piv and R.tolist() == want
+            small, small_piv = _small_echelon(data, p)
+            panel, panel_piv = _panel_only(data, p)
+            assert small.dtype == np.int64 and small.shape == (m, n)
+            assert small_piv == panel_piv and np.array_equal(small, panel)
+
+
+def test_coupled_matrix_is_restricted_to_nonzero_rows_and_columns(monkeypatch):
+    """A coupled matrix with no private row reaches the panel elimination
+    without its zero rows and columns."""
+    p = 5
+    rng = np.random.default_rng(7)
+    block = rng.integers(1, p, size=(20, 20))
+    block[-1] = (block[0] + 2 * block[1]) % p     # rank 19
+    padded = np.zeros((33, 34), dtype=np.int64)
+    rows, cols = np.sort(rng.permutation(33)[:20]), np.sort(rng.permutation(34)[:20])
+    padded[np.ix_(rows, cols)] = block
+    shapes: list[tuple] = []
+
+    def counted(R, q):
+        shapes.append(R.shape)
+        return _panel_echelon(R, q)
+
+    monkeypatch.setattr(linalg, "_panel_echelon", counted)
+    for data in (padded, block):
+        shapes.clear()
+        assert _split_kinds(data) == (0, 20) and data.size > _SMALL_CELLS
+        R, piv = _echelon(data, p)
+        assert shapes == [(20, 20)]
+        want, want_piv = naive_rref(data.tolist(), p)
+        assert len(piv) == 19 and piv == want_piv and R.tolist() == want
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are pinned on glibc only")
+def test_freed_large_arrays_are_reused_without_page_faults():
+    """Three 16 MiB arrays allocated and freed over and over: once linalg
+    has pinned the malloc thresholds, later rounds reuse the same memory
+    instead of faulting in fresh pages (a fresh interpreter without the pin
+    takes about a thousand faults in the third round)."""
+    code = ("import resource, numpy as np, semidual.linalg\n"
+            "def cycle():\n"
+            "    arrays = [np.ones(2 ** 21) for _ in range(3)]\n"
+            "    del arrays\n"
+            "cycle(); cycle()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "cycle()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 100

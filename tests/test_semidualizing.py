@@ -12,7 +12,7 @@ from semidual.complexes import (DimensionValue, betti_numbers,
 from semidual.corpus import corpus_rings, corpus_sessions, random_module_pool
 from semidual.errors import (InputError, NotSemidualizingError,
                              TheoremViolationError)
-from semidual.modules import (Module, ModuleHom, direct_sum, dualizing_module,
+from semidual.modules import (Module, ModuleHom, clear_caches, direct_sum, dualizing_module,
                               free_module, hom_space, homothety_chi, power_module,
                               radical_submodule, regular_module,
                               residue_field_module, tensor_space)
@@ -287,6 +287,43 @@ def test_rel_ext_modes_match(r1_mods):
         df = sd.rel_ext(i, D, m, k, mode="formula").dim_via_formula
         rb = sd.rel_ext(i, D, m, k, mode="both")
         assert dp == df == rb.dim
+
+
+def test_rel_ext_routes_disagree_on_a_wrong_precomposition(r1_mods, monkeypatch):
+    """The comparison of the two routes' differentials is what lets the
+    homology be computed once: a wrong proper route must still be caught."""
+    D, k = r1_mods["D"], r1_mods["k"]
+    real = sd._precomposition_action
+
+    def perturbed(hs):
+        Q = real(hs).copy()
+        Q[:, 0, :] = (Q[:, 0, :] + 1) % hs.source.ring.field.p
+        return Q
+
+    clear_caches()
+    monkeypatch.setattr(sd, "_precomposition_action", perturbed)
+    try:
+        with pytest.raises(TheoremViolationError, match="routes disagree"):
+            sd.rel_ext(1, D, k, k, mode="both")
+    finally:
+        clear_caches()
+
+
+def test_homology_iso_computes_homology_once(r1_mods, monkeypatch):
+    D, k = r1_mods["D"], r1_mods["k"]
+    clear_caches()
+    eng = sd._pc_engine(D, k, k)
+    calls = []
+    real = sd.homology_data
+
+    def counted(X, n):
+        calls.append(n)
+        return real(X, n)
+
+    monkeypatch.setattr(sd, "homology_data", counted)
+    iso = eng.homology_iso(2)
+    assert calls == [2]
+    assert iso.is_bijective() and iso.src.dim == 16
 
 
 def test_rel_ext_input_validation(r1_mods):
