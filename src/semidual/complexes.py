@@ -178,7 +178,7 @@ def homology_data(X: AugmentedComplex, n: int):
     into, out = X._in_out(n)
     amb = X.module(n)
     if out is not None:
-        K = kernel_basis(Mat(X.ring.field, out.mat)).data
+        K = kernel_basis(out.matrix()).data
     else:
         K = np.eye(amb.dim, dtype=np.int64)
     sub = _submodule_from_columns(amb, K, f"Z_{n}", "kernel")
@@ -284,11 +284,11 @@ def _syzygy_generators(F: Module, K: np.ndarray) -> np.ndarray:
     rad = radical(F.ring)
     if rad.cols:
         W = np.hstack([F.act_element(rad.data[:, t], K) for t in range(rad.cols)])
-        red, piv = rref(transpose(Mat(field, W)))
-        have = transpose(Mat(field, red.data[: len(piv)]))
+        red, piv = rref(transpose(Mat._wrap(field, W)))
+        have = transpose(Mat._wrap(field, red.data[: len(piv)]))
     else:
         have = Mat(field, np.zeros((F.dim, 0), dtype=np.int64))
-    idx = extend_basis(have, Mat(field, K))
+    idx = extend_basis(have, Mat._wrap(field, K))
     return K[:, idx]
 
 
@@ -315,7 +315,7 @@ def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
         F_prev = res.modules[-1]
         if res._kernel_cols is None:
             last = res.arrows[-1] if res.arrows else res.aug_map
-            res._kernel_cols = kernel_basis(Mat(R.field, last.mat)).data
+            res._kernel_cols = kernel_basis(last.matrix()).data
         K = res._kernel_cols
         if K.shape[1] == 0:
             res.modules.append(zero_module(R))

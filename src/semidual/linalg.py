@@ -30,6 +30,16 @@ touch disjoint columns, so their reduced rows, merged by pivot column, form
 a reduced row echelon form of the whole matrix; that form is unique, so
 neither the split nor the size tier changes any output.  Everything else
 (kernel, solve, rank, inverse) is derived from the echelon form.
+
+Arrays are reduced mod p once.  `Mat(field, data)` takes `% p` of whatever
+it is given, since sessions, tests and user code enter there.  Every array
+this module produces is already in [0, p), so `rref`, `kernel_basis`,
+`solve`, `expressor`, `mat_mul`, `transpose`, `hstack` and `vstack` wrap
+their results with `Mat._wrap`, which takes no modulo and copies only to
+make an array contiguous.  `_echelon` likewise expects entries in [0, p)
+and reduces a copy without taking `% p` first.  An int64 `% p` costs about
+ten times a plain copy, and the large differentials of deep resolutions
+were reduced again by every wrapper they passed through.
 """
 
 from __future__ import annotations
@@ -146,6 +156,7 @@ class Mat:
     """Immutable matrix over a prime field.
 
     data is an int64 array of shape (rows, cols) with entries in [0, p).
+    The constructor reduces whatever it is given; `_wrap` trusts its caller.
     """
 
     __slots__ = ("field", "data")
@@ -158,6 +169,18 @@ class Mat:
         arr.setflags(write=False)
         self.field = field
         self.data = arr
+
+    @classmethod
+    def _wrap(cls, field: Field, arr: np.ndarray) -> "Mat":
+        """Wrap a 2-dimensional int64 array whose entries already lie in
+        [0, p): no modulo, and no copy unless arr is not C-contiguous.  The
+        array is made read-only, so the caller must not write to it later."""
+        arr = np.ascontiguousarray(arr)
+        arr.setflags(write=False)
+        self = object.__new__(cls)
+        self.field = field
+        self.data = arr
+        return self
 
     @property
     def rows(self) -> int:
@@ -211,19 +234,19 @@ def zeros(field: Field, rows: int, cols: int) -> Mat:
     return Mat(field, np.zeros((rows, cols), dtype=np.int64))
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.field, a.data.T)
+    return Mat._wrap(a.field, a.data.T)
 
 def hstack(mats: list[Mat]) -> Mat:
     assert mats, "hstack of nothing"
     f = mats[0].field
     assert all(m.field == f for m in mats)
-    return Mat(f, np.hstack([m.data for m in mats]))
+    return Mat._wrap(f, np.hstack([m.data for m in mats]))
 
 def vstack(mats: list[Mat]) -> Mat:
     assert mats, "vstack of nothing"
     f = mats[0].field
     assert all(m.field == f for m in mats)
-    return Mat(f, np.vstack([m.data for m in mats]))
+    return Mat._wrap(f, np.vstack([m.data for m in mats]))
 
 
 def _check_same_shape(a: Mat, b: Mat) -> None:
@@ -280,11 +303,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise InputError(f"field mismatch: {a.field} vs {b.field}")
     if a.cols != b.rows:
         raise InputError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
-    return Mat(a.field, _mul_arrays(a.data, b.data, a.field.p))
+    return Mat._wrap(a.field, _mul_arrays(a.data, b.data, a.field.p))
 
 
 def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p with first-nonzero pivoting.
+    """Reduced row echelon form mod p with first-nonzero pivoting, of an
+    int64 array with entries in [0, p).
 
     Works on a copy.  A nonzero row that shares no column with any other row
     (a private row) is reduced once it is scaled by the inverse of its
@@ -299,7 +323,7 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """
     if arr.size <= _SMALL_CELLS:
         return _small_echelon(arr, p)
-    R = arr.astype(np.int64, copy=True) % p
+    R = arr.astype(np.int64, copy=True)
     nz = R != 0
     counts = np.count_nonzero(nz, axis=0)
     live = nz.any(axis=1)
@@ -322,11 +346,12 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _small_echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p of a small matrix, by first-nonzero
-    pivoting on a list of rows of Python ints, which are exact at any p.
-    Only rows with a nonzero multiplier are touched."""
+    """Reduced row echelon form mod p of a small matrix with entries in
+    [0, p), by first-nonzero pivoting on a list of rows of Python ints,
+    which are exact at any p.  Only rows with a nonzero multiplier are
+    touched."""
     rows, cols = arr.shape
-    M = np.remainder(arr, p).tolist()
+    M = arr.tolist()
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -436,7 +461,7 @@ def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and pivot column indices."""
     R, piv = _echelon(a.data, a.field.p)
-    return Mat(a.field, R), piv
+    return Mat._wrap(a.field, R), piv
 
 
 def rank(a: Mat) -> int:
@@ -456,7 +481,7 @@ def kernel_basis(a: Mat) -> Mat:
     K = np.zeros((a.cols, free.size), dtype=np.int64)
     K[free, np.arange(free.size)] = 1
     K[piv] = (-R[:len(piv)][:, free]) % p
-    return Mat(a.field, K)
+    return Mat._wrap(a.field, K)
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -477,7 +502,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     X = np.zeros((a.cols, b.cols), dtype=np.int64)
     for i, pc in enumerate(piv):
         X[pc] = R[i, a.cols:]
-    return Mat(a.field, X)
+    return Mat._wrap(a.field, X)
 
 
 def expressor(basis: Mat) -> Mat:
@@ -490,7 +515,7 @@ def expressor(basis: Mat) -> Mat:
     R, piv = _echelon(aug, p)
     if len([c for c in piv if c < k]) != k:
         raise InputError("expressor: columns are not independent")
-    return Mat(basis.field, R[:k, k:])
+    return Mat._wrap(basis.field, R[:k, k:])
 
 
 def extend_basis(have: Mat, candidates: Mat) -> list[int]:

@@ -68,12 +68,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class Module:
-    """R-module on k^dim.  Do not mutate; construct through the helpers."""
+    """R-module on k^dim.  Do not mutate; construct through the helpers.
+
+    With check=True the action matrices are reduced mod p and validated.
+    check=False is a promise by the caller that `action` is an int64 array
+    with entries in [0, p) that already satisfies the module axioms: it is
+    taken without a modulo, and without a copy when it is contiguous (it is
+    then made read-only).
+    """
 
     __slots__ = ("ring", "dim", "label", "_action", "_block", "_fp")
 
     def __init__(self, ring: Algebra, action, label: str = "M", check: bool = True):
-        arr = np.asarray(action, dtype=np.int64) % ring.field.p
+        arr = np.asarray(action, dtype=np.int64)
+        if check:
+            arr = arr % ring.field.p
         if arr.ndim != 3 or arr.shape[0] != ring.dim or arr.shape[1] != arr.shape[2]:
             raise InputError(
                 f"need {ring.dim} square action matrices, got shape {arr.shape}")
@@ -212,14 +221,23 @@ class Module:
 
 
 class ModuleHom:
-    """R-linear map between modules, stored as a dst.dim x src.dim matrix."""
+    """R-linear map between modules, stored as a dst.dim x src.dim matrix.
+
+    With check=True the matrix is reduced mod p and R-linearity is checked.
+    check=False is a promise by the caller that `mat` is an int64 array
+    with entries in [0, p) of an R-linear map: it is taken without a
+    modulo, and without a copy when it is contiguous (it is then made
+    read-only).
+    """
 
     __slots__ = ("src", "dst", "mat", "_rank")
 
     def __init__(self, src: Module, dst: Module, mat, check: bool = True):
         if src.ring is not dst.ring and src.ring.fingerprint != dst.ring.fingerprint:
             raise InputError("source and target live over different rings")
-        arr = np.asarray(mat, dtype=np.int64) % src.ring.field.p
+        arr = np.asarray(mat, dtype=np.int64)
+        if check:
+            arr = arr % src.ring.field.p
         if arr.shape != (dst.dim, src.dim):
             raise InputError(f"matrix shape {arr.shape} does not match "
                              f"({dst.dim}, {src.dim})")
@@ -251,7 +269,8 @@ class ModuleHom:
                          _mul_arrays(self.mat, other.mat, p), check=False)
 
     def matrix(self) -> Mat:
-        return Mat(self.src.ring.field, self.mat)
+        """The matrix as a Mat sharing `mat`'s memory."""
+        return Mat._wrap(self.src.ring.field, self.mat)
 
     def rank(self) -> int:
         """Rank of the matrix, computed once: `mat` is frozen."""
@@ -434,7 +453,10 @@ def _submodule_from_columns(ambient: Module, cols: np.ndarray, label: str,
     The span must be closed under the action; this is asserted."""
     p = ambient.ring.field.p
     k = cols.shape[1]
-    E = expressor(Mat(ambient.ring.field, cols)).data if k else np.zeros((0, ambient.dim), dtype=np.int64)
+    if k:
+        E = expressor(Mat._wrap(ambient.ring.field, cols)).data
+    else:
+        E = np.zeros((0, ambient.dim), dtype=np.int64)
     moved = ambient.act_all(cols)
     act = _mul_arrays(E, moved, p)
     assert np.array_equal(_mul_arrays(cols, act, p), moved), \
@@ -445,12 +467,12 @@ def _submodule_from_columns(ambient: Module, cols: np.ndarray, label: str,
 
 
 def kernel(f: ModuleHom) -> Subquotient:
-    K = kernel_basis(Mat(f.src.ring.field, f.mat)).data
+    K = kernel_basis(f.matrix()).data
     return _submodule_from_columns(f.src, K, f"ker({f.src.label}->{f.dst.label})", "kernel")
 
 
 def image(f: ModuleHom) -> Subquotient:
-    _, piv = rref(Mat(f.src.ring.field, f.mat))
+    _, piv = rref(f.matrix())
     cols = f.mat[:, piv] if piv else np.zeros((f.dst.dim, 0), dtype=np.int64)
     return _submodule_from_columns(f.dst, cols, f"im({f.src.label}->{f.dst.label})", "image")
 
@@ -460,7 +482,7 @@ def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subqu
     (which must be action-stable)."""
     p = ambient.ring.field.p
     n = ambient.dim
-    red, piv = rref(transpose(Mat(ambient.ring.field, cols)))
+    red, piv = rref(transpose(Mat._wrap(ambient.ring.field, cols)))
     E = red.data[: len(piv)]          # echelon basis of the subspace, as rows
     keep = np.delete(np.arange(n), piv)
     q = keep.size
@@ -504,8 +526,8 @@ def minimal_generators(M: Module) -> np.ndarray:
         return got
     span = radical_span(M)
     field = M.ring.field
-    red, piv = rref(transpose(Mat(field, span)))
-    have = transpose(Mat(field, red.data[: len(piv)]))
+    red, piv = rref(transpose(Mat._wrap(field, span)))
+    have = transpose(Mat._wrap(field, red.data[: len(piv)]))
     idx = extend_basis(have, Mat(field, np.eye(M.dim, dtype=np.int64)))
     gens = np.eye(M.dim, dtype=np.int64)[:, idx]
     gens = _frozen(gens)
@@ -535,7 +557,7 @@ def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if got is None:
         field = M.ring.field
         gens = minimal_generators(M)
-        cover = Mat(field, cover_matrix(M, gens))
+        cover = Mat._wrap(field, cover_matrix(M, gens))
         sec = solve(cover, Mat(field, np.eye(M.dim, dtype=np.int64)))
         assert sec is not None, "minimal cover is not surjective"
         got = (gens, kernel_basis(cover).data, sec.data)
@@ -655,7 +677,7 @@ class _PresentedHom(HomSpace):
             self.module = power_module(N, g, label=label)
             return
         system = _relation_blocks(rel, N).transpose(2, 1, 0, 3).reshape(a * n, g * n)
-        self._K = kernel_basis(Mat(self.ring.field, system)).data
+        self._K = kernel_basis(Mat._wrap(self.ring.field, system)).data
         sq = _submodule_from_columns(power_module(N, g), self._K, label)
         self.module = sq.carrier
         self._E = sq.section
@@ -956,7 +978,7 @@ def tensor_functor_map(C: Module, f: ModuleHom) -> ModuleHom:
     P_dst = ts_dst.pure_matrix()                      # t2 x (c*n)
     idxf = np.kron(np.eye(C.dim, dtype=np.int64), f.mat)   # (c*n) x (c*m)
     rhs = _mul_arrays(P_dst, idxf, p)                 # t2 x (c*m)
-    sol = solve(Mat(C.ring.field, P_src.T), Mat(C.ring.field, rhs.T))
+    sol = solve(Mat._wrap(C.ring.field, P_src.T), Mat._wrap(C.ring.field, rhs.T))
     if sol is None:
         raise TheoremViolationError("tensor functor map is not well defined")
     return ModuleHom(ts_src.module, ts_dst.module, sol.data.T, check=False)
@@ -976,7 +998,7 @@ def evaluation_nu(C: Module, M: Module) -> ModuleHom:
         bm = hs.basis_mat(l)           # M.dim x c
         beta[:, [i * h + l for i in range(c)]] = bm
     P = ts.pure_matrix()               # t x (c*h)
-    sol = solve(Mat(C.ring.field, P.T), Mat(C.ring.field, beta.T))
+    sol = solve(Mat._wrap(C.ring.field, P.T), Mat._wrap(C.ring.field, beta.T))
     if sol is None:
         raise TheoremViolationError("evaluation does not factor through the tensor product")
     return ModuleHom(ts.module, M, sol.data.T, check=False)
@@ -1029,8 +1051,6 @@ def homothety_chi(R: Algebra, C: Module) -> ModuleHom:
     Rm = free_module(R, 1)
     d = R.dim
     cols = np.zeros((hs.dim, d), dtype=np.int64)
-    for mu in range(d):
-        e = np.zeros(d, dtype=np.int64)
-        e[mu] = 1
-        cols[:, mu] = hs.coords_of(C.element_matrix(e))
+    for mu, em in enumerate(C.element_matrices(np.eye(d, dtype=np.int64))):
+        cols[:, mu] = hs.coords_of(em)
     return ModuleHom(Rm, hs.module, cols, check=False)

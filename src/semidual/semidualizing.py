@@ -33,14 +33,14 @@ from .linalg import Mat, _mul_arrays, rank as _rank
 from .modules import (Module, ModuleHom, _cache, adjunction_iso,
                       coevaluation_mu, direct_sum, dualizing_module,
                       evaluation_nu, hom_functor_map, hom_space, homothety_chi,
-                      is_free, is_injective, kernel, minimal_generators,
-                      power_module, tensor_functor_map, tensor_space)
+                      is_free, is_injective, kernel, matlis_dual,
+                      minimal_generators, power_module, tensor_functor_map, tensor_space)
 
 
 def _np_rank(arr: np.ndarray, field) -> int:
     if arr.size == 0:
         return 0
-    return _rank(Mat(field, arr))
+    return _rank(Mat._wrap(field, arr))
 
 
 # -- natural map caches --------------------------------------------------------
@@ -337,11 +337,10 @@ def _precomposition_action(hs) -> np.ndarray:
     h = hs.dim
     p = C.ring.field.p
     Q = np.zeros((d, h, h), dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)
-    for mu in range(d):
-        cm = C.element_matrix(eye[mu])
-        for l in range(h):
-            Q[mu, :, l] = hs.coords_of(_mul_arrays(hs.basis_mat(l), cm, p))
+    basis = [hs.basis_mat(l) for l in range(h)]
+    for mu, cm in enumerate(C.element_matrices(np.eye(d, dtype=np.int64))):
+        for l, bm in enumerate(basis):
+            Q[mu, :, l] = hs.coords_of(_mul_arrays(bm, cm, p))
     _precomp_cache[key] = Q
     return Q
 
@@ -512,11 +511,10 @@ def _postcomposition_action(hs) -> np.ndarray:
     h = hs.dim
     p = B.ring.field.p
     T = np.zeros((d, h, h), dtype=np.int64)
-    eye = np.eye(d, dtype=np.int64)
-    for mu in range(d):
-        bm = B.element_matrix(eye[mu])
-        for l in range(h):
-            T[mu, :, l] = hs.coords_of(_mul_arrays(bm, hs.basis_mat(l), p))
+    basis = [hs.basis_mat(l) for l in range(h)]
+    for mu, em in enumerate(B.element_matrices(np.eye(d, dtype=np.int64))):
+        for l, bm in enumerate(basis):
+            T[mu, :, l] = hs.coords_of(_mul_arrays(em, bm, p))
     _postcomp_cache[key] = T
     return T
 
@@ -550,26 +548,32 @@ class _ICExtEngine:
         self._checked: list[bool] = []
         self._ranks: list[int] = []
 
+    def _dual_resolution(self, top: int):
+        """The cached minimal free resolution of the dual of C (x) N.  The
+        injective resolution I of C (x) N is its Matlis dual: I has the same
+        entries, and its Bass numbers are these Betti numbers."""
+        return minimal_free_resolution(matlis_dual(self.ts_n.module), top)
+
     def _bass(self, top: int) -> list[int]:
-        return minimal_injective_resolution(self.ts_n.module, top).bass
+        return self._dual_resolution(top).betti
 
     def extend(self, top: int) -> None:
         if len(self._proper) >= top:
             return
-        ires = minimal_injective_resolution(self.ts_n.module, top)
+        entries = self._dual_resolution(top).entries
         p = self.field.p
         T = _postcomposition_action(self.hcd)
         # push each basis-element stage through Hom(M, -)
         d = self.C.ring.dim
         w = self.hmw.dim
         V = np.zeros((d, w, w), dtype=np.int64)
+        basis = [self.hmw.basis_mat(l) for l in range(w)]
         for mu in range(d):
-            for l in range(w):
-                V[mu, :, l] = self.hmw.coords_of(
-                    _mul_arrays(T[mu], self.hmw.basis_mat(l), p))
+            for l, bm in enumerate(basis):
+                V[mu, :, l] = self.hmw.coords_of(_mul_arrays(T[mu], bm, p))
         act_t = self.htd.module.action
         for j in range(len(self._proper) + 1, top + 1):
-            ent = ires.entries[j]
+            ent = entries[j]
             self._proper.append(block_matrix_from_entries(V, ent, True, p))
             self._transport.append(
                 block_matrix_from_entries(act_t, ent, True, p))
