@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InputError, NotCofiniteError, ParseError
 from .linalg import Field, Mat, _mul_arrays, kernel_basis, rank, vstack
+from .memo import memo
 
 
 class Algebra:
@@ -331,22 +332,12 @@ def algebra_from_structure_constants(field: Field, structure, unit,
 # -- invariants ------------------------------------------------------------
 
 
-_radical_cache: dict = {}      # both emptied by modules.clear_caches()
-_report_cache: dict = {}
-
-
+@memo
 def radical(R: Algebra) -> Mat:
     """Basis (columns) of the nilradical, memoised per ring fingerprint.
 
     Kernel of the t-fold Frobenius where p^t >= dim, see module docstring.
     """
-    got = _radical_cache.get(R.fingerprint)
-    if got is None:
-        got = _radical_cache[R.fingerprint] = _frobenius_kernel(R)
-    return got
-
-
-def _frobenius_kernel(R: Algebra) -> Mat:
     p = R.field.p
     d = R.dim
     t = 0
@@ -402,6 +393,7 @@ class RingReport:
         }
 
 
+@memo
 def ring_report(R: Algebra) -> RingReport:
     """Local / socle / Gorenstein / Loewy data, memoised per ring fingerprint.
 
@@ -409,13 +401,6 @@ def ring_report(R: Algebra) -> RingReport:
     has codimension 1.  is_gorenstein is local with 1-dimensional socle;
     for non-local rings it is reported False rather than guessed.
     """
-    got = _report_cache.get(R.fingerprint)
-    if got is None:
-        got = _report_cache[R.fingerprint] = _compute_report(R)
-    return got
-
-
-def _compute_report(R: Algebra) -> RingReport:
     p = R.field.p
     d = R.dim
     rad = radical(R)

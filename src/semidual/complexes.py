@@ -24,7 +24,8 @@ import numpy as np
 from .algebra import Algebra, require_local
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _mul_arrays, extend_basis, kernel_basis, rref, transpose
-from .modules import (Module, ModuleHom, _cache, _quotient_by_columns,
+from .memo import cache
+from .modules import (Module, ModuleHom, _quotient_by_columns,
                       _submodule_from_columns, cover_matrix, free_module,
                       is_free, is_injective, matlis_dual, minimal_generators,
                       power_module, regular_module, zero_module)
@@ -271,7 +272,7 @@ class MinimalFreeResolution(AugmentedComplex):
         return self.top
 
 
-_freeres_cache = _cache()
+_freeres_cache = cache()          # M.fingerprint -> resolution, extended in place
 
 
 def _syzygy_generators(F: Module, K: np.ndarray) -> np.ndarray:
@@ -401,12 +402,8 @@ def block_matrix_from_entries(act: np.ndarray, ent: np.ndarray,
     if n == 0 or b_prev == 0 or b_next == 0:
         shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
         return np.zeros(shape, dtype=np.int64)
-    if (p - 1) ** 2 * d < 2 ** 62:
-        blocks = np.einsum("stk,knm->stnm", ent, act) % p
-    else:
-        blocks = np.zeros((b_prev, b_next, n, n), dtype=np.int64)
-        for k in range(d):
-            blocks = (blocks + np.multiply.outer(ent[:, :, k], act[k])) % p
+    blocks = _mul_arrays(ent.reshape(b_prev * b_next, d), act.reshape(d, n * n),
+                         p).reshape(b_prev, b_next, n, n)
     if contravariant:
         out = blocks.transpose(1, 2, 0, 3).reshape(b_next * n, b_prev * n)
     else:
@@ -440,34 +437,30 @@ def tensor_complex_from_resolution(res: MinimalFreeResolution, N: Module) -> Aug
     return AugmentedComplex(res.ring, modules, arrows, "homological", check=False)
 
 
-_ext_dims_cache = _cache()
-_tor_dims_cache = _cache()
+_ext_dims_cache = cache()          # (M, N) fingerprints -> dims, served by prefix
+_tor_dims_cache = cache()
+
+
+def _homology_dims(store: dict, functor, M: Module, N: Module, top: int) -> list[int]:
+    """[dim H_i functor(F, N) for i = 0..top], F the minimal free
+    resolution of M; a longer list in the store serves its prefix."""
+    key = (M.fingerprint, N.fingerprint)
+    got = store.get(key)
+    if got is not None and len(got) > top:
+        return got[: top + 1]
+    cx = functor(minimal_free_resolution(M, top + 1), N)
+    dims = store[key] = [cx.homology_dim(i) for i in range(top + 1)]
+    return dims
 
 
 def ext_dims(M: Module, N: Module, top: int) -> list[int]:
     """[dim Ext^i(M, N) for i = 0..top], ranks only."""
-    key = (M.fingerprint, N.fingerprint)
-    got = _ext_dims_cache.get(key)
-    if got is not None and len(got) > top:
-        return got[: top + 1]
-    res = minimal_free_resolution(M, top + 1)
-    cx = hom_complex_from_resolution(res, N)
-    dims = [cx.homology_dim(i) for i in range(top + 1)]
-    _ext_dims_cache[key] = dims
-    return dims
+    return _homology_dims(_ext_dims_cache, hom_complex_from_resolution, M, N, top)
 
 
 def tor_dims(M: Module, N: Module, top: int) -> list[int]:
     """[dim Tor_i(M, N) for i = 0..top], ranks only."""
-    key = (M.fingerprint, N.fingerprint)
-    got = _tor_dims_cache.get(key)
-    if got is not None and len(got) > top:
-        return got[: top + 1]
-    res = minimal_free_resolution(M, top + 1)
-    cx = tensor_complex_from_resolution(res, N)
-    dims = [cx.homology_dim(i) for i in range(top + 1)]
-    _tor_dims_cache[key] = dims
-    return dims
+    return _homology_dims(_tor_dims_cache, tensor_complex_from_resolution, M, N, top)
 
 
 def ext_abs(i: int, M: Module, N: Module) -> Module:

@@ -37,7 +37,8 @@ this module produces is already in [0, p), so `rref`, `kernel_basis`,
 `solve`, `expressor`, `mat_mul`, `transpose`, `hstack` and `vstack` wrap
 their results with `Mat._wrap`, which takes no modulo and copies only to
 make an array contiguous.  `_echelon` likewise expects entries in [0, p)
-and reduces a copy without taking `% p` first.  An int64 `% p` costs about
+and takes no `% p` of its input, which it never writes; it copies only
+what it eliminates in place.  An int64 `% p` costs about
 ten times a plain copy, and the large differentials of deep resolutions
 were reduced again by every wrapper they passed through.
 """
@@ -310,7 +311,9 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p with first-nonzero pivoting, of an
     int64 array with entries in [0, p).
 
-    Works on a copy.  A nonzero row that shares no column with any other row
+    The input is never written: the whole-matrix panel elimination works
+    on a copy, and the split reads the input and writes new arrays.  A
+    nonzero row that shares no column with any other row
     (a private row) is reduced once it is scaled by the inverse of its
     leading entry; only the other (coupled) rows, restricted to the columns
     they touch, go through the panel elimination.  The two sets of rows touch
@@ -323,14 +326,14 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """
     if arr.size <= _SMALL_CELLS:
         return _small_echelon(arr, p)
-    R = arr.astype(np.int64, copy=True)
+    R = np.asarray(arr, dtype=np.int64)     # only read until the panel stage
     nz = R != 0
     counts = np.count_nonzero(nz, axis=0)
     live = nz.any(axis=1)
     coupled = nz[:, counts > 1].any(axis=1)
     private = np.flatnonzero(live & ~coupled)
     if private.size == 0 and live.all() and counts.all():
-        return _panel_echelon(R, p)
+        return _panel_echelon(R.copy(order="K"), p)
     lead = nz[private].argmax(axis=1)
     inv = np.array([pow(v, p - 2, p) for v in R[private, lead].tolist()], dtype=np.int64)
     crow = np.flatnonzero(coupled)

@@ -43,22 +43,11 @@ import hashlib
 
 import numpy as np
 
-from .algebra import Algebra, _radical_cache, _report_cache
+from .algebra import Algebra
 from .errors import InputError, TheoremViolationError
 from .linalg import Mat, _mul_arrays, expressor, extend_basis, kernel_basis, rref, solve, transpose
-
-_caches: list[dict] = [_radical_cache, _report_cache]
-
-
-def _cache() -> dict:
-    d: dict = {}
-    _caches.append(d)
-    return d
-
-
-def clear_caches() -> None:
-    for d in _caches:
-        d.clear()
+# _caches and clear_caches are also reached through this module
+from .memo import _caches, clear_caches, memo
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -323,17 +312,10 @@ def zero_hom(src: Module, dst: Module) -> ModuleHom:
 
 # -- basic constructors ------------------------------------------------------
 
-_regular_cache = _cache()
-_dual_cache = _cache()
-
-
+@memo
 def regular_module(R: Algebra) -> Module:
     """R as a module over itself."""
-    got = _regular_cache.get(R.fingerprint)
-    if got is None:
-        got = Module(R, R.left_mult, label=R.name, check=False)
-        _regular_cache[R.fingerprint] = got
-    return got
+    return Module(R, R.left_mult, label=R.name, check=False)
 
 
 def zero_module(R: Algebra) -> Module:
@@ -375,44 +357,28 @@ def direct_sum(parts: list[Module], label: str | None = None) -> Module:
     return Module(ring, act, label=label, check=False)
 
 
-_named_cache = _cache()
-
-
+@memo
 def residue_field_module(R: Algebra) -> Module:
     """R / rad(R) as a module; one-dimensional when R is local."""
-    key = ("k", R.fingerprint)
-    got = _named_cache.get(key)
-    if got is None:
-        from .algebra import radical
-        got = _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
-        _named_cache[key] = got
-    return got
+    from .algebra import radical
+    return _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
 
 
+@memo
 def radical_submodule(R: Algebra) -> Module:
     """rad(R) as a module over R (the maximal ideal, for local R)."""
-    key = ("m", R.fingerprint)
-    got = _named_cache.get(key)
-    if got is None:
-        from .algebra import radical
-        got = _submodule_from_columns(regular_module(R), radical(R).data, "m").carrier
-        _named_cache[key] = got
-    return got
+    from .algebra import radical
+    return _submodule_from_columns(regular_module(R), radical(R).data, "m").carrier
 
 
+@memo
 def matlis_dual(M: Module) -> Module:
     """Hom_k(M, k) with the transpose action.  Exact and contravariant."""
-    got = _dual_cache.get(M.fingerprint)
-    if got is not None:
-        return got
     if M.block is not None:
         base, b = M.block
-        out = power_module(matlis_dual(base), b, label=f"({M.label})*")
-    else:
-        out = Module(M.ring, M.action.transpose(0, 2, 1),
-                     label=f"({M.label})*", check=False)
-    _dual_cache[M.fingerprint] = out
-    return out
+        return power_module(matlis_dual(base), b, label=f"({M.label})*")
+    return Module(M.ring, M.action.transpose(0, 2, 1),
+                  label=f"({M.label})*", check=False)
 
 
 def matlis_dual_hom(f: ModuleHom) -> ModuleHom:
@@ -504,8 +470,6 @@ def cokernel(f: ModuleHom) -> Subquotient:
 
 # -- generators and freeness --------------------------------------------------
 
-_gen_cache = _cache()
-
 
 def radical_span(M: Module) -> np.ndarray:
     """Columns spanning rad(R) * M (not reduced to a basis)."""
@@ -518,21 +482,16 @@ def radical_span(M: Module) -> np.ndarray:
     return mats.transpose(1, 0, 2).reshape(M.dim, rad.cols * M.dim)
 
 
+@memo
 def minimal_generators(M: Module) -> np.ndarray:
     """Columns forming a minimal generating set (Nakayama): standard basis
     vectors whose classes give a basis of M / rad M.  Deterministic."""
-    got = _gen_cache.get(M.fingerprint)
-    if got is not None:
-        return got
     span = radical_span(M)
     field = M.ring.field
     red, piv = rref(transpose(Mat._wrap(field, span)))
     have = transpose(Mat._wrap(field, red.data[: len(piv)]))
     idx = extend_basis(have, Mat(field, np.eye(M.dim, dtype=np.int64)))
-    gens = np.eye(M.dim, dtype=np.int64)[:, idx]
-    gens = _frozen(gens)
-    _gen_cache[M.fingerprint] = gens
-    return gens
+    return _frozen(np.eye(M.dim, dtype=np.int64)[:, idx])
 
 
 def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
@@ -542,9 +501,7 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
     return M.act_all(gens).transpose(1, 2, 0).reshape(M.dim, g * M.ring.dim)
 
 
-_presentation_cache = _cache()
-
-
+@memo
 def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0.
 
@@ -553,16 +510,12 @@ def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     section of the cover.  Block s of a column of rel or sec, rows
     s*d..(s+1)*d, is the ring coefficient of generator s.
     """
-    got = _presentation_cache.get(M.fingerprint)
-    if got is None:
-        field = M.ring.field
-        gens = minimal_generators(M)
-        cover = Mat._wrap(field, cover_matrix(M, gens))
-        sec = solve(cover, Mat(field, np.eye(M.dim, dtype=np.int64)))
-        assert sec is not None, "minimal cover is not surjective"
-        got = (gens, kernel_basis(cover).data, sec.data)
-        _presentation_cache[M.fingerprint] = got
-    return got
+    field = M.ring.field
+    gens = minimal_generators(M)
+    cover = Mat._wrap(field, cover_matrix(M, gens))
+    sec = solve(cover, Mat(field, np.eye(M.dim, dtype=np.int64)))
+    assert sec is not None, "minimal cover is not surjective"
+    return gens, kernel_basis(cover).data, sec.data
 
 
 def is_free(M: Module) -> int | None:
@@ -609,8 +562,6 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
 
 
 # -- hom spaces ---------------------------------------------------------------
-
-_homspace_cache = _cache()
 
 
 class HomSpace:
@@ -766,20 +717,16 @@ def free_copies(module: Module) -> int | None:
     return None
 
 
+@memo
 def hom_space(M: Module, N: Module) -> HomSpace:
-    key = (M.fingerprint, N.fingerprint)
-    got = _homspace_cache.get(key)
-    if got is not None:
-        return got
     if M.block is not None:
-        cls = _BlockSourceHom
-    elif N.block is not None:
-        cls = _BlockTargetHom
-    else:
-        cls = _PresentedHom
-    hs = cls(M, N)
-    _homspace_cache[key] = hs
-    return hs
+        return _BlockSourceHom(M, N)
+    if N.block is not None:
+        return _BlockTargetHom(M, N)
+    return _PresentedHom(M, N)
+
+
+_homspace_cache = hom_space.store      # keyed (M.fingerprint, N.fingerprint)
 
 
 def hom_module(M: Module, N: Module) -> tuple[Module, list[ModuleHom]]:
@@ -814,8 +761,6 @@ def hom_functor_map(C: Module, f: ModuleHom, side: str = "covariant") -> ModuleH
 
 
 # -- tensor products ----------------------------------------------------------
-
-_tensorspace_cache = _cache()
 
 
 class TensorSpace:
@@ -945,22 +890,18 @@ class _PresentedTensor(TensorSpace):
         return emb[:, 0]
 
 
+@memo
 def tensor_space(M: Module, N: Module) -> TensorSpace:
-    key = (M.fingerprint, N.fingerprint)
-    got = _tensorspace_cache.get(key)
-    if got is not None:
-        return got
     if free_copies(N) is not None:
-        cls = _RightFreeTensor
-    elif M.block is not None:
-        cls = _BlockLeftTensor
-    elif N.block is not None:
-        cls = _BlockRightTensor
-    else:
-        cls = _PresentedTensor
-    ts = cls(M, N)
-    _tensorspace_cache[key] = ts
-    return ts
+        return _RightFreeTensor(M, N)
+    if M.block is not None:
+        return _BlockLeftTensor(M, N)
+    if N.block is not None:
+        return _BlockRightTensor(M, N)
+    return _PresentedTensor(M, N)
+
+
+_tensorspace_cache = tensor_space.store    # keyed (M.fingerprint, N.fingerprint)
 
 
 def tensor_module(M: Module, N: Module) -> tuple[Module, TensorSpace]:
@@ -987,8 +928,9 @@ def tensor_functor_map(C: Module, f: ModuleHom) -> ModuleHom:
 # -- the natural maps ---------------------------------------------------------
 
 
+@memo
 def evaluation_nu(C: Module, M: Module) -> ModuleHom:
-    """nu: C (x) Hom(C, M) -> M, c (x) f -> f(c)."""
+    """nu: C (x) Hom(C, M) -> M, c (x) f -> f(c).  Memoised."""
     p = C.ring.field.p
     hs = hom_space(C, M)
     ts = tensor_space(C, hs.module)
@@ -1004,8 +946,9 @@ def evaluation_nu(C: Module, M: Module) -> ModuleHom:
     return ModuleHom(ts.module, M, sol.data.T, check=False)
 
 
+@memo
 def coevaluation_mu(C: Module, M: Module) -> ModuleHom:
-    """mu: M -> Hom(C, C (x) M), m -> (c -> c (x) m)."""
+    """mu: M -> Hom(C, C (x) M), m -> (c -> c (x) m).  Memoised."""
     ts = tensor_space(C, M)
     hs = hom_space(C, ts.module)
     cols = np.zeros((hs.dim, M.dim), dtype=np.int64)

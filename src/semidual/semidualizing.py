@@ -30,7 +30,8 @@ from .complexes import (AugmentedComplex, DimensionValue,
                         tor_dims, _entries_matrix)
 from .errors import InputError, NotSemidualizingError, TheoremViolationError
 from .linalg import Mat, _mul_arrays, rank as _rank
-from .modules import (Module, ModuleHom, _cache, adjunction_iso,
+from .memo import cache, memo
+from .modules import (Module, ModuleHom, adjunction_iso,
                       coevaluation_mu, direct_sum, dualizing_module,
                       evaluation_nu, hom_functor_map, hom_space, homothety_chi,
                       is_free, is_injective, kernel, matlis_dual,
@@ -41,32 +42,6 @@ def _np_rank(arr: np.ndarray, field) -> int:
     if arr.size == 0:
         return 0
     return _rank(Mat._wrap(field, arr))
-
-
-# -- natural map caches --------------------------------------------------------
-
-_nu_cache = _cache()
-_mu_cache = _cache()
-
-
-def evaluation_map(C: Module, M: Module) -> ModuleHom:
-    """Cached nu: C (x) Hom(C,M) -> M."""
-    key = (C.fingerprint, M.fingerprint)
-    got = _nu_cache.get(key)
-    if got is None:
-        got = evaluation_nu(C, M)
-        _nu_cache[key] = got
-    return got
-
-
-def coevaluation_map(C: Module, M: Module) -> ModuleHom:
-    """Cached mu: M -> Hom(C, C (x) M)."""
-    key = (C.fingerprint, M.fingerprint)
-    got = _mu_cache.get(key)
-    if got is None:
-        got = coevaluation_mu(C, M)
-        _mu_cache[key] = got
-    return got
 
 
 # -- semidualizing certificates ------------------------------------------------
@@ -124,7 +99,7 @@ def check_semidualizing(C: Module, B: int = 5) -> SemidualizingCertificate:
     return SemidualizingCertificate(True, B, None)
 
 
-_cert_cache = _cache()          # fingerprint -> best bound certified
+_cert_cache = cache()           # fingerprint -> best bound certified
 
 
 def require_semidualizing(C: Module, B: int = 1) -> None:
@@ -148,7 +123,7 @@ def is_c_projective(C: Module, M: Module) -> bool:
     require_semidualizing(C)
     if is_free(hom_space(C, M).module) is None:
         return False
-    return evaluation_map(C, M).is_bijective()
+    return evaluation_nu(C, M).is_bijective()
 
 
 def is_c_injective(C: Module, M: Module) -> bool:
@@ -157,7 +132,7 @@ def is_c_injective(C: Module, M: Module) -> bool:
     require_semidualizing(C)
     if is_injective(tensor_space(C, M).module) is None:
         return False
-    return coevaluation_map(C, M).is_bijective()
+    return coevaluation_mu(C, M).is_bijective()
 
 
 # -- proper resolutions by transport ---------------------------------------------
@@ -239,7 +214,7 @@ def proper_ic_resolution(C: Module, M: Module, B: int) -> ProperResolution:
     for j in range(1, B + 1):
         mat = _entries_matrix(W, ires.entries[j], contravariant=True)
         arrows.append(ModuleHom(modules[j - 1], modules[j], mat, check=False))
-    mu = coevaluation_map(C, M)
+    mu = coevaluation_mu(C, M)
     lift = hom_functor_map(C, ires.aug_map, side="covariant")
     p = C.ring.field.p
     aug_map = ModuleHom(M, modules[0], _mul_arrays(lift.mat, mu.mat, p),
@@ -317,10 +292,8 @@ class RelExtResult:
         return got
 
 
-_precomp_cache = _cache()
-
-
-def _precomposition_action(hs) -> np.ndarray:
+@memo
+def _precomposition_action(C: Module, N: Module) -> np.ndarray:
     """Q[mu]: the matrix, on Hom(C,N) coordinates, of f -> f after
     (multiplication by e_mu on C).
 
@@ -328,11 +301,7 @@ def _precomposition_action(hs) -> np.ndarray:
     assembled through the source action and the coordinate translations
     instead; the relative-Ext comparison leans on that independence.
     """
-    key = (hs.source.fingerprint, hs.target.fingerprint)
-    got = _precomp_cache.get(key)
-    if got is not None:
-        return got
-    C = hs.source
+    hs = hom_space(C, N)
     d = C.ring.dim
     h = hs.dim
     p = C.ring.field.p
@@ -341,7 +310,6 @@ def _precomposition_action(hs) -> np.ndarray:
     for mu, cm in enumerate(C.element_matrices(np.eye(d, dtype=np.int64))):
         for l, bm in enumerate(basis):
             Q[mu, :, l] = hs.coords_of(_mul_arrays(bm, cm, p))
-    _precomp_cache[key] = Q
     return Q
 
 
@@ -375,7 +343,7 @@ class _PCExtEngine:
         if len(self._formula) >= top:
             return
         res = minimal_free_resolution(self.hcm.module, top)
-        Q = _precomposition_action(self.hcn)
+        Q = _precomposition_action(self.C, self.N)
         act = self.hcn.module.action
         p = self.field.p
         for j in range(len(self._formula) + 1, top + 1):
@@ -454,16 +422,7 @@ class _PCExtEngine:
         return iso
 
 
-_pc_engines = _cache()
-
-
-def _pc_engine(C: Module, M: Module, N: Module) -> _PCExtEngine:
-    key = (C.fingerprint, M.fingerprint, N.fingerprint)
-    got = _pc_engines.get(key)
-    if got is None:
-        got = _PCExtEngine(C, M, N)
-        _pc_engines[key] = got
-    return got
+_pc_engine = memo(_PCExtEngine)
 
 
 def rel_ext(i: int, C: Module, M: Module, N: Module,
@@ -495,18 +454,12 @@ def rel_ext(i: int, C: Module, M: Module, N: Module,
 # -- relative Ext over the C-injectives (dual route) --------------------------------
 
 
-_postcomp_cache = _cache()
-
-
-def _postcomposition_action(hs) -> np.ndarray:
+@memo
+def _postcomposition_action(A: Module, B: Module) -> np.ndarray:
     """T[mu]: the matrix, on Hom(A,B) coordinates, of f -> (multiplication by
     e_mu on B) after f.  Assembled through the target action and the
     coordinate translations."""
-    key = (hs.source.fingerprint, hs.target.fingerprint)
-    got = _postcomp_cache.get(key)
-    if got is not None:
-        return got
-    B = hs.target
+    hs = hom_space(A, B)
     d = B.ring.dim
     h = hs.dim
     p = B.ring.field.p
@@ -515,7 +468,6 @@ def _postcomposition_action(hs) -> np.ndarray:
     for mu, em in enumerate(B.element_matrices(np.eye(d, dtype=np.int64))):
         for l, bm in enumerate(basis):
             T[mu, :, l] = hs.coords_of(_mul_arrays(em, bm, p))
-    _postcomp_cache[key] = T
     return T
 
 
@@ -562,7 +514,7 @@ class _ICExtEngine:
             return
         entries = self._dual_resolution(top).entries
         p = self.field.p
-        T = _postcomposition_action(self.hcd)
+        T = _postcomposition_action(self.hcd.source, self.hcd.target)
         # push each basis-element stage through Hom(M, -)
         d = self.C.ring.dim
         w = self.hmw.dim
@@ -650,16 +602,7 @@ class _ICExtEngine:
         return iso
 
 
-_ic_engines = _cache()
-
-
-def _ic_engine(C: Module, M: Module, N: Module) -> _ICExtEngine:
-    key = (C.fingerprint, M.fingerprint, N.fingerprint)
-    got = _ic_engines.get(key)
-    if got is None:
-        got = _ICExtEngine(C, M, N)
-        _ic_engines[key] = got
-    return got
+_ic_engine = memo(_ICExtEngine)
 
 
 def rel_ext_ic(i: int, C: Module, M: Module, N: Module,
@@ -727,7 +670,7 @@ def bass_membership(C: Module, M: Module, B: int = 5) -> MembershipReport:
     require_semidualizing(C)
     if B < 1:
         raise InputError("membership bound must be >= 1")
-    if not evaluation_map(C, M).is_bijective():
+    if not evaluation_nu(C, M).is_bijective():
         return MembershipReport("Bass", False, 0, "nu not bijective")
     dims = ext_dims(C, M, B)
     for j in range(1, B + 1):
@@ -751,7 +694,7 @@ def auslander_membership(C: Module, M: Module, B: int = 5) -> MembershipReport:
     require_semidualizing(C)
     if B < 1:
         raise InputError("membership bound must be >= 1")
-    if not coevaluation_map(C, M).is_bijective():
+    if not coevaluation_mu(C, M).is_bijective():
         return MembershipReport("Auslander", False, 0, "mu not bijective")
     tors = tor_dims(C, M, B)
     for j in range(1, B + 1):
@@ -791,7 +734,7 @@ def pc_pd(C: Module, M: Module) -> DimensionValue:
         return DimensionValue.infinite(
             witness=f"Hom(C,M) not free, mu={mu}; depth 0 forces the "
                     "relative dimension into {0, infinity}")
-    if evaluation_map(C, M).is_bijective():
+    if evaluation_nu(C, M).is_bijective():
         return DimensionValue.finite(0, witness=f"C-projective: Hom(C,M) {base.witness}")
     return DimensionValue.infinite(
         witness="Hom(C,M) free but evaluation not bijective: no surjective "
@@ -809,7 +752,7 @@ def ic_id(C: Module, M: Module) -> DimensionValue:
         return DimensionValue.infinite(
             witness="C(x)M not injective; depth 0 forces the relative "
                     "dimension into {0, infinity}")
-    if coevaluation_map(C, M).is_bijective():
+    if coevaluation_mu(C, M).is_bijective():
         return DimensionValue.finite(0, witness=f"C-injective: C(x)M {base.witness}")
     return DimensionValue.infinite(
         witness="C(x)M injective but coevaluation not bijective: no "
@@ -829,9 +772,9 @@ def foxby_transport(C: Module, M: Module,
     """
     require_semidualizing(C)
     if direction == "tensor":
-        return tensor_space(C, M).module, coevaluation_map(C, M)
+        return tensor_space(C, M).module, coevaluation_mu(C, M)
     if direction == "hom":
-        return hom_space(C, M).module, evaluation_map(C, M)
+        return hom_space(C, M).module, evaluation_nu(C, M)
     raise InputError(f"unknown Foxby direction {direction!r}")
 
 
@@ -848,14 +791,14 @@ def composition_identity_check(C: Module, M: Module) -> bool:
     """
     require_semidualizing(C)
     p = C.ring.field.p
-    nu = evaluation_map(C, M)
-    mu = coevaluation_map(C, M)
+    nu = evaluation_nu(C, M)
+    mu = coevaluation_mu(C, M)
     hs = hom_space(C, M)
     hom_nu = hom_functor_map(C, nu, side="covariant")
-    left = _mul_arrays(hom_nu.mat, coevaluation_map(C, hs.module).mat, p)
+    left = _mul_arrays(hom_nu.mat, coevaluation_mu(C, hs.module).mat, p)
     ok = np.array_equal(left, np.eye(hs.dim, dtype=np.int64))
     ts = tensor_space(C, M)
-    right = _mul_arrays(evaluation_map(C, ts.module).mat,
+    right = _mul_arrays(evaluation_nu(C, ts.module).mat,
                         tensor_functor_map(C, mu).mat, p)
     ok = ok and np.array_equal(right, np.eye(ts.dim, dtype=np.int64))
     if nu.is_injective():
@@ -887,7 +830,7 @@ def exactness_equivalence_check(C: Module, M: Module, B: int = 5) -> bool:
     ok = True
     X = proper_pc_resolution(C, M, B)
     prof = exactness_profile(X)
-    nu_ok = evaluation_map(C, M).is_bijective()
+    nu_ok = evaluation_nu(C, M).is_bijective()
     tors = tor_dims(C, hom_space(C, M).module, B)
     for n in range(1, B + 1):
         lhs = all(deg >= n for deg in prof)
@@ -895,7 +838,7 @@ def exactness_equivalence_check(C: Module, M: Module, B: int = 5) -> bool:
         ok = ok and (lhs == rhs)
     Y = proper_ic_resolution(C, M, B)
     prof_y = exactness_profile(Y)
-    mu_ok = coevaluation_map(C, M).is_bijective()
+    mu_ok = coevaluation_mu(C, M).is_bijective()
     exts = ext_dims(C, tensor_space(C, M).module, B)
     for n in range(1, B + 1):
         lhs = all(deg >= n for deg in prof_y)

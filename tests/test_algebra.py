@@ -374,9 +374,9 @@ def test_structure_constant_checks_exact_at_large_prime():
 def test_ring_report_memoised_frozen_and_cleared():
     from dataclasses import FrozenInstanceError
 
-    from semidual.algebra import _report_cache
     from semidual.modules import clear_caches
 
+    _report_cache = ring_report.store
     R = ring_r3()
     clear_caches()
     rep = ring_report(R)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semidual.complexes import (AugmentedComplex, DimensionValue, betti_numbers,
-                                bass_numbers, ext_abs, ext_dims, exactness_profile,
+                                bass_numbers, block_matrix_from_entries, ext_abs, ext_dims, exactness_profile,
                                 hom_complex_from_resolution, homology,
                                 minimal_free_resolution,
                                 minimal_injective_resolution, pd_exact, id_exact,
@@ -367,3 +367,44 @@ def test_exactness_profile_of_augmented_resolution(R1):
         assert exactness_profile(res) == []
     ires = minimal_injective_resolution(residue_field_module(R1), 3)
     assert exactness_profile(ires) == []
+
+
+# -- block assembly of induced differentials --------------------------------
+
+
+def _naive_block_matrix(act, ent, contravariant, p):
+    """Per-block oracle over Python ints: block (s, t) is
+    sum_k ent[s, t, k] * act[k] mod p, placed by the layout."""
+    b_prev, b_next, d = ent.shape
+    n = act.shape[1]
+    shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
+    out = np.zeros(shape, dtype=np.int64)
+    for s in range(b_prev):
+        for t in range(b_next):
+            coeffs = [int(c) for c in ent[s, t]]
+            for i in range(n):
+                for j in range(n):
+                    v = sum(c * int(act[k, i, j]) for k, c in enumerate(coeffs)) % p
+                    if contravariant:
+                        out[t * n + i, s * n + j] = v
+                    else:
+                        out[s * n + i, t * n + j] = v
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
+@pytest.mark.parametrize("contravariant", [False, True])
+@pytest.mark.parametrize("b_prev, b_next, d, n", [
+    (3, 2, 4, 3),          # small enough for the direct int64 product
+    (6, 5, 8, 7),          # large enough for the BLAS or chunked product
+    (0, 3, 4, 2), (3, 0, 4, 2), (2, 3, 4, 0),
+])
+def test_block_matrix_from_entries_matches_per_block_oracle(p, contravariant,
+                                                            b_prev, b_next, d, n):
+    rng = np.random.default_rng(p + 7 * b_prev + 11 * b_next + n)
+    ent = rng.integers(0, p, size=(b_prev, b_next, d), dtype=np.int64)
+    act = rng.integers(0, p, size=(d, n, n), dtype=np.int64)
+    got = block_matrix_from_entries(act, ent, contravariant, p)
+    want = _naive_block_matrix(act, ent, contravariant, p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)

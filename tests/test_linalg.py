@@ -566,6 +566,24 @@ def test_coupled_matrix_is_restricted_to_nonzero_rows_and_columns(monkeypatch):
         assert len(piv) == 19 and piv == want_piv and R.tolist() == want
 
 
+@pytest.mark.parametrize("p", [3, 65521])
+def test_echelon_never_writes_its_input(p):
+    """The private-row split only reads its input and the whole-matrix
+    panel path works on a copy, so a read-only input passes both unchanged."""
+    rng = np.random.default_rng(11)
+    dense = rng.integers(1, p, size=(20, 20))
+    split = _structured_sparse(p, rng, 12, 9)
+    for data in (dense, split):
+        assert data.size > _SMALL_CELLS
+        frozen = data.astype(np.int64)
+        frozen.setflags(write=False)
+        R, piv = _echelon(frozen, p)
+        assert np.array_equal(frozen, data)
+        want, want_piv = naive_rref(data.tolist(), p)
+        assert piv == want_piv and R.tolist() == want
+    assert _split_kinds(dense)[0] == 0 and _split_kinds(split)[0] > 0
+
+
 def _glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))

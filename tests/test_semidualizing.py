@@ -295,9 +295,9 @@ def test_rel_ext_routes_disagree_on_a_wrong_precomposition(r1_mods, monkeypatch)
     D, k = r1_mods["D"], r1_mods["k"]
     real = sd._precomposition_action
 
-    def perturbed(hs):
-        Q = real(hs).copy()
-        Q[:, 0, :] = (Q[:, 0, :] + 1) % hs.source.ring.field.p
+    def perturbed(C, N):
+        Q = real(C, N).copy()
+        Q[:, 0, :] = (Q[:, 0, :] + 1) % C.ring.field.p
         return Q
 
     clear_caches()
