@@ -32,8 +32,13 @@ M (x) R^b is M^b in M's own coordinates.
 
 Hom spaces and tensor products both come as "space" objects holding the
 carrier Module plus the translation between coordinates and honest matrices
-or pure tensors; the plain hom_module / tensor_module functions return the
-carrier together with materialised interpretation data.
+or pure tensors.  The translations are batched, and the batched forms are the
+one implementation: HomSpace.mats_of turns a (dim, k) block of coordinates
+into the (k, target.dim, source.dim) stack of maps and coords_of_all goes
+back, each in a fixed number of contractions; TensorSpace.pure_matrix gives
+every e_i (x) e_j at once.  mat_of, coords_of, basis_mat and pure(u, v) are
+one-column wrappers over them, and the natural maps (chi, nu, mu, the
+adjunction, the functor maps) translate whole bases in one call.
 """
 
 from __future__ import annotations
@@ -104,10 +109,7 @@ class Module:
         """The d action matrices, materialised if this is a power."""
         if self._action is None:
             base, b = self._block
-            d = self.ring.dim
-            eye = np.eye(b, dtype=np.int64)
-            self._action = _frozen(
-                np.stack([np.kron(eye, base.action[i]) for i in range(d)]))
+            self._action = _frozen(_block_diagonal(base.action, b))
         return self._action
 
     def act(self, i: int, cols: np.ndarray) -> np.ndarray:
@@ -155,12 +157,7 @@ class Module:
             n = self.dim
             return _mul_arrays(coeffs, self._action.reshape(d, n * n), p).reshape(len(coeffs), n, n)
         base, b = self._block
-        w = base.dim
-        small = base.element_matrices(elems)
-        out = np.zeros((len(small), b, w, b, w), dtype=np.int64)
-        diag = np.arange(b)
-        out[:, diag, :, diag, :] = small          # I_b kron small
-        return out.reshape(len(small), b * w, b * w)
+        return _block_diagonal(base.element_matrices(elems), b)
 
     def validate(self) -> None:
         ring = self.ring
@@ -279,6 +276,15 @@ class ModuleHom:
 
     def __repr__(self) -> str:
         return f"ModuleHom({self.src.label} -> {self.dst.label})"
+
+
+def _block_diagonal(small: np.ndarray, b: int) -> np.ndarray:
+    """(m, b*w, b*w) stack of I_b kron small[i], by one assignment."""
+    m, w = small.shape[0], small.shape[1]
+    out = np.zeros((m, b, w, b, w), dtype=np.int64)
+    diag = np.arange(b)
+    out[:, diag, :, diag, :] = small
+    return out.reshape(m, b * w, b * w)
 
 
 def _block_apply(small: np.ndarray, b: int, cols: np.ndarray, p: int) -> np.ndarray:
@@ -536,24 +542,26 @@ def is_injective(M: Module) -> int | None:
 def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module, ModuleHom]:
     """Cokernel of the R-matrix map R^m -> R^n with the given n x m entries.
 
-    Entries may be polynomial strings or coordinate vectors.  Returns the
-    module together with the projection from R^n.
+    Entries may be polynomial strings or coordinate vectors.  Block (s, t)
+    of the matrix R^m -> R^n is the multiplication matrix of entry (s, t);
+    all n*m blocks come from one contraction against the ring's left_mult.
+    Returns the module together with the projection from R^n.
     """
     if n < 0 or m < 0:
         raise InputError("negative presentation size")
     rows = list(entries)
     if len(rows) != n or any(len(r) != m for r in rows):
         raise InputError(f"need {n} x {m} entries")
-    src = free_module(R, m)
-    dst = free_module(R, n)
-    d = R.dim
-    mat = np.zeros((n * d, m * d), dtype=np.int64)
+    d, p = R.dim, R.field.p
+    coeffs = np.zeros((n * m, d), dtype=np.int64)
     for s in range(n):
         for t in range(m):
             e = rows[s][t]
-            vec = R.element_from_string(e) if isinstance(e, str) else np.asarray(e)
-            mat[s * d:(s + 1) * d, t * d:(t + 1) * d] = R.mult_matrix(vec)
-    f = ModuleHom(src, dst, mat, check=False)
+            coeffs[s * m + t] = R.element_from_string(e) if isinstance(e, str) else e
+    blocks = _mul_arrays(coeffs % p, R.left_mult.reshape(d, d * d), p)
+    mat = blocks.reshape(n, m, d, d).transpose(0, 2, 1, 3).reshape(n * d, m * d)
+    dst = free_module(R, n)
+    f = ModuleHom(free_module(R, m), dst, mat, check=False)
     if not mat.any():
         return dst, identity_hom(dst)
     sq = cokernel(f)
@@ -567,9 +575,11 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
 class HomSpace:
     """Hom_R(source, target) as a module plus coordinate translations.
 
-    coords are vectors of length dim; mat_of turns coordinates into an
-    honest (target.dim x source.dim) matrix, coords_of inverts that on
-    matrices that really are R-linear maps.
+    The translations are batched.  mats_of turns a (dim, k) block of
+    coordinate columns into the (k, target.dim, source.dim) stack of honest
+    matrices; coords_of_all inverts that on a stack of matrices that really
+    are R-linear maps, giving a (dim, k) block.  mat_of, coords_of and
+    basis_mat are their one-column cases.
     """
 
     def __init__(self, source: Module, target: Module):
@@ -585,16 +595,24 @@ class HomSpace:
 
     # -- translations, overridden per construction
 
-    def mat_of(self, coords: np.ndarray) -> np.ndarray:
+    def mats_of(self, coords: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def coords_of_all(self, stack: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def basis_mats(self) -> np.ndarray:
+        """(dim, target.dim, source.dim) stack of the basis maps."""
+        return self.mats_of(np.eye(self.dim, dtype=np.int64))
+
+    def mat_of(self, coords: np.ndarray) -> np.ndarray:
+        return self.mats_of(np.asarray(coords).reshape(-1, 1))[0]
 
     def coords_of(self, mat: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.coords_of_all(np.asarray(mat)[None])[:, 0]
 
     def basis_mat(self, l: int) -> np.ndarray:
-        e = np.zeros(self.dim, dtype=np.int64)
-        e[l] = 1
-        return self.mat_of(e)
+        return self.mats_of(np.eye(self.dim, dtype=np.int64)[:, l:l + 1])[0]
 
     def hom(self, coords: np.ndarray, check: bool = False) -> ModuleHom:
         return ModuleHom(self.source, self.target, self.mat_of(coords), check=check)
@@ -633,22 +651,39 @@ class _PresentedHom(HomSpace):
         self.module = sq.carrier
         self._E = sq.section
 
-    def mat_of(self, coords):
+    def mats_of(self, coords):
         p = self.ring.field.p
-        vals = np.asarray(coords) % p
+        vals = np.asarray(coords, dtype=np.int64) % p
+        d, g, n, k = self.ring.dim, self._gens.shape[1], self.target.dim, vals.shape[1]
         if self._K is not None:
-            vals = _mul_arrays(self._K, vals.reshape(-1, 1), p)[:, 0]
-        # the map R^g -> N sending generator s to its value, after the section
-        N = self.target
-        images = cover_matrix(N, vals.reshape(self._gens.shape[1], N.dim).T)
-        return _mul_arrays(images, self._sec, p)
+            vals = _mul_arrays(self._K, vals, p)
+        # every basis element moves the values on the generators: map c on
+        # the cover R^g, which the section turns into a map on M
+        moved = self.target.act_all(vals.reshape(g, n, k).transpose(1, 0, 2).reshape(n, g * k))
+        images = moved.reshape(d, n, g, k).transpose(3, 1, 2, 0).reshape(k * n, g * d)
+        return _mul_arrays(images, self._sec, p).reshape(k, n, self.source.dim)
 
-    def coords_of(self, mat):
+    def coords_of_all(self, stack):
         p = self.ring.field.p
-        vals = _mul_arrays(np.asarray(mat), self._gens, p).T.reshape(-1, 1)
+        k, n, g = stack.shape[0], self.target.dim, self._gens.shape[1]
+        flat = np.ascontiguousarray(stack).reshape(k * n, self.source.dim)
+        vals = _mul_arrays(flat, self._gens, p).reshape(k, n, g).transpose(2, 1, 0)
+        vals = vals.reshape(g * n, k)
         if self._E is not None:
             vals = _mul_arrays(self._E, vals, p)
-        return vals[:, 0]
+        return vals
+
+
+def _split_copies(coords: np.ndarray, b: int) -> np.ndarray:
+    """(b*q, k) coordinates on a b-th power -> (q, b*k), column (s, c)."""
+    bq, k = coords.shape
+    return coords.reshape(b, bq // b, k).transpose(1, 0, 2).reshape(bq // b, b * k)
+
+
+def _join_copies(cols: np.ndarray, b: int) -> np.ndarray:
+    """Inverse of _split_copies."""
+    q, bk = cols.shape
+    return cols.reshape(q, b, bk // b).transpose(1, 0, 2).reshape(b * q, bk // b)
 
 
 class _BlockSourceHom(HomSpace):
@@ -661,21 +696,17 @@ class _BlockSourceHom(HomSpace):
         self.module = power_module(self.small.module, b,
                                    label=f"Hom({self.source.label},{self.target.label})")
 
-    def mat_of(self, coords):
-        b = self.copies
-        w = self.small.source.dim
-        q = self.small.dim
-        coords = np.asarray(coords).reshape(b, q)
-        out = np.zeros((self.target.dim, b * w), dtype=np.int64)
-        for s in range(b):
-            out[:, s * w:(s + 1) * w] = self.small.mat_of(coords[s])
-        return out
+    def mats_of(self, coords):
+        b, k = self.copies, coords.shape[1]
+        n, w = self.target.dim, self.small.source.dim
+        small = self.small.mats_of(_split_copies(coords, b))
+        return small.reshape(b, k, n, w).transpose(1, 2, 0, 3).reshape(k, n, b * w)
 
-    def coords_of(self, mat):
-        b = self.copies
-        w = self.small.source.dim
-        return np.concatenate(
-            [self.small.coords_of(mat[:, s * w:(s + 1) * w]) for s in range(b)])
+    def coords_of_all(self, stack):
+        b, k = self.copies, stack.shape[0]
+        n, w = self.target.dim, self.small.source.dim
+        small = stack.reshape(k, n, b, w).transpose(2, 0, 1, 3).reshape(b * k, n, w)
+        return _join_copies(self.small.coords_of_all(small), b)
 
 
 class _BlockTargetHom(HomSpace):
@@ -688,21 +719,17 @@ class _BlockTargetHom(HomSpace):
         self.module = power_module(self.small.module, b,
                                    label=f"Hom({self.source.label},{self.target.label})")
 
-    def mat_of(self, coords):
-        b = self.copies
-        v = self.small.target.dim
-        q = self.small.dim
-        coords = np.asarray(coords).reshape(b, q)
-        out = np.zeros((b * v, self.source.dim), dtype=np.int64)
-        for s in range(b):
-            out[s * v:(s + 1) * v] = self.small.mat_of(coords[s])
-        return out
+    def mats_of(self, coords):
+        b, k = self.copies, coords.shape[1]
+        v, m = self.small.target.dim, self.source.dim
+        small = self.small.mats_of(_split_copies(coords, b))
+        return small.reshape(b, k, v, m).transpose(1, 0, 2, 3).reshape(k, b * v, m)
 
-    def coords_of(self, mat):
-        b = self.copies
-        v = self.small.target.dim
-        return np.concatenate(
-            [self.small.coords_of(mat[s * v:(s + 1) * v]) for s in range(b)])
+    def coords_of_all(self, stack):
+        b, k = self.copies, stack.shape[0]
+        v, m = self.small.target.dim, self.source.dim
+        small = stack.reshape(k, b, v, m).transpose(1, 0, 2, 3).reshape(b * k, v, m)
+        return _join_copies(self.small.coords_of_all(small), b)
 
 
 def free_copies(module: Module) -> int | None:
@@ -732,10 +759,7 @@ _homspace_cache = hom_space.store      # keyed (M.fingerprint, N.fingerprint)
 def hom_module(M: Module, N: Module) -> tuple[Module, list[ModuleHom]]:
     """Hom_R(M, N) as a module, with each basis vector interpreted as a map."""
     hs = hom_space(M, N)
-    homs = []
-    for l in range(hs.dim):
-        homs.append(ModuleHom(M, N, hs.basis_mat(l), check=False))
-    return hs.module, homs
+    return hs.module, [ModuleHom(M, N, bm, check=False) for bm in hs.basis_mats()]
 
 
 def hom_functor_map(C: Module, f: ModuleHom, side: str = "covariant") -> ModuleHom:
@@ -745,26 +769,38 @@ def hom_functor_map(C: Module, f: ModuleHom, side: str = "covariant") -> ModuleH
     if side == "covariant":
         hs_src = hom_space(C, f.src)
         hs_dst = hom_space(C, f.dst)
-        cols = []
-        for l in range(hs_src.dim):
-            cols.append(hs_dst.coords_of(_mul_arrays(f.mat, hs_src.basis_mat(l), p)))
+        moved = _mul_arrays(f.mat, hs_src.basis_mats(), p)
     elif side == "contravariant":
         hs_src = hom_space(f.dst, C)
         hs_dst = hom_space(f.src, C)
-        cols = []
-        for l in range(hs_src.dim):
-            cols.append(hs_dst.coords_of(_mul_arrays(hs_src.basis_mat(l), f.mat, p)))
+        h, c = hs_src.dim, C.dim
+        basis = hs_src.basis_mats().reshape(h * c, f.dst.dim)
+        moved = _mul_arrays(basis, f.mat, p).reshape(h, c, f.src.dim)
     else:
         raise InputError(f"unknown side {side!r}")
-    mat = np.stack(cols, axis=1) if cols else np.zeros((hs_dst.dim, 0), dtype=np.int64)
-    return ModuleHom(hs_src.module, hs_dst.module, mat, check=False)
+    return ModuleHom(hs_src.module, hs_dst.module, hs_dst.coords_of_all(moved), check=False)
 
 
 # -- tensor products ----------------------------------------------------------
 
 
+def _copywise(block: np.ndarray, b: int) -> np.ndarray:
+    """(b*q, m*b*v) matrix, for a (q, m, v) block, that holds block[:, i, j]
+    in the rows of copy s and column (i, s, j), for every s; zero elsewhere."""
+    q, m, v = block.shape
+    out = np.zeros((b, q, m, b, v), dtype=np.int64)
+    diag = np.arange(b)
+    out[diag, :, :, diag, :] = block
+    return out.reshape(b * q, m * b * v)
+
+
 class TensorSpace:
-    """M tensor_R N as a module plus the pure tensor map."""
+    """M tensor_R N as a module plus the pure tensor map.
+
+    pure_matrix() is the dim x (left.dim * right.dim) matrix whose column
+    i*right.dim + j is e_i (x) e_j, built per construction without a loop
+    over the pairs; pure(u, v) is its product with kron(u, v).
+    """
 
     def __init__(self, left: Module, right: Module):
         self.left = left
@@ -777,20 +813,13 @@ class TensorSpace:
     def dim(self) -> int:
         return self.module.dim
 
-    def pure(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def pure_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
-    def pure_matrix(self) -> np.ndarray:
-        """dim x (left.dim * right.dim), column i*right.dim+j = pure(e_i, e_j).
-        Only sensible for small factors."""
-        m, n = self.left.dim, self.right.dim
-        out = np.zeros((self.dim, m * n), dtype=np.int64)
-        eye_m = np.eye(m, dtype=np.int64)
-        eye_n = np.eye(n, dtype=np.int64)
-        for i in range(m):
-            for j in range(n):
-                out[:, i * n + j] = self.pure(eye_m[i], eye_n[j])
-        return out
+    def pure(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        p = self.ring.field.p
+        uv = np.kron(np.asarray(u, dtype=np.int64) % p, np.asarray(v, dtype=np.int64) % p) % p
+        return _mul_arrays(self.pure_matrix(), uv.reshape(-1, 1), p)[:, 0]
 
 
 class _RightFreeTensor(TensorSpace):
@@ -802,16 +831,10 @@ class _RightFreeTensor(TensorSpace):
         self.module = power_module(self.left, b,
                                    label=f"{self.left.label}(x){self.right.label}")
 
-    def pure(self, u, v):
-        M = self.left
-        b = self.copies
-        d = self.ring.dim
-        v = np.asarray(v).reshape(b, d)
-        out = np.zeros((b, M.dim), dtype=np.int64)
-        for s in range(b):
-            if v[s].any():
-                out[s] = M.act_element(v[s], np.asarray(u).reshape(-1, 1))[:, 0]
-        return out.reshape(-1)
+    def pure_matrix(self):
+        # e_i (x) (e_mu in copy s) is e_mu e_i in copy s of M^b
+        moved = self.left.act_all(np.eye(self.left.dim, dtype=np.int64))
+        return _copywise(moved.transpose(1, 2, 0), self.copies)
 
 
 class _BlockLeftTensor(TensorSpace):
@@ -824,16 +847,10 @@ class _BlockLeftTensor(TensorSpace):
         self.module = power_module(self.small.module, b,
                                    label=f"{self.left.label}(x){self.right.label}")
 
-    def pure(self, u, v):
-        b = self.copies
-        w = self.small.left.dim
-        q = self.small.dim
-        u = np.asarray(u).reshape(b, w)
-        out = np.zeros((b, q), dtype=np.int64)
-        for s in range(b):
-            if u[s].any():
-                out[s] = self.small.pure(u[s], v)
-        return out.reshape(-1)
+    def pure_matrix(self):
+        # (e_i in copy s) (x) e_j lies in copy s
+        small = self.small.pure_matrix()
+        return _copywise(small.reshape(small.shape[0], 1, small.shape[1]), self.copies)
 
 
 class _BlockRightTensor(TensorSpace):
@@ -846,16 +863,11 @@ class _BlockRightTensor(TensorSpace):
         self.module = power_module(self.small.module, b,
                                    label=f"{self.left.label}(x){self.right.label}")
 
-    def pure(self, u, v):
-        b = self.copies
-        w = self.small.right.dim
-        q = self.small.dim
-        v = np.asarray(v).reshape(b, w)
-        out = np.zeros((b, q), dtype=np.int64)
-        for s in range(b):
-            if v[s].any():
-                out[s] = self.small.pure(u, v[s])
-        return out.reshape(-1)
+    def pure_matrix(self):
+        # e_i (x) (e_j in copy s) lies in copy s
+        small = self.small.pure_matrix()
+        return _copywise(small.reshape(small.shape[0], self.left.dim, self.small.right.dim),
+                         self.copies)
 
 
 class _PresentedTensor(TensorSpace):
@@ -877,17 +889,18 @@ class _PresentedTensor(TensorSpace):
         self.module = sq.carrier
         self._Q = sq.map.mat
 
-    def pure(self, u, v):
-        # u = sum_s w_s gens_s, so u (x) v is the class of (w_s v)_s in N^g
-        p = self.ring.field.p
-        N = self.right
-        d = self.ring.dim
-        w = _mul_arrays(self._sec, np.asarray(u).reshape(-1, 1), p).reshape(-1, d)
-        moved = cover_matrix(N, np.asarray(v).reshape(-1, 1))   # n x d
-        emb = _mul_arrays(w, moved.T, p).reshape(-1, 1)
+    def pure_matrix(self):
+        # e_i = sum_s w_s gens_s for w = sec e_i, so e_i (x) e_j is the class
+        # of (w_s e_j)_s in N^g: the actions of all g*m elements w_s at once
+        p, d = self.ring.field.p, self.ring.dim
+        m, n = self.left.dim, self.right.dim
+        g = self._sec.shape[0] // d
+        elems = self._sec.reshape(g, d, m).transpose(1, 0, 2).reshape(d, g * m)
+        acts = self.right.element_matrices(elems)
+        emb = acts.reshape(g, m, n, n).transpose(0, 2, 1, 3).reshape(g * n, m * n)
         if self._Q is not None:
             emb = _mul_arrays(self._Q, emb, p)
-        return emb[:, 0]
+        return emb
 
 
 @memo
@@ -917,8 +930,9 @@ def tensor_functor_map(C: Module, f: ModuleHom) -> ModuleHom:
     ts_dst = tensor_space(C, f.dst)
     P_src = ts_src.pure_matrix()                      # t1 x (c*m)
     P_dst = ts_dst.pure_matrix()                      # t2 x (c*n)
-    idxf = np.kron(np.eye(C.dim, dtype=np.int64), f.mat)   # (c*n) x (c*m)
-    rhs = _mul_arrays(P_dst, idxf, p)                 # t2 x (c*m)
+    t2, c = P_dst.shape[0], C.dim
+    # P_dst (id (x) f): f applied to the right index of every column block
+    rhs = _mul_arrays(P_dst.reshape(t2 * c, f.dst.dim), f.mat, p).reshape(t2, c * f.src.dim)
     sol = solve(Mat._wrap(C.ring.field, P_src.T), Mat._wrap(C.ring.field, rhs.T))
     if sol is None:
         raise TheoremViolationError("tensor functor map is not well defined")
@@ -931,14 +945,10 @@ def tensor_functor_map(C: Module, f: ModuleHom) -> ModuleHom:
 @memo
 def evaluation_nu(C: Module, M: Module) -> ModuleHom:
     """nu: C (x) Hom(C, M) -> M, c (x) f -> f(c).  Memoised."""
-    p = C.ring.field.p
     hs = hom_space(C, M)
     ts = tensor_space(C, hs.module)
-    c, h = C.dim, hs.dim
-    beta = np.zeros((M.dim, c * h), dtype=np.int64)
-    for l in range(h):
-        bm = hs.basis_mat(l)           # M.dim x c
-        beta[:, [i * h + l for i in range(c)]] = bm
+    # column i*h + l is basis map l applied to e_i
+    beta = hs.basis_mats().transpose(1, 2, 0).reshape(M.dim, C.dim * hs.dim)
     P = ts.pure_matrix()               # t x (c*h)
     sol = solve(Mat._wrap(C.ring.field, P.T), Mat._wrap(C.ring.field, beta.T))
     if sol is None:
@@ -951,15 +961,9 @@ def coevaluation_mu(C: Module, M: Module) -> ModuleHom:
     """mu: M -> Hom(C, C (x) M), m -> (c -> c (x) m).  Memoised."""
     ts = tensor_space(C, M)
     hs = hom_space(C, ts.module)
-    cols = np.zeros((hs.dim, M.dim), dtype=np.int64)
-    eye_c = np.eye(C.dim, dtype=np.int64)
-    eye_m = np.eye(M.dim, dtype=np.int64)
-    for j in range(M.dim):
-        hmat = np.zeros((ts.dim, C.dim), dtype=np.int64)
-        for a in range(C.dim):
-            hmat[:, a] = ts.pure(eye_c[a], eye_m[j])
-        cols[:, j] = hs.coords_of(hmat)
-    return ModuleHom(M, hs.module, cols, check=False)
+    # the map c -> c (x) e_j is columns a*m + j of the pure tensor matrix
+    P = ts.pure_matrix().reshape(ts.dim, C.dim, M.dim)
+    return ModuleHom(M, hs.module, hs.coords_of_all(P.transpose(2, 0, 1)), check=False)
 
 
 def adjunction_iso(C: Module, M: Module, N: Module) -> ModuleHom:
@@ -973,27 +977,16 @@ def adjunction_iso(C: Module, M: Module, N: Module) -> ModuleHom:
     hs_t = hom_space(ts.module, N)
     hs_cn = hom_space(C, N)
     hs_out = hom_space(M, hs_cn.module)
-    P = ts.pure_matrix()                       # t x (C.dim * M.dim)
-    cols = []
-    for l in range(hs_t.dim):
-        g = hs_t.basis_mat(l)                  # N.dim x t
-        gp = _mul_arrays(g, P, p)              # N.dim x (C.dim * M.dim)
-        ghat = np.zeros((hs_cn.dim, M.dim), dtype=np.int64)
-        for j in range(M.dim):
-            hmat = gp[:, [a * M.dim + j for a in range(C.dim)]]
-            ghat[:, j] = hs_cn.coords_of(np.ascontiguousarray(hmat))
-        cols.append(hs_out.coords_of(ghat))
-    mat = (np.stack(cols, axis=1) if cols
-           else np.zeros((hs_out.dim, 0), dtype=np.int64))
-    return ModuleHom(hs_t.module, hs_out.module, mat, check=False)
+    h, c, m, n = hs_t.dim, C.dim, M.dim, N.dim
+    # g_l after the pure tensors, regrouped into the maps c -> g_l(c (x) e_j)
+    gp = _mul_arrays(hs_t.basis_mats().reshape(h * n, ts.dim), ts.pure_matrix(), p)
+    inner = gp.reshape(h, n, c, m).transpose(0, 3, 1, 2).reshape(h * m, n, c)
+    ghat = hs_cn.coords_of_all(inner).reshape(hs_cn.dim, h, m).transpose(1, 0, 2)
+    return ModuleHom(hs_t.module, hs_out.module, hs_out.coords_of_all(ghat), check=False)
 
 
 def homothety_chi(R: Algebra, C: Module) -> ModuleHom:
     """chi: R -> Hom(C, C), r -> multiplication by r."""
     hs = hom_space(C, C)
-    Rm = free_module(R, 1)
-    d = R.dim
-    cols = np.zeros((hs.dim, d), dtype=np.int64)
-    for mu, em in enumerate(C.element_matrices(np.eye(d, dtype=np.int64))):
-        cols[:, mu] = hs.coords_of(em)
-    return ModuleHom(Rm, hs.module, cols, check=False)
+    cols = hs.coords_of_all(C.element_matrices(np.eye(R.dim, dtype=np.int64)))
+    return ModuleHom(free_module(R, 1), hs.module, cols, check=False)

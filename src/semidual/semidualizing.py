@@ -31,7 +31,7 @@ from .complexes import (AugmentedComplex, DimensionValue,
 from .errors import InputError, NotSemidualizingError, TheoremViolationError
 from .linalg import Mat, _mul_arrays, rank as _rank
 from .memo import cache, memo
-from .modules import (Module, ModuleHom, adjunction_iso,
+from .modules import (HomSpace, Module, ModuleHom, adjunction_iso,
                       coevaluation_mu, direct_sum, dualizing_module,
                       evaluation_nu, hom_functor_map, hom_space, homothety_chi,
                       is_free, is_injective, kernel, matlis_dual,
@@ -155,14 +155,9 @@ def _generator_vectors(res) -> np.ndarray:
     """Columns: images of the free-cover unit generators, read off the
     augmentation of a minimal free resolution.  Shape (dim, b_0)."""
     R = res.ring
-    b0 = res.betti[0]
-    d = R.dim
-    out = np.zeros((res.augmentation.dim, b0), dtype=np.int64)
-    unit = R.unit.reshape(-1, 1)
-    for s in range(b0):
-        block = np.ascontiguousarray(res.aug_map.mat[:, s * d:(s + 1) * d])
-        out[:, s] = _mul_arrays(block, unit, R.field.p)[:, 0]
-    return out
+    n, b0 = res.augmentation.dim, res.betti[0]
+    blocks = res.aug_map.mat.reshape(n * b0, R.dim)
+    return _mul_arrays(blocks, R.unit.reshape(-1, 1), R.field.p).reshape(n, b0)
 
 
 def proper_pc_resolution(C: Module, M: Module, B: int) -> ProperResolution:
@@ -186,10 +181,8 @@ def proper_pc_resolution(C: Module, M: Module, B: int) -> ProperResolution:
     for j in range(1, B + 1):
         mat = _entries_matrix(C, res.entries[j], contravariant=False)
         arrows.append(ModuleHom(modules[j], modules[j - 1], mat, check=False))
-    gens = _generator_vectors(res)
-    aug = np.zeros((M.dim, res.betti[0] * c), dtype=np.int64)
-    for s in range(gens.shape[1]):
-        aug[:, s * c:(s + 1) * c] = hs.mat_of(gens[:, s])
+    gens = hs.mats_of(_generator_vectors(res))         # (b_0, M.dim, c)
+    aug = gens.transpose(1, 0, 2).reshape(M.dim, res.betti[0] * c)
     aug_map = ModuleHom(modules[0], M, aug, check=False)
     return ProperResolution(C.ring, modules, arrows, "homological", M,
                             aug_map, C, res)
@@ -302,15 +295,12 @@ def _precomposition_action(C: Module, N: Module) -> np.ndarray:
     instead; the relative-Ext comparison leans on that independence.
     """
     hs = hom_space(C, N)
-    d = C.ring.dim
-    h = hs.dim
-    p = C.ring.field.p
-    Q = np.zeros((d, h, h), dtype=np.int64)
-    basis = [hs.basis_mat(l) for l in range(h)]
-    for mu, cm in enumerate(C.element_matrices(np.eye(d, dtype=np.int64))):
-        for l, bm in enumerate(basis):
-            Q[mu, :, l] = hs.coords_of(_mul_arrays(bm, cm, p))
-    return Q
+    d, h, n, c = C.ring.dim, hs.dim, N.dim, C.dim
+    acts = C.element_matrices(np.eye(d, dtype=np.int64))
+    # slice mu, l of the (d, h) stack is basis map l after e_mu
+    moved = _mul_arrays(hs.basis_mats().reshape(h * n, c), acts, C.ring.field.p)
+    coords = hs.coords_of_all(moved.reshape(d * h, n, c))
+    return np.ascontiguousarray(coords.reshape(h, d, h).transpose(1, 0, 2))
 
 
 class _PCExtEngine:
@@ -454,21 +444,22 @@ def rel_ext(i: int, C: Module, M: Module, N: Module,
 # -- relative Ext over the C-injectives (dual route) --------------------------------
 
 
+def _postcompose(hs: HomSpace, acts: np.ndarray) -> np.ndarray:
+    """(d, h, h) stack whose slice mu is the matrix, on the h coordinates of
+    hs, of f -> acts[mu] after f; acts is a (d, t, t) stack of maps of the
+    target."""
+    d, t, h, s = acts.shape[0], hs.target.dim, hs.dim, hs.source.dim
+    moved = _mul_arrays(acts.reshape(d * t, t), hs.basis_mats(), hs.ring.field.p)
+    coords = hs.coords_of_all(moved.reshape(h, d, t, s).transpose(1, 0, 2, 3).reshape(d * h, t, s))
+    return np.ascontiguousarray(coords.reshape(h, d, h).transpose(1, 0, 2))
+
+
 @memo
 def _postcomposition_action(A: Module, B: Module) -> np.ndarray:
     """T[mu]: the matrix, on Hom(A,B) coordinates, of f -> (multiplication by
     e_mu on B) after f.  Assembled through the target action and the
     coordinate translations."""
-    hs = hom_space(A, B)
-    d = B.ring.dim
-    h = hs.dim
-    p = B.ring.field.p
-    T = np.zeros((d, h, h), dtype=np.int64)
-    basis = [hs.basis_mat(l) for l in range(h)]
-    for mu, em in enumerate(B.element_matrices(np.eye(d, dtype=np.int64))):
-        for l, bm in enumerate(basis):
-            T[mu, :, l] = hs.coords_of(_mul_arrays(em, bm, p))
-    return T
+    return _postcompose(hom_space(A, B), B.element_matrices(np.eye(B.ring.dim, dtype=np.int64)))
 
 
 class _ICExtEngine:
@@ -516,13 +507,7 @@ class _ICExtEngine:
         p = self.field.p
         T = _postcomposition_action(self.hcd.source, self.hcd.target)
         # push each basis-element stage through Hom(M, -)
-        d = self.C.ring.dim
-        w = self.hmw.dim
-        V = np.zeros((d, w, w), dtype=np.int64)
-        basis = [self.hmw.basis_mat(l) for l in range(w)]
-        for mu in range(d):
-            for l, bm in enumerate(basis):
-                V[mu, :, l] = self.hmw.coords_of(_mul_arrays(T[mu], bm, p))
+        V = _postcompose(self.hmw, T)
         act_t = self.htd.module.action
         for j in range(len(self._proper) + 1, top + 1):
             ent = entries[j]

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .algebra import Algebra, algebra_from_monomial_quotient, parse_polynomial
 from .errors import InputError, ParseError
 from .linalg import Field
@@ -55,13 +57,20 @@ _KIND_KEYS = {
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """One named module declaration; payload fields depend on kind."""
+    """One named module declaration; payload fields depend on kind.
+
+    A parsed cokernel also keeps its entries' coefficient vectors, a
+    read-only (rows, cols, dim R) array, so that building the module parses
+    nothing; `entries` stays the text that render() writes and equality
+    compares.
+    """
 
     kind: str
     rank: int = 1
     rows: int = 0
     cols: int = 0
     entries: tuple[str, ...] = ()
+    vectors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -94,8 +103,8 @@ class SessionFile:
         elif spec.kind == "dualizing":
             mod = dualizing_module(R)
         else:
-            rows = [list(spec.entries[r * spec.cols:(r + 1) * spec.cols])
-                    for r in range(spec.rows)]
+            rows = spec.vectors if spec.vectors is not None else [
+                spec.entries[r * spec.cols:(r + 1) * spec.cols] for r in range(spec.rows)]
             mod, _ = presentation_to_module(R, spec.rows, spec.cols, rows)
         return mod.relabelled(name)
 
@@ -354,13 +363,16 @@ def _assemble_module(sec: _Section, variables: list[str], ring: Algebra,
         raise ParseError(f"need rows*cols = {rows * cols} entries, got "
                          f"{len(ents)}", where.line, where.col)
     p = ring.field.p
-    for s, ln, col in ents:
-        _located_poly(s, variables, ln, col)
-        vec = ring.element_from_string(s)
-        if not vec.any() and s.strip() != "0":
+    vectors = np.zeros((rows * cols, ring.dim), dtype=np.int64)
+    for e, (s, ln, col) in enumerate(ents):
+        terms = _located_poly(s, variables, ln, col)
+        vectors[e] = ring.monomial_data.element_from_terms(ring.field, terms)
+        if not vectors[e].any() and s.strip() != "0":
             warnings.append(f"line {ln}: entry '{s}' reduces to 0 over GF({p})")
+    vectors = vectors.reshape(rows, cols, ring.dim)
+    vectors.setflags(write=False)
     return ModuleSpec("cokernel", rows=rows, cols=cols,
-                      entries=tuple(s for s, _, _ in ents))
+                      entries=tuple(s for s, _, _ in ents), vectors=vectors)
 
 
 def parse_session_text(text: str) -> SessionFile:
