@@ -59,10 +59,10 @@ _KIND_KEYS = {
 class ModuleSpec:
     """One named module declaration; payload fields depend on kind.
 
-    A parsed cokernel also keeps its entries' coefficient vectors, a
-    read-only (rows, cols, dim R) array, so that building the module parses
-    nothing; `entries` stays the text that render() writes and equality
-    compares.
+    A cokernel spec comes from the parser, which also keeps its entries'
+    coefficient vectors, a read-only (rows, cols, dim R) array; building the
+    module reads only those and parses nothing.  `entries` stays the text
+    that render() writes and equality compares.
     """
 
     kind: str
@@ -103,9 +103,7 @@ class SessionFile:
         elif spec.kind == "dualizing":
             mod = dualizing_module(R)
         else:
-            rows = spec.vectors if spec.vectors is not None else [
-                spec.entries[r * spec.cols:(r + 1) * spec.cols] for r in range(spec.rows)]
-            mod, _ = presentation_to_module(R, spec.rows, spec.cols, rows)
+            mod, _ = presentation_to_module(R, spec.rows, spec.cols, spec.vectors)
         return mod.relabelled(name)
 
 
