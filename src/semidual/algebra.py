@@ -11,14 +11,24 @@ standard monomials in degree-then-lexicographic order, and each Algebra
 built this way keeps the exponent data so polynomial strings can be parsed
 and reduced.  Raw structure constants are also accepted.
 
-The radical is computed as the kernel of an iterated Frobenius map: in
-characteristic p the map x -> x^p is GF(p)-linear, and an element of a
-d-dimensional commutative algebra is nilpotent iff x^(p^t) = 0 once
-p^t >= d.  This realises "the set of nilpotent elements" as the kernel of
-an explicit matrix.  The Frobenius matrix is computed for all basis
-elements at once: square-and-multiply runs on the d x d array whose rows
-are the powers of e_1..e_d, and each step multiplies all rows in one
-contraction of their Khatri-Rao product with the structure constants.
+Over a monomial quotient the maximal ideal is read off the monomial data:
+its basis is the standard monomials other than 1, and as an ideal it is
+generated by the variables (radical_generators), so m * N = sum_v x_v * N
+for every submodule N.  The same construction also tabulates, for each
+standard monomial and variable, the basis index of the quotient by that
+variable (MonomialData.divisors), which modules.presentation uses to keep
+only the relations at minimal positions.
+
+For an algebra given by structure constants alone the radical is computed
+as the kernel of an iterated Frobenius map: in characteristic p the map
+x -> x^p is GF(p)-linear, and an element of a d-dimensional commutative
+algebra is nilpotent iff x^(p^t) = 0 once p^t >= d.  This realises "the
+set of nilpotent elements" as the kernel of an explicit matrix.  The
+Frobenius matrix is computed for all basis elements at once:
+square-and-multiply runs on the d x d array whose rows are the powers of
+e_1..e_d, and each step multiplies all rows in one contraction of their
+Khatri-Rao product with the structure constants.  On a monomial quotient
+that kernel is exactly the identity columns at the non-unit monomials.
 """
 
 from __future__ import annotations
@@ -236,10 +246,20 @@ def _divides(rel: tuple[int, ...], mono: tuple[int, ...]) -> bool:
 
 @dataclass
 class MonomialData:
+    """Exponent data of a monomial quotient, built with its basis.
+
+    divisors[i, v] is the basis index of e_i / x_v, or -1 when x_v does not
+    divide e_i.  variable_columns holds, as identity columns, the variables
+    that are nonzero in the quotient: they generate the maximal ideal.
+    Both arrays are read-only.
+    """
+
     variables: list[str]
     relations: list[tuple[int, ...]]
     basis_exponents: list[tuple[int, ...]]
     index: dict
+    divisors: np.ndarray
+    variable_columns: np.ndarray
 
     def reduce_monomial(self, exps: tuple[int, ...]) -> int | None:
         """Basis index of the monomial, or None if it lies in the ideal.
@@ -311,6 +331,7 @@ def algebra_from_monomial_quotient(field: Field, variables: list[str],
     standard.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     index = {e: i for i, e in enumerate(standard)}
     d = len(standard)
+    divisors, variable_columns = _divisor_tables(standard, bounds)
     structure = np.zeros((d, d, d), dtype=np.int64)
     for i, ei in enumerate(standard):
         for j, ej in enumerate(standard):
@@ -320,8 +341,34 @@ def algebra_from_monomial_quotient(field: Field, variables: list[str],
     unit = np.zeros(d, dtype=np.int64)
     unit[index[tuple([0] * nvars)]] = 1
     labels = [_monomial_label(variables, e) for e in standard]
-    data = MonomialData(list(variables), rel_exps, standard, index)
+    data = MonomialData(list(variables), rel_exps, standard, index,
+                        divisors, variable_columns)
     return Algebra(field, structure, unit, labels, monomial_data=data, name=name)
+
+
+def _divisor_tables(standard: list[tuple[int, ...]], bounds: list[int]):
+    """(divisors, variable_columns) of MonomialData, by one lookup per
+    variable: every exponent tuple in the box is coded in mixed radix, and
+    a table over the box maps codes of standard monomials to their index."""
+    d, nvars = len(standard), len(bounds)
+    exps = np.array(standard, dtype=np.int64).reshape(d, nvars)
+    strides = np.ones(nvars, dtype=np.int64)
+    for v in range(nvars - 2, -1, -1):
+        strides[v] = strides[v + 1] * bounds[v + 1]
+    codes = exps @ strides
+    lookup = np.full(int(np.prod(bounds, dtype=np.int64)), -1, dtype=np.int64)
+    lookup[codes] = np.arange(d)
+    divisors = np.full((d, nvars), -1, dtype=np.int64)
+    for v in range(nvars):
+        has = exps[:, v] > 0
+        divisors[has, v] = lookup[codes[has] - strides[v]]
+    # x_v is standard unless x_v itself is a relation, when its bound is 1
+    present = [int(lookup[strides[v]]) for v in range(nvars) if bounds[v] > 1]
+    variable_columns = np.zeros((d, len(present)), dtype=np.int64)
+    variable_columns[present, np.arange(len(present))] = 1
+    divisors.setflags(write=False)
+    variable_columns.setflags(write=False)
+    return divisors, variable_columns
 
 
 def algebra_from_structure_constants(field: Field, structure, unit,
@@ -336,10 +383,14 @@ def algebra_from_structure_constants(field: Field, structure, unit,
 def radical(R: Algebra) -> Mat:
     """Basis (columns) of the nilradical, memoised per ring fingerprint.
 
-    Kernel of the t-fold Frobenius where p^t >= dim, see module docstring.
+    Over a monomial quotient, the standard monomials other than 1; otherwise
+    the kernel of the t-fold Frobenius where p^t >= dim, see module
+    docstring.  Both give the same columns on a monomial quotient.
     """
     p = R.field.p
     d = R.dim
+    if R.monomial_data is not None:
+        return Mat(R.field, np.eye(d, dtype=np.int64)[:, R.unit == 0])
     t = 0
     power = 1
     while power < d:
@@ -358,6 +409,14 @@ def radical(R: Algebra) -> Mat:
     for _ in range(t):
         total = _mul_arrays(frob, total, p)
     return kernel_basis(Mat(R.field, total))
+
+
+def radical_generators(R: Algebra) -> np.ndarray:
+    """Columns generating the radical as an ideal: the nonzero variables of
+    a monomial quotient, every radical basis vector otherwise."""
+    if R.monomial_data is not None:
+        return R.monomial_data.variable_columns
+    return radical(R).data
 
 
 def _rowwise_products(R: Algebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -23,12 +23,13 @@ import numpy as np
 
 from .algebra import Algebra, require_local
 from .errors import InputError, InvalidComplexError
-from .linalg import Mat, _mul_arrays, extend_basis, kernel_basis, rref, transpose
+from .linalg import _mul_arrays, kernel_basis
 from .memo import cache
 from .modules import (Module, ModuleHom, _quotient_by_columns,
                       _submodule_from_columns, cover_matrix, free_module,
                       is_free, is_injective, matlis_dual, minimal_generators,
-                      power_module, regular_module, zero_module)
+                      nakayama_generators, power_module, regular_module,
+                      zero_module)
 
 # -- dimension verdicts --------------------------------------------------------
 
@@ -171,10 +172,11 @@ class AugmentedComplex:
         return dim - r_out - r_in
 
 
-def homology_data(X: AugmentedComplex, n: int):
+def homology_data(X: AugmentedComplex, n: int, label: str | None = None):
     """Subquotient presentation of H_n: (carrier, represent, reduce) where
     represent lifts carrier coordinates to cycles in X_n and reduce sends a
-    cycle to its class."""
+    cycle to its class.  The carrier is labelled H_n unless a label is
+    given."""
     p = X.ring.field.p
     into, out = X._in_out(n)
     amb = X.module(n)
@@ -183,13 +185,13 @@ def homology_data(X: AugmentedComplex, n: int):
     else:
         K = np.eye(amb.dim, dtype=np.int64)
     sub = _submodule_from_columns(amb, K, f"Z_{n}", "kernel")
+    if label is None:
+        label = f"H_{n}"
     if into is not None and K.shape[1]:
         coords = _mul_arrays(sub.section, into.mat, p)
-        quot = _quotient_by_columns(sub.carrier, coords, f"H_{n}")
     else:
-        quot = _quotient_by_columns(sub.carrier,
-                                    np.zeros((K.shape[1], 0), dtype=np.int64),
-                                    f"H_{n}")
+        coords = np.zeros((K.shape[1], 0), dtype=np.int64)
+    quot = _quotient_by_columns(sub.carrier, coords, label)
     if K.shape[1]:
         represent = _mul_arrays(K, quot.section, p)
         reduce_ = _mul_arrays(quot.map.mat, sub.section, p)
@@ -199,8 +201,8 @@ def homology_data(X: AugmentedComplex, n: int):
     return quot.carrier, represent, reduce_
 
 
-def homology(X: AugmentedComplex, n: int) -> Module:
-    carrier, _, _ = homology_data(X, n)
+def homology(X: AugmentedComplex, n: int, label: str | None = None) -> Module:
+    carrier, _, _ = homology_data(X, n, label)
     return carrier
 
 
@@ -230,16 +232,14 @@ def syzygy(X: AugmentedComplex, n: int) -> Module:
     if m > X.top:
         raise InputError(f"degree {n} beyond resolution length {X.top}")
     from .modules import image, kernel
+    label = f"syzygy_{n}"
     if X.orientation == "homological":
         out = X.arrow(m) if m >= 1 else X.aug_map
-        sq = kernel(out)
-    else:
-        into = X.arrow(m)           # the map X^{n-1} -> X^n
-        if into is None:
-            return zero_module(X.ring)
-        sq = image(into)
-    sq.carrier.label = f"syzygy_{n}"
-    return sq.carrier
+        return kernel(out, label).carrier
+    into = X.arrow(m)               # the map X^{n-1} -> X^n
+    if into is None:
+        return zero_module(X.ring)
+    return image(into, label).carrier
 
 
 # -- minimal free resolutions -----------------------------------------------------
@@ -273,24 +273,6 @@ class MinimalFreeResolution(AugmentedComplex):
 
 
 _freeres_cache = cache()          # M.fingerprint -> resolution, extended in place
-
-
-def _syzygy_generators(F: Module, K: np.ndarray) -> np.ndarray:
-    """Columns of K forming a minimal generating set of the submodule
-    spanned by K (K's span must be a submodule, e.g. a kernel)."""
-    if K.shape[1] == 0:
-        return K
-    field = F.ring.field
-    from .algebra import radical
-    rad = radical(F.ring)
-    if rad.cols:
-        W = np.hstack([F.act_element(rad.data[:, t], K) for t in range(rad.cols)])
-        red, piv = rref(transpose(Mat._wrap(field, W)))
-        have = transpose(Mat._wrap(field, red.data[: len(piv)]))
-    else:
-        have = Mat(field, np.zeros((F.dim, 0), dtype=np.int64))
-    idx = extend_basis(have, Mat._wrap(field, K))
-    return K[:, idx]
 
 
 def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
@@ -328,7 +310,7 @@ def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
             res.complete = True
             res._kernel_cols = np.zeros((0, 0), dtype=np.int64)
             continue
-        gens = _syzygy_generators(F_prev, K)
+        gens = nakayama_generators(F_prev, K)
         bj = gens.shape[1]
         Fj = free_module(R, bj)
         diff = ModuleHom(Fj, F_prev, cover_matrix(F_prev, gens), check=False)
@@ -469,9 +451,7 @@ def ext_abs(i: int, M: Module, N: Module) -> Module:
         raise InputError("Ext degree must be >= 0")
     res = minimal_free_resolution(M, i + 1)
     cx = hom_complex_from_resolution(res, N)
-    out = homology(cx, i)
-    out.label = f"Ext^{i}({M.label},{N.label})"
-    return out
+    return homology(cx, i, f"Ext^{i}({M.label},{N.label})")
 
 
 def tor_abs(i: int, M: Module, N: Module) -> Module:
@@ -480,9 +460,7 @@ def tor_abs(i: int, M: Module, N: Module) -> Module:
         raise InputError("Tor degree must be >= 0")
     res = minimal_free_resolution(M, i + 1)
     cx = tensor_complex_from_resolution(res, N)
-    out = homology(cx, i)
-    out.label = f"Tor_{i}({M.label},{N.label})"
-    return out
+    return homology(cx, i, f"Tor_{i}({M.label},{N.label})")
 
 
 # -- exact projective / injective dimension ------------------------------------

@@ -21,14 +21,32 @@ elements (element_matrices) are each read off one such contraction rather
 than a loop over the d basis elements.
 
 Hom and tensor are both read off one cached presentation R^a -> R^g -> M of
-the source (left factor) M: its g minimal generators, a basis of the a
-relations among them, and a k-linear section of the cover R^g -> M.  With
-the relation coefficients acting on N, Hom(M, N) is the kernel of
-N^g -> N^a and M (x) N the cokernel of N^a -> N^g; a map M -> N is stored
-as its values on the generators.  A free module has no relations, so
-Hom(R, N) and R (x) N are N itself.  Powers are routed around: Hom(W^b, N),
-Hom(M, V^b), W^b (x) N and M (x) V^b are b copies of the small answer, and
-M (x) R^b is M^b in M's own coordinates.
+the source (left factor) M: its g minimal generators, a relations among
+them that generate the relation module over R, and a k-linear section of
+the cover R^g -> M.  With the relation coefficients acting on N,
+Hom(M, N) is the kernel of N^g -> N^a and M (x) N the cokernel of
+N^a -> N^g; a map M -> N is stored as its values on the generators.  A
+free module has no relations, so Hom(R, N) and R (x) N are N itself.
+Powers are routed around: Hom(W^b, N), Hom(M, V^b), W^b (x) N and
+M (x) V^b are b copies of the small answer, and M (x) R^b is M^b in M's
+own coordinates.
+
+The relations are R-generators, not a k-basis.  Their images span the same
+row space (Hom) and column space (tensor) as a k-basis of the relation
+module would, so the carriers are the same whichever generators are kept.
+Over a monomial quotient they are the staircase of the kernel basis.
+Positions (s, mu) of R^g are ordered copy-major in the ring's monomial
+order, which is multiplicative, and the kernel basis has one column K_f per
+free position f, with its 1 at f and its other entries at pivots before f.
+K_f is dropped when f = (s, x_v * mu') with (s, mu') also free, because
+then x_v * K_(s,mu') - K_f is a kernel vector supported before f, a
+combination of earlier columns; by induction on f the kept columns
+generate.  The test is one vectorised lookup in the ring's
+divide-by-variable table (presentation gives the proof in full).  Other
+algebras keep the whole kernel basis.  Minimal generators come from
+one Nakayama step (nakayama_generators), shared with the free resolutions,
+which spans m * N by the generators of m: the variables of a monomial
+quotient, every radical basis vector otherwise.
 
 Hom spaces and tensor products both come as "space" objects holding the
 carrier Module plus the translation between coordinates and honest matrices
@@ -134,14 +152,6 @@ class Module:
         shaped = cols.reshape(b, w, k).transpose(1, 0, 2).reshape(w, b * k)
         out = _mul_arrays(base.action.reshape(d * w, w), shaped, p)
         return out.reshape(d, w, b, k).transpose(0, 2, 1, 3).reshape(d, b * w, k)
-
-    def act_element(self, elem: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Apply the action of an arbitrary ring element."""
-        p = self.ring.field.p
-        if self._block is None:
-            return _mul_arrays(self.element_matrix(elem), cols, p)
-        base, b = self._block
-        return _block_apply(base.element_matrix(elem), b, cols, p)
 
     def element_matrix(self, elem: np.ndarray) -> np.ndarray:
         """Dense matrix of the action of a ring element (small modules)."""
@@ -438,15 +448,19 @@ def _submodule_from_columns(ambient: Module, cols: np.ndarray, label: str,
     return Subquotient(carrier, inj, E, kind)
 
 
-def kernel(f: ModuleHom) -> Subquotient:
+def kernel(f: ModuleHom, label: str | None = None) -> Subquotient:
     K = kernel_basis(f.matrix()).data
-    return _submodule_from_columns(f.src, K, f"ker({f.src.label}->{f.dst.label})", "kernel")
+    if label is None:
+        label = f"ker({f.src.label}->{f.dst.label})"
+    return _submodule_from_columns(f.src, K, label, "kernel")
 
 
-def image(f: ModuleHom) -> Subquotient:
+def image(f: ModuleHom, label: str | None = None) -> Subquotient:
     _, piv = rref(f.matrix())
     cols = f.mat[:, piv] if piv else np.zeros((f.dst.dim, 0), dtype=np.int64)
-    return _submodule_from_columns(f.dst, cols, f"im({f.src.label}->{f.dst.label})", "image")
+    if label is None:
+        label = f"im({f.src.label}->{f.dst.label})"
+    return _submodule_from_columns(f.dst, cols, label, "image")
 
 
 def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subquotient:
@@ -469,35 +483,61 @@ def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subqu
     return Subquotient(carrier, proj, sigma, "quotient")
 
 
-def cokernel(f: ModuleHom) -> Subquotient:
-    return _quotient_by_columns(f.dst, f.mat,
-                                f"coker({f.src.label}->{f.dst.label})")
+def cokernel(f: ModuleHom, label: str | None = None) -> Subquotient:
+    if label is None:
+        label = f"coker({f.src.label}->{f.dst.label})"
+    return _quotient_by_columns(f.dst, f.mat, label)
 
 
 # -- generators and freeness --------------------------------------------------
 
 
-def radical_span(M: Module) -> np.ndarray:
-    """Columns spanning rad(R) * M (not reduced to a basis)."""
-    from .algebra import radical
-    rad = radical(M.ring)
-    if rad.cols == 0 or M.dim == 0:
+def radical_span(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
+    """Columns spanning m * N, N the R-span of cols (all of M when cols is
+    None); not reduced to a basis.
+
+    m is generated by radical_generators(R), so m * N = sum_j x_j * N and
+    block j of the answer is the j-th generator applied to cols: one
+    element_matrices call on M, or on the base of a power, and one stacked
+    product (none when cols is None).
+    """
+    from .algebra import radical_generators
+    x = radical_generators(M.ring)
+    r = x.shape[1]
+    k = M.dim if cols is None else cols.shape[1]
+    if r == 0 or M.dim == 0 or k == 0:
         return np.zeros((M.dim, 0), dtype=np.int64)
-    # block j is the action matrix of the j-th radical basis element
-    mats = M.element_matrices(rad.data)
-    return mats.transpose(1, 0, 2).reshape(M.dim, rad.cols * M.dim)
+    base, b = M.block if M.block is not None else (M, 1)
+    mats = base.element_matrices(x)
+    if cols is None:
+        return _block_diagonal(mats, b).transpose(1, 0, 2).reshape(M.dim, r * M.dim)
+    w = base.dim
+    shaped = cols.reshape(b, w, k).transpose(1, 0, 2).reshape(w, b * k)
+    out = _mul_arrays(mats.reshape(r * w, w), shaped, M.ring.field.p)
+    return out.reshape(r, w, b, k).transpose(2, 1, 0, 3).reshape(M.dim, r * k)
+
+
+def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
+    """Columns of cols (the identity when None) forming a minimal generating
+    set of the submodule N they span, which must be action-stable: greedy
+    in column order, a column is kept iff it lies outside m * N plus the
+    columns kept before it (Nakayama).  Deterministic."""
+    field = M.ring.field
+    span = radical_span(M, cols)
+    if cols is None:
+        cols = np.eye(M.dim, dtype=np.int64)
+    if cols.shape[1] == 0:
+        return cols
+    red, piv = rref(transpose(Mat._wrap(field, span)))
+    have = transpose(Mat._wrap(field, red.data[: len(piv)]))
+    return cols[:, extend_basis(have, Mat._wrap(field, cols))]
 
 
 @memo
 def minimal_generators(M: Module) -> np.ndarray:
     """Columns forming a minimal generating set (Nakayama): standard basis
     vectors whose classes give a basis of M / rad M.  Deterministic."""
-    span = radical_span(M)
-    field = M.ring.field
-    red, piv = rref(transpose(Mat._wrap(field, span)))
-    have = transpose(Mat._wrap(field, red.data[: len(piv)]))
-    idx = extend_basis(have, Mat(field, np.eye(M.dim, dtype=np.int64)))
-    return _frozen(np.eye(M.dim, dtype=np.int64)[:, idx])
+    return _frozen(nakayama_generators(M))
 
 
 def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
@@ -511,17 +551,48 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
 def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0.
 
-    gens (M.dim x g) are the minimal generators, rel ((g*d) x a) a basis of
-    the kernel of the cover R^g -> M, and sec ((g*d) x M.dim) a k-linear
-    section of the cover.  Block s of a column of rel or sec, rows
-    s*d..(s+1)*d, is the ring coefficient of generator s.
+    gens (M.dim x g) are the minimal generators, rel ((g*d) x a) generators
+    of the kernel of the cover R^g -> M as an R-module, and sec
+    ((g*d) x M.dim) a k-linear section of the cover.  Block s of a column of
+    rel or sec, rows s*d..(s+1)*d, is the ring coefficient of generator s.
+
+    Over a monomial quotient rel is the staircase of the kernel basis.
+    Position (s, mu) of R^g is numbered s*d + mu, mu in the ring's basis
+    order (degree, then the reversed exponent tuple), and this order is
+    multiplicative: multiplying two positions by the same x_v keeps their
+    order.  kernel_basis gives one column K_f per free position f, with a 1
+    at f and nonzeros only at pivot positions before f.  K_f is dropped
+    when f = (s, x_v * mu') with (s, mu') also free: then x_v * K_(s,mu')
+    has its 1 at f too and the rest of its support before f, so
+    x_v * K_(s,mu') - K_f is a kernel vector whose free coordinates all
+    lie before f, a combination of earlier columns.  By induction on f the
+    kept columns generate the kernel.  Nothing is reduced: the free
+    positions are the last nonzero rows of the columns, and the test is
+    one lookup in MonomialData.divisors.  Over other algebras rel is the
+    whole kernel basis.
     """
     field = M.ring.field
     gens = minimal_generators(M)
     cover = Mat._wrap(field, cover_matrix(M, gens))
     sec = solve(cover, Mat(field, np.eye(M.dim, dtype=np.int64)))
     assert sec is not None, "minimal cover is not surjective"
-    return gens, kernel_basis(cover).data, sec.data
+    return gens, _staircase(M.ring, kernel_basis(cover).data), sec.data
+
+
+def _staircase(R: Algebra, K: np.ndarray) -> np.ndarray:
+    """The columns of the kernel basis K of a cover R^g -> M at minimal
+    free positions (see presentation); all of K without monomial data."""
+    data = R.monomial_data
+    if data is None or K.shape[1] == 0:
+        return K
+    d, rows = R.dim, K.shape[0]
+    free = rows - 1 - np.argmax(K[::-1] != 0, axis=0)
+    is_free = np.zeros(rows, dtype=bool)
+    is_free[free] = True
+    s, mu = np.divmod(free, d)
+    div = data.divisors[mu]                          # (a, n), -1: no quotient
+    drop = ((div >= 0) & is_free[s[:, None] * d + div]).any(axis=1)
+    return K[:, ~drop]
 
 
 def is_free(M: Module) -> int | None:
@@ -564,8 +635,7 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
     f = ModuleHom(free_module(R, m), dst, mat, check=False)
     if not mat.any():
         return dst, identity_hom(dst)
-    sq = cokernel(f)
-    sq.carrier.label = f"coker({n}x{m})"
+    sq = cokernel(f, label=f"coker({n}x{m})")
     return sq.carrier, sq.map
 
 
@@ -798,8 +868,9 @@ class TensorSpace:
     """M tensor_R N as a module plus the pure tensor map.
 
     pure_matrix() is the dim x (left.dim * right.dim) matrix whose column
-    i*right.dim + j is e_i (x) e_j, built per construction without a loop
-    over the pairs; pure(u, v) is its product with kron(u, v).
+    i*right.dim + j is e_i (x) e_j, built once per space by its
+    construction's _pure_matrix, without a loop over the pairs, and kept
+    read-only; pure(u, v) is its product with kron(u, v).
     """
 
     def __init__(self, left: Module, right: Module):
@@ -807,6 +878,7 @@ class TensorSpace:
         self.right = right
         self.ring = left.ring
         self.module: Module = None
+        self._pure = None
         self._build()
 
     @property
@@ -814,6 +886,11 @@ class TensorSpace:
         return self.module.dim
 
     def pure_matrix(self) -> np.ndarray:
+        if self._pure is None:
+            self._pure = _frozen(self._pure_matrix())
+        return self._pure
+
+    def _pure_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
     def pure(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -831,7 +908,7 @@ class _RightFreeTensor(TensorSpace):
         self.module = power_module(self.left, b,
                                    label=f"{self.left.label}(x){self.right.label}")
 
-    def pure_matrix(self):
+    def _pure_matrix(self):
         # e_i (x) (e_mu in copy s) is e_mu e_i in copy s of M^b
         moved = self.left.act_all(np.eye(self.left.dim, dtype=np.int64))
         return _copywise(moved.transpose(1, 2, 0), self.copies)
@@ -847,7 +924,7 @@ class _BlockLeftTensor(TensorSpace):
         self.module = power_module(self.small.module, b,
                                    label=f"{self.left.label}(x){self.right.label}")
 
-    def pure_matrix(self):
+    def _pure_matrix(self):
         # (e_i in copy s) (x) e_j lies in copy s
         small = self.small.pure_matrix()
         return _copywise(small.reshape(small.shape[0], 1, small.shape[1]), self.copies)
@@ -863,7 +940,7 @@ class _BlockRightTensor(TensorSpace):
         self.module = power_module(self.small.module, b,
                                    label=f"{self.left.label}(x){self.right.label}")
 
-    def pure_matrix(self):
+    def _pure_matrix(self):
         # e_i (x) (e_j in copy s) lies in copy s
         small = self.small.pure_matrix()
         return _copywise(small.reshape(small.shape[0], self.left.dim, self.small.right.dim),
@@ -889,7 +966,7 @@ class _PresentedTensor(TensorSpace):
         self.module = sq.carrier
         self._Q = sq.map.mat
 
-    def pure_matrix(self):
+    def _pure_matrix(self):
         # e_i = sum_s w_s gens_s for w = sec e_i, so e_i (x) e_j is the class
         # of (w_s e_j)_s in N^g: the actions of all g*m elements w_s at once
         p, d = self.ring.field.p, self.ring.dim

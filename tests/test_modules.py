@@ -5,7 +5,7 @@ import pytest
 
 from oracles import enumerate_homs, hom_space_dim, tensor_dim_quotient
 
-from semidual.algebra import algebra_from_monomial_quotient, radical
+from semidual.algebra import algebra_from_monomial_quotient, radical, radical_generators
 from semidual.corpus import (corpus_rings, corpus_sessions, data_text, random_module,
                              random_module_pool, ring_square_zero_two_vars,
                              ring_truncated_line)
@@ -650,11 +650,10 @@ def _cover_matrix_loop(M, gens):
     return out.reshape(M.dim, gens.shape[1] * M.ring.dim)
 
 
-def _radical_span_loop(M):
-    rad = radical(M.ring)
-    if rad.cols == 0 or M.dim == 0:
+def _radical_span_loop(M, gens):
+    if gens.shape[1] == 0 or M.dim == 0:
         return np.zeros((M.dim, 0), dtype=np.int64)
-    return np.hstack([_element_matrix_loop(M, rad.data[:, j]) for j in range(rad.cols)])
+    return np.hstack([_element_matrix_loop(M, gens[:, j]) for j in range(gens.shape[1])])
 
 
 def _submodule_loop(ambient, cols):
@@ -720,7 +719,11 @@ def test_batched_actions_match_per_element_loops(p):
             gens = minimal_generators(M)
             assert np.array_equal(cover_matrix(M, gens), _cover_matrix_loop(M, gens)), label
             span = radical_span(M)
-            assert np.array_equal(span, _radical_span_loop(M)), label
+            assert np.array_equal(span, _radical_span_loop(M, radical_generators(ring))), label
+            # the generators span the same m * M as the whole radical basis
+            full = _radical_span_loop(M, radical(ring).data)
+            assert rank(Mat(ring.field, span)) == rank(Mat(ring.field, full)) \
+                == rank(Mat(ring.field, np.hstack([span, full]))), label
             # action-stable subspaces: rad M, R v for a random v, 0 and M
             stable = [span, M.act_all(rng.integers(0, p, size=(M.dim, 1)))[:, :, 0].T]
             bases = [np.zeros((M.dim, 0), dtype=np.int64), np.eye(M.dim, dtype=np.int64)]
