@@ -180,6 +180,8 @@ def homology_data(X: AugmentedComplex, n: int, label: str | None = None):
     p = X.ring.field.p
     into, out = X._in_out(n)
     amb = X.module(n)
+    # K is in kernel_basis form (the identity is the kernel basis of the
+    # zero map), so the section of Z_n is a row selection, not an echelon
     if out is not None:
         K = kernel_basis(out.matrix()).data
     else:

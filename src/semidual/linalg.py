@@ -1,10 +1,10 @@
 """Exact dense linear algebra over prime fields GF(p).
 
 Matrices are immutable values: int64 numpy arrays with entries reduced to
-[0, p), wrapped together with their field.  Row reduction uses first-nonzero
-pivoting (scan columns left to right, take the topmost nonzero entry), so
-every result -- echelon form, pivot columns, kernel basis order, solve
-output -- is deterministic.
+[0, p), wrapped together with their field.  Every reduction computes the
+reduced row echelon form, which is unique, so every result -- echelon form,
+pivot columns, kernel basis order, solve output -- is deterministic whatever
+row each pivot is taken from.
 
 The method is chosen by operand size, because tiny operands pay mostly
 fixed per-call cost, and every tier is exact by a bound.  Products
@@ -21,15 +21,24 @@ reduced once it is scaled by the inverse of its leading entry, so it needs
 no elimination.  Over a monomial quotient each differential entry is a
 scalar times a monomial, and most of the matrices reduced there have only
 private rows.  Second, the remaining coupled rows, restricted to the
-columns they touch, go through a panel elimination: panels of columns are
-reduced with plain rank-1 updates, then one accumulated update is applied
-to the trailing block per panel.  The accumulated update is a float64
-matrix product, exact as long as width * (p-1)^2 stays below 2^52; the
-panel width shrinks automatically for large p.  Private and coupled rows
-touch disjoint columns, so their reduced rows, merged by pivot column, form
-a reduced row echelon form of the whole matrix; that form is unique, so
-neither the split nor the size tier changes any output.  Everything else
-(kernel, solve, rank, inverse) is derived from the echelon form.
+columns they touch, go through a panel elimination.  Each panel of columns
+is copied transposed, so that a column is a contiguous row, and reduced by
+rank-1 updates of the columns from the pivot onward; rows are not swapped,
+pivot rows are marked and moved to the top at the end.  An update
+subtracts a product of two entries in [0, p), at most (p-1)^2, so after t
+updates without a `% p` every entry lies in [-t(p-1)^2, p-1].  Then one
+accumulated update is applied to the trailing block per panel, a float64
+matrix product exact as long as width * (p-1)^2 stays below 2^52; the
+panel width shrinks automatically for large p (to one column once
+2(p-1)^2 reaches 2^52, for p above about 4.7 * 10^7).  A column takes
+fewer than width updates inside its panel, so by the same bound no entry
+can leave int64 there, and the panel is reduced mod p once, at its end:
+after every column near p = 2^31, once per 64 columns at small p.  Private
+and coupled rows touch disjoint columns, so their reduced rows, merged by
+pivot column, form a reduced row echelon form of the whole matrix; that
+form is unique, so neither the split nor the size tier changes any output.
+Everything else (kernel, solve, rank, inverse) is derived from the echelon
+form.
 
 Arrays are reduced mod p once.  `Mat(field, data)` takes `% p` of whatever
 it is given, since sessions, tests and user code enter there.  Every array
@@ -384,9 +393,30 @@ def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of R, an int64 array with entries in [0, p),
     by elimination in place.
 
-    Panel width adapts so the accumulated float64 update stays exact; at
-    width 1 this degenerates to the plain rank-1 method, which is itself
-    exact in int64 for any p < 2^31.
+    Each panel of columns is copied transposed, so panel column c is the
+    contiguous row P[c], and reduced by rank-1 updates:
+    - the pivot of column c is its first nonzero entry in a row that is not
+      yet a pivot row.  Rows are never swapped; pivot rows are recorded, and
+      moved to the top, in pivot order, at the end, when every other row is
+      zero;
+    - only the panel columns after c are updated.  Every earlier column is
+      zero in the pivot row, which was not a pivot row when that column was
+      eliminated (or found zero outside the pivot rows).  Column c itself
+      keeps the multipliers, with 0 at the pivot row, for the trailing
+      update, and becomes the unit vector at its pivot row at the panel's
+      end;
+    - `% p` is taken of column c before its pivot is sought, of the scaled
+      pivot row and of the whole panel once, at its end, but not after each
+      update.  That is exact: the multipliers and the pivot row lie in
+      [0, p), so an update subtracts at most (p-1)^2 from an entry, and a
+      column takes at most width - 1 updates, so every entry stays in
+      [-(width-1)(p-1)^2, p-1], inside 2^52 by the width rule below and so
+      far inside int64.  At width 1 (p above about 4.7 * 10^7) no update
+      happens in the panel at all.
+    The trailing columns then take one accumulated update per panel, a
+    product exact by the tiers of _mul_arrays; the panel width adapts so
+    width * (p-1)^2 < 2^52, which keeps that product in float64 (at width 1
+    this is plain rank-1 elimination).
     """
     rows, cols = R.shape
     pivots: list[int] = []
@@ -395,46 +425,47 @@ def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     width = 64
     while width > 1 and width * (p - 1) ** 2 >= _FLOAT_EXACT:
         width //= 2
-    r = 0
+    free = np.ones(rows, dtype=bool)              # rows not yet pivot rows
+    order: list[int] = []                         # pivot row of each pivot
     c0 = 0
-    while r < rows and c0 < cols:
+    while len(order) < rows and c0 < cols:
         c1 = min(c0 + width, cols)
-        panel = R[:, c0:c1]
-        # the bookkeeping for the trailing update; the last panel has none
-        trailing = c1 < cols
-        batch: list[int] = []     # pivot row index per panel pivot
+        P = R[:, c0:c1].T.copy()
+        batch: list[int] = []     # pivot row per panel pivot
+        local: list[int] = []     # its column in the panel
         invs: list[int] = []      # inverse applied when scaling that pivot row
-        mults: list[np.ndarray] = []  # panel column captured before zeroing
-        rr = r
         for c in range(c1 - c0):
-            if rr == rows:
+            if len(order) == rows:
                 break
-            nz = np.nonzero(panel[rr:, c])[0]
-            if nz.size == 0:
+            col = P[c]
+            if batch:
+                np.remainder(col, p, out=col)
+            cand = np.logical_and(col, free)
+            pr = int(cand.argmax())
+            if not cand[pr]:
                 continue
-            pr = rr + int(nz[0])
-            if pr != rr:
-                R[[rr, pr]] = R[[pr, rr]]
-                # captured multipliers follow row content through swaps
-                for colv in mults:
-                    colv[rr], colv[pr] = colv[pr], colv[rr]
-            inv = pow(int(panel[rr, c]), p - 2, p)
+            inv = pow(int(col[pr]), p - 2, p)
+            col[pr] = 0               # col now holds the multiplier of each row
+            rest = P[c + 1:]
+            prow = rest[:, pr] % p
             if inv != 1:
-                panel[rr] = (panel[rr] * inv) % p
-            colv = panel[:, c].copy()
-            colv[rr] = 0
-            mask = colv != 0
-            if mask.any():
-                panel[mask] = (panel[mask] - np.outer(colv[mask], panel[rr])) % p
+                prow *= inv
+                prow %= p
+            rest -= np.outer(prow, col)
+            rest[:, pr] = prow
+            free[pr] = False
+            order.append(pr)
             pivots.append(c0 + c)
-            if trailing:
-                batch.append(rr)
-                invs.append(inv)
-                mults.append(colv)
-            rr += 1
-        if batch:
+            batch.append(pr)
+            local.append(c)
+            invs.append(inv)
+        np.remainder(P, p, out=P)
+        M = P[local].T            # rows x k, multiplier per step
+        P[local] = 0
+        P[local, batch] = 1
+        R[:, c0:c1] = P.T
+        if batch and c1 < cols:   # the trailing update; the last panel has none
             k = len(batch)
-            M = np.stack(mults, axis=1)           # rows x k, multiplier per step
             T0 = R[batch, c1:]                    # stale trailing of pivot rows
             # S[j] = trailing of pivot row j as it stood when step j used it:
             # corrections from earlier steps, then the scaling.
@@ -456,8 +487,11 @@ def _panel_echelon(R: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             Mo = M[others]
             if Mo.size and Mo.any():
                 R[others, c1:] = (R[others, c1:] - _mul_arrays(Mo, S, p)) % p
-        r = rr
         c0 = c1
+    r = len(order)
+    if order != list(range(r)):
+        R[:r] = R[order]          # the right side is gathered first
+        R[r:] = 0
     return R, pivots
 
 
@@ -478,13 +512,21 @@ def kernel_basis(a: Mat) -> Mat:
     One basis column per free column of the echelon form, ordered by free
     column index ascending; the free coordinate is set to 1.
     """
-    p = a.field.p
-    R, piv = _echelon(a.data, p)
-    free = np.delete(np.arange(a.cols), piv)    # setdiff1d would import numpy.ma
-    K = np.zeros((a.cols, free.size), dtype=np.int64)
+    R, piv = _echelon(a.data, a.field.p)
+    return Mat._wrap(a.field, _kernel_of_echelon(R, piv, a.field.p))
+
+
+def _kernel_of_echelon(R: np.ndarray, piv: list[int], p: int) -> np.ndarray:
+    """The kernel_basis columns read off a reduced row echelon form R with
+    pivot columns piv."""
+    n = R.shape[1]
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    K = np.zeros((n, free.size), dtype=np.int64)
     K[free, np.arange(free.size)] = 1
     K[piv] = (-R[:len(piv)][:, free]) % p
-    return Mat._wrap(a.field, K)
+    return K
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:

@@ -68,7 +68,8 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import InputError, TheoremViolationError
-from .linalg import Mat, _mul_arrays, expressor, extend_basis, kernel_basis, rref, solve, transpose
+from .linalg import (Mat, _kernel_of_echelon, _mul_arrays, expressor, extend_basis, kernel_basis,
+                     rref, solve, transpose)
 # _caches and clear_caches are also reached through this module
 from .memo import _caches, clear_caches, memo
 
@@ -417,7 +418,10 @@ class Subquotient:
     kind 'kernel' / 'image': map embeds the carrier into the ambient module,
     section expresses ambient vectors lying in the subspace in carrier
     coordinates.  kind 'quotient': map projects the ambient module onto the
-    carrier, section lifts carrier coordinates to representatives.
+    carrier, section lifts carrier coordinates to representatives.  A
+    kernel's carrier basis is a kernel_basis output, and its section is the
+    selection of that basis's free rows, read off without an echelon (see
+    _submodule_from_columns); any other section comes from `expressor`.
     """
 
     __slots__ = ("carrier", "map", "section", "kind")
@@ -432,15 +436,33 @@ class Subquotient:
 def _submodule_from_columns(ambient: Module, cols: np.ndarray, label: str,
                             kind: str = "submodule") -> Subquotient:
     """Module structure on the span of the given independent columns.
-    The span must be closed under the action; this is asserted."""
+    The span must be closed under the action; this is asserted.
+
+    The section E, with E @ cols = I, is expressor(cols), the last columns
+    of the first k rows of the RREF of [cols | I].  For kind 'kernel' cols
+    must be shaped like a kernel_basis output: column j has its 1 at free
+    row f_j and its other entries only at earlier pivot rows.  Then E is the
+    selection of rows f_0 < f_1 < ..., without an echelon, and it is the
+    same array: row j of that RREF is (e_j, y) with y @ cols = e_j and y
+    zero at the pivot columns of the rows below, which are the non-free
+    rows (the left kernel of cols has a vector with first nonzero entry at
+    each non-free row i: 1 at i, and at free rows f > i only).  The row
+    selecting f_j is such a y, since row f_j of cols is e_j.
+    """
     p = ambient.ring.field.p
     k = cols.shape[1]
-    if k:
-        E = expressor(Mat._wrap(ambient.ring.field, cols)).data
-    else:
-        E = np.zeros((0, ambient.dim), dtype=np.int64)
     moved = ambient.act_all(cols)
-    act = _mul_arrays(E, moved, p)
+    if kind == "kernel":
+        free = _free_rows(cols)
+        E = np.zeros((k, ambient.dim), dtype=np.int64)
+        E[np.arange(k), free] = 1
+        act = moved[:, free]
+    else:
+        if k:
+            E = expressor(Mat._wrap(ambient.ring.field, cols)).data
+        else:
+            E = np.zeros((0, ambient.dim), dtype=np.int64)
+        act = _mul_arrays(E, moved, p)
     assert np.array_equal(_mul_arrays(cols, act, p), moved), \
         "columns do not span a submodule"
     carrier = Module(ambient.ring, act, label=label, check=False)
@@ -470,7 +492,9 @@ def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subqu
     n = ambient.dim
     red, piv = rref(transpose(Mat._wrap(ambient.ring.field, cols)))
     E = red.data[: len(piv)]          # echelon basis of the subspace, as rows
-    keep = np.delete(np.arange(n), piv)
+    is_kept = np.ones(n, dtype=bool)
+    is_kept[piv] = False
+    keep = np.flatnonzero(is_kept)
     q = keep.size
     Q = np.zeros((q, n), dtype=np.int64)
     Q[np.arange(q), keep] = 1
@@ -570,13 +594,31 @@ def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positions are the last nonzero rows of the columns, and the test is
     one lookup in MonomialData.divisors.  Over other algebras rel is the
     whole kernel basis.
+
+    Section and kernel basis come from one rref of [cover | I].  The cover
+    is onto, so all M.dim pivots lie in the cover block, and that block of
+    the result is the cover's own RREF (E @ cover is in RREF for the same
+    invertible E, and the RREF is unique): the kernel basis is read off it,
+    and the identity block gives the section, as solve(cover, I) would.
     """
     field = M.ring.field
     gens = minimal_generators(M)
-    cover = Mat._wrap(field, cover_matrix(M, gens))
-    sec = solve(cover, Mat(field, np.eye(M.dim, dtype=np.int64)))
-    assert sec is not None, "minimal cover is not surjective"
-    return gens, _staircase(M.ring, kernel_basis(cover).data), sec.data
+    cover = cover_matrix(M, gens)
+    gd = cover.shape[1]
+    red, piv = rref(Mat._wrap(field, np.hstack([cover, np.eye(M.dim, dtype=np.int64)])))
+    assert not piv or piv[-1] < gd, "minimal cover is not surjective"
+    sec = np.zeros((gd, M.dim), dtype=np.int64)
+    sec[piv] = red.data[:, gd:]
+    K = _kernel_of_echelon(red.data[:, :gd], piv, field.p)
+    return gens, _staircase(M.ring, K), sec
+
+
+def _free_rows(K: np.ndarray) -> np.ndarray:
+    """The free row of each column of a kernel_basis output K: the row of
+    its 1, which is its last nonzero row."""
+    if K.shape[1] == 0:
+        return np.zeros(0, dtype=np.int64)
+    return K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0)
 
 
 def _staircase(R: Algebra, K: np.ndarray) -> np.ndarray:
@@ -586,7 +628,7 @@ def _staircase(R: Algebra, K: np.ndarray) -> np.ndarray:
     if data is None or K.shape[1] == 0:
         return K
     d, rows = R.dim, K.shape[0]
-    free = rows - 1 - np.argmax(K[::-1] != 0, axis=0)
+    free = _free_rows(K)
     is_free = np.zeros(rows, dtype=bool)
     is_free[free] = True
     s, mu = np.divmod(free, d)
@@ -717,7 +759,7 @@ class _PresentedHom(HomSpace):
             return
         system = _relation_blocks(rel, N).transpose(2, 1, 0, 3).reshape(a * n, g * n)
         self._K = kernel_basis(Mat._wrap(self.ring.field, system)).data
-        sq = _submodule_from_columns(power_module(N, g), self._K, label)
+        sq = _submodule_from_columns(power_module(N, g), self._K, label, "kernel")
         self.module = sq.carrier
         self._E = sq.section
 
