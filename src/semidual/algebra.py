@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotCofiniteError, ParseError
-from .linalg import Field, Mat, _mul_arrays, kernel_basis, rank, vstack
+from .linalg import Field, Mat, _mul_arrays, kernel_basis, rref
 from .memo import memo
 
 
@@ -468,8 +468,8 @@ def ring_report(R: Algebra) -> RingReport:
     if r == 0:
         socle_dim = d
     else:
-        stacked = vstack([Mat(R.field, R.mult_matrix(rad.data[:, j])) for j in range(r)])
-        socle_dim = kernel_basis(stacked).cols
+        stacked = np.vstack([R.mult_matrix(rad.data[:, j]) for j in range(r)])
+        socle_dim = kernel_basis(Mat(R.field, stacked)).cols
     is_gorenstein = bool(is_local and socle_dim == 1)
     # Loewy length: least t with rad^t = 0
     loewy = 1
@@ -488,9 +488,7 @@ def ring_report(R: Algebra) -> RingReport:
 
 
 def _col_space(cols: np.ndarray, field: Field):
-    from .linalg import rref, transpose
-    m = Mat(field, cols)
-    r, piv = rref(transpose(m))
+    r, piv = rref(Mat._wrap(field, cols.T))
     basis = r.data[: len(piv)].T
     return basis, piv
 

@@ -270,9 +270,6 @@ class MinimalFreeResolution(AugmentedComplex):
         self.complete = False
         self._kernel_cols = None   # kernel of the last arrow, None until needed
 
-    def resolution_length(self) -> int:
-        return self.top
-
 
 _freeres_cache = cache()          # M.fingerprint -> resolution, extended in place
 

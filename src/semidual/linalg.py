@@ -40,16 +40,22 @@ form is unique, so neither the split nor the size tier changes any output.
 Everything else (kernel, solve, rank, inverse) is derived from the echelon
 form.
 
+The surface is what the library uses: `Field`, `Mat`, the six reductions
+`rref`, `rank`, `kernel_basis`, `solve`, `expressor` and `extend_basis`,
+which take `Mat` arguments, and `_mul_arrays` for products of bare arrays.
+Transposes, stacks and sums are taken on the arrays with numpy.  The
+reductions keep their `Mat` arguments because `bench/tracer.py` wraps them
+by name and counts cells from the arguments' `rows` and `cols`.
+
 Arrays are reduced mod p once.  `Mat(field, data)` takes `% p` of whatever
 it is given, since sessions, tests and user code enter there.  Every array
 this module produces is already in [0, p), so `rref`, `kernel_basis`,
-`solve`, `expressor`, `mat_mul`, `transpose`, `hstack` and `vstack` wrap
-their results with `Mat._wrap`, which takes no modulo and copies only to
-make an array contiguous.  `_echelon` likewise expects entries in [0, p)
-and takes no `% p` of its input, which it never writes; it copies only
-what it eliminates in place.  An int64 `% p` costs about
-ten times a plain copy, and the large differentials of deep resolutions
-were reduced again by every wrapper they passed through.
+`solve` and `expressor` wrap their results with `Mat._wrap`, which takes no
+modulo and copies only to make an array contiguous.  `_echelon` likewise
+expects entries in [0, p) and takes no `% p` of its input, which it never
+writes; it copies only what it eliminates in place.  An int64 `% p` costs
+about ten times a plain copy, and the large differentials of deep
+resolutions were reduced again by every wrapper they passed through.
 """
 
 from __future__ import annotations
@@ -149,9 +155,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return pow(x, self.p - 2, self.p)
 
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.p == self.p
 
@@ -200,12 +203,6 @@ class Mat:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.data[i, j])
-
-    def tolist(self) -> list[list[int]]:
-        return self.data.tolist()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
@@ -217,58 +214,8 @@ class Mat:
     def __hash__(self) -> int:
         return hash((self.field.p, self.data.shape, self.data.tobytes()))
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return mat_mul(self, other)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return mat_add(self, other)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        _check_same_shape(self, other)
-        return Mat(self.field, self.data - other.data)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.field, -self.data)
-
     def __repr__(self) -> str:
         return f"Mat({self.field!r}, {self.data.tolist()!r})"
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
-
-
-def identity(field: Field, n: int) -> Mat:
-    return Mat(field, np.eye(n, dtype=np.int64))
-
-def zeros(field: Field, rows: int, cols: int) -> Mat:
-    return Mat(field, np.zeros((rows, cols), dtype=np.int64))
-
-def transpose(a: Mat) -> Mat:
-    return Mat._wrap(a.field, a.data.T)
-
-def hstack(mats: list[Mat]) -> Mat:
-    assert mats, "hstack of nothing"
-    f = mats[0].field
-    assert all(m.field == f for m in mats)
-    return Mat._wrap(f, np.hstack([m.data for m in mats]))
-
-def vstack(mats: list[Mat]) -> Mat:
-    assert mats, "vstack of nothing"
-    f = mats[0].field
-    assert all(m.field == f for m in mats)
-    return Mat._wrap(f, np.vstack([m.data for m in mats]))
-
-
-def _check_same_shape(a: Mat, b: Mat) -> None:
-    if a.field != b.field:
-        raise InputError(f"field mismatch: {a.field} vs {b.field}")
-    if a.data.shape != b.data.shape:
-        raise InputError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    _check_same_shape(a, b)
-    return Mat(a.field, a.data + b.data)
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -306,14 +253,6 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         acc += a[:, lo:hi] @ b[..., lo:hi, :]
         np.remainder(acc, p, out=acc)
     return acc
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a.field != b.field:
-        raise InputError(f"field mismatch: {a.field} vs {b.field}")
-    if a.cols != b.rows:
-        raise InputError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
-    return Mat._wrap(a.field, _mul_arrays(a.data, b.data, a.field.p))
 
 
 def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -69,7 +69,7 @@ import numpy as np
 from .algebra import Algebra
 from .errors import InputError, TheoremViolationError
 from .linalg import (Mat, _kernel_of_echelon, _mul_arrays, expressor, extend_basis, kernel_basis,
-                     rref, solve, transpose)
+                     rank, rref, solve)
 # _caches and clear_caches are also reached through this module
 from .memo import _caches, clear_caches, memo
 
@@ -258,13 +258,6 @@ class ModuleHom:
         return _mul_arrays(self.mat, np.asarray(vec).reshape(-1, 1),
                            self.src.ring.field.p)[:, 0]
 
-    def compose(self, other: "ModuleHom") -> "ModuleHom":
-        """self after other."""
-        assert other.dst.dim == self.src.dim
-        p = self.src.ring.field.p
-        return ModuleHom(other.src, self.dst,
-                         _mul_arrays(self.mat, other.mat, p), check=False)
-
     def matrix(self) -> Mat:
         """The matrix as a Mat sharing `mat`'s memory."""
         return Mat._wrap(self.src.ring.field, self.mat)
@@ -272,8 +265,7 @@ class ModuleHom:
     def rank(self) -> int:
         """Rank of the matrix, computed once: `mat` is frozen."""
         if self._rank is None:
-            from .linalg import rank as _rank
-            self._rank = _rank(self.matrix())
+            self._rank = rank(self.matrix())
         return self._rank
 
     def is_injective(self) -> bool:
@@ -398,10 +390,6 @@ def matlis_dual(M: Module) -> Module:
                   label=f"({M.label})*", check=False)
 
 
-def matlis_dual_hom(f: ModuleHom) -> ModuleHom:
-    return ModuleHom(matlis_dual(f.dst), matlis_dual(f.src), f.mat.T, check=False)
-
-
 def dualizing_module(R: Algebra) -> Module:
     """Matlis dual of the ring: the injective hull of the residue field
     (for local R), and the canonical module of the Artinian ring."""
@@ -490,7 +478,7 @@ def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subqu
     (which must be action-stable)."""
     p = ambient.ring.field.p
     n = ambient.dim
-    red, piv = rref(transpose(Mat._wrap(ambient.ring.field, cols)))
+    red, piv = rref(Mat._wrap(ambient.ring.field, cols.T))
     E = red.data[: len(piv)]          # echelon basis of the subspace, as rows
     is_kept = np.ones(n, dtype=bool)
     is_kept[piv] = False
@@ -552,8 +540,8 @@ def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray
         cols = np.eye(M.dim, dtype=np.int64)
     if cols.shape[1] == 0:
         return cols
-    red, piv = rref(transpose(Mat._wrap(field, span)))
-    have = transpose(Mat._wrap(field, red.data[: len(piv)]))
+    red, piv = rref(Mat._wrap(field, span.T))
+    have = Mat._wrap(field, red.data[: len(piv)].T)
     return cols[:, extend_basis(have, Mat._wrap(field, cols))]
 
 

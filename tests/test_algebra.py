@@ -130,8 +130,8 @@ def test_radical_elements_are_nilpotent():
                 acc = R.mul(acc, v)
             assert not acc.any()
         # the unit is not nilpotent, so it is outside the radical span
-        from semidual.linalg import Mat, rank, hstack
-        aug = hstack([rad, Mat(R.field, R.one().reshape(-1, 1))])
+        from semidual.linalg import rank
+        aug = Mat(R.field, np.hstack([rad.data, R.one().reshape(-1, 1)]))
         assert rank(aug) == rad.cols + 1
 
 

@@ -19,8 +19,7 @@ from semidual.algebra import (algebra_from_monomial_quotient,
                               radical_generators)
 from semidual.complexes import (ext_abs, minimal_free_resolution, syzygy, tor_abs)
 from semidual.corpus import corpus_sessions, random_module_pool
-from semidual.linalg import (Field, Mat, _mul_arrays, extend_basis, kernel_basis, rref, solve,
-                             transpose)
+from semidual.linalg import Field, Mat, _mul_arrays, extend_basis, kernel_basis, rref, solve
 
 
 @pytest.fixture(autouse=True)
@@ -66,7 +65,7 @@ def _modules():
 
 def _row_space(cols, field):
     """RREF of the column span, as rows; equal spans give equal arrays."""
-    red, piv = rref(transpose(Mat(field, cols)))
+    red, piv = rref(Mat(field, cols.T))
     return red.data[: len(piv)]
 
 
@@ -239,8 +238,8 @@ def _old_syzygy_generators(F, K):
     """The full-radical Nakayama step the resolutions used before."""
     field = F.ring.field
     W = _full_radical_span(F, K)
-    red, piv = rref(transpose(Mat(field, W)))
-    have = transpose(Mat(field, red.data[: len(piv)]))
+    red, piv = rref(Mat(field, W.T))
+    have = Mat(field, red.data[: len(piv)].T)
     return K[:, extend_basis(have, Mat(field, K))]
 
 
