@@ -149,12 +149,6 @@ class Field:
             raise InputError(f"field order too large: {p}")
         self.p = p
 
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(x, self.p - 2, self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.p == self.p
 

@@ -14,11 +14,22 @@ of the regular module, injective resolutions are powers of its dual) carry
 their block structure instead of materialised action matrices.  Basis order
 inside a power is copy-major: b consecutive copies of W's basis.
 
-act_all applies every basis element of R to a set of columns in one
-contraction, a (d, dim, k) stack; a power applies its base's action.
-Covers, submodule and quotient structures, and the action matrices of ring
-elements (element_matrices) are each read off one such contraction rather
-than a loop over the d basis elements.
+act_all applies every basis element of R to a set of columns, a (d, dim, k)
+stack; a power applies its base's action.  Covers, submodule and quotient
+structures, and the action matrices of ring elements (element_matrices) are
+each read off one such stack rather than a loop over the d basis elements.
+The stack is one contraction, unless the module is a power whose base acts
+by partial permutations: every action matrix is 0/1 with at most one 1 in
+each row and each column.  Over a monomial quotient R, k and the dual D of
+R do, since a monomial sends each monomial to one monomial or to 0.  The
+base records this once (partial_permutation), with the positions of the
+1s; then row r of e_i * X is row c of X when entry (r, c) of e_i's matrix
+is 1 and zero otherwise, so act_all and radical_span on the power are one
+scatter of rows of X into copy-major blocks.  Entries of X are moved, never
+multiplied or added, so the scatter is exact and equals the contraction
+mod p.  Free and injective modules in resolutions are such powers.  A
+module that is not a power keeps the contraction: most are small carriers
+acted on once, where reading the record would cost more than it saves.
 
 Hom and tensor are both read off one cached presentation R^a -> R^g -> M of
 the source (left factor) M: its g minimal generators, a relations among
@@ -90,7 +101,7 @@ class Module:
     then made read-only).
     """
 
-    __slots__ = ("ring", "dim", "label", "_action", "_block", "_fp")
+    __slots__ = ("ring", "dim", "label", "_action", "_block", "_fp", "_perm")
 
     def __init__(self, ring: Algebra, action, label: str = "M", check: bool = True):
         arr = np.asarray(action, dtype=np.int64)
@@ -105,6 +116,7 @@ class Module:
         self._action = _frozen(arr)
         self._block = None
         self._fp = None
+        self._perm = None
         if check:
             self.validate()
 
@@ -117,6 +129,7 @@ class Module:
         self._action = None
         self._block = (base, copies)
         self._fp = None
+        self._perm = None
         return self
 
     @property
@@ -139,9 +152,29 @@ class Module:
         base, b = self._block
         return _block_apply(base.action[i], b, cols, p)
 
+    def partial_permutation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(i, r, c) index arrays of the nonzero entries of the action when
+        every action matrix is a 0/1 partial permutation matrix (at most one
+        1 in each row and each column, zeros elsewhere), else None.  Read
+        off the action once and kept.  Not defined on a power, whose action
+        is its base's."""
+        assert self._block is None, "a power acts through its base"
+        if self._perm is None:
+            act = self._action
+            self._perm = ()
+            # entries lie in [0, p): a row sum of at most 1 is one 1 or none
+            if act.max(initial=0) <= 1:
+                ones = act.sum(axis=2)
+                if ones.max(initial=0) <= 1 and act.sum(axis=1).max(initial=0) <= 1:
+                    i, r = np.nonzero(ones)
+                    self._perm = (i, r, np.nonzero(act[i, r])[1])
+        return self._perm or None
+
     def act_all(self, cols: np.ndarray) -> np.ndarray:
         """(d, dim, k) stack whose slice i is the action of e_i on the k
-        columns, in one contraction; a power acts through its base."""
+        columns, entries in [0, p); a power acts through its base.  On a
+        power whose base acts by partial permutations it is one scatter of
+        rows of cols (see the module docstring), otherwise one contraction."""
         p = self.ring.field.p
         d = self.ring.dim
         k = cols.shape[1]
@@ -150,6 +183,12 @@ class Module:
             return _mul_arrays(self._action.reshape(d * n, n), cols, p).reshape(d, n, k)
         base, b = self._block
         w = base.dim
+        perm = base.partial_permutation()
+        if perm is not None:
+            i, r, c = perm
+            out = np.zeros((d, b, w, k), dtype=np.int64)
+            out[i, :, r] = cols.reshape(b, w, k)[:, c].swapaxes(0, 1)
+            return out.reshape(d, b * w, k)
         shaped = cols.reshape(b, w, k).transpose(1, 0, 2).reshape(w, b * k)
         out = _mul_arrays(base.action.reshape(d * w, w), shaped, p)
         return out.reshape(d, w, b, k).transpose(0, 2, 1, 3).reshape(d, b * w, k)
@@ -291,12 +330,21 @@ def _block_diagonal(small: np.ndarray, b: int) -> np.ndarray:
 
 
 def _block_apply(small: np.ndarray, b: int, cols: np.ndarray, p: int) -> np.ndarray:
-    """(I_b kron small) @ cols, exactly, without building the big matrix."""
-    w = small.shape[0]
+    """(I_b kron small) @ cols, exactly, without building the big matrix:
+    block s of the answer is small @ (block s of cols), all b blocks in one
+    stacked product."""
     k = cols.shape[1] if cols.ndim == 2 else 1
-    shaped = cols.reshape(b, w, k).transpose(1, 0, 2).reshape(w, b * k)
-    out = _mul_arrays(small, shaped, p)
-    return out.reshape(w, b, k).transpose(1, 0, 2).reshape(b * w, k)
+    out = _mul_arrays(small, cols.reshape(b, small.shape[1], k), p)
+    return out.reshape(b * small.shape[0], k)
+
+
+def _block_apply_right(rows: np.ndarray, small: np.ndarray, b: int, p: int) -> np.ndarray:
+    """rows @ (I_b kron small), exactly, without building the big matrix:
+    the b column blocks of every row are rows of rows.reshape(-1, w), all
+    multiplied by small in one product."""
+    w, v = small.shape
+    out = _mul_arrays(np.ascontiguousarray(rows).reshape(rows.shape[0] * b, w), small, p)
+    return out.reshape(rows.shape[0], b * v)
 
 
 def _right_act(module: Module, i: int, rows: np.ndarray) -> np.ndarray:
@@ -305,10 +353,7 @@ def _right_act(module: Module, i: int, rows: np.ndarray) -> np.ndarray:
     if module.block is None:
         return _mul_arrays(rows, module.action[i], p)
     base, b = module.block
-    w = base.dim
-    shaped = np.ascontiguousarray(rows).reshape(-1, w)
-    out = _mul_arrays(shaped, base.action[i], p)
-    return out.reshape(rows.shape[0], module.dim)
+    return _block_apply_right(rows, base.action[i], b, p)
 
 
 def identity_hom(m: Module) -> ModuleHom:
@@ -386,8 +431,13 @@ def matlis_dual(M: Module) -> Module:
     if M.block is not None:
         base, b = M.block
         return power_module(matlis_dual(base), b, label=f"({M.label})*")
-    return Module(M.ring, M.action.transpose(0, 2, 1),
-                  label=f"({M.label})*", check=False)
+    dual = Module(M.ring, M.action.transpose(0, 2, 1), label=f"({M.label})*", check=False)
+    if M._perm:
+        # the transpose of a partial permutation is one, with rows and
+        # columns swapped: a record already read off M serves its dual
+        i, r, c = M._perm
+        dual._perm = (i, c, r)
+    return dual
 
 
 def dualizing_module(R: Algebra) -> Module:
@@ -509,9 +559,13 @@ def radical_span(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
     None); not reduced to a basis.
 
     m is generated by radical_generators(R), so m * N = sum_j x_j * N and
-    block j of the answer is the j-th generator applied to cols: one
-    element_matrices call on M, or on the base of a power, and one stacked
-    product (none when cols is None).
+    block j of the answer is the j-th generator applied to cols.  Over a
+    monomial quotient the generators are unit columns, the variables, so
+    x_j acts on the base of a power by one of its action matrices; when
+    those are partial permutations, the answer is one scatter of rows of
+    cols, exact because entries are only moved (module docstring).
+    Otherwise: one element_matrices call on M, or on the base of a power,
+    and one stacked product (none when cols is None).
     """
     from .algebra import radical_generators
     x = radical_generators(M.ring)
@@ -519,11 +573,26 @@ def radical_span(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
     k = M.dim if cols is None else cols.shape[1]
     if r == 0 or M.dim == 0 or k == 0:
         return np.zeros((M.dim, 0), dtype=np.int64)
-    base, b = M.block if M.block is not None else (M, 1)
+    base, b = M.block or (M, 1)
+    w = base.dim
+    perm = None
+    if M.block is not None and M.ring.monomial_data is not None:
+        perm = base.partial_permutation()
+    if perm is not None:
+        if cols is None:
+            cols = np.eye(M.dim, dtype=np.int64)
+        # variable j is a unit column: the 1s of its action matrix go to slot j
+        slot = np.full(M.ring.dim, -1)
+        slot[np.argmax(x, axis=0)] = np.arange(r)
+        i, rows, src = perm
+        t = slot[i]
+        keep = t >= 0
+        out = np.zeros((b, w, r, k), dtype=np.int64)
+        out[:, rows[keep], t[keep]] = cols.reshape(b, w, k)[:, src[keep]]
+        return out.reshape(M.dim, r * k)
     mats = base.element_matrices(x)
     if cols is None:
         return _block_diagonal(mats, b).transpose(1, 0, 2).reshape(M.dim, r * M.dim)
-    w = base.dim
     shaped = cols.reshape(b, w, k).transpose(1, 0, 2).reshape(w, b * k)
     out = _mul_arrays(mats.reshape(r * w, w), shaped, M.ring.field.p)
     return out.reshape(r, w, b, k).transpose(2, 1, 0, 3).reshape(M.dim, r * k)
@@ -554,9 +623,19 @@ def minimal_generators(M: Module) -> np.ndarray:
 
 def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
     """Matrix of the map R^g -> M sending the s-th free generator to
-    gens[:, s].  Column (s, mu) is e_mu * gens_s; copy-major layout."""
-    g = gens.shape[1]
-    return M.act_all(gens).transpose(1, 2, 0).reshape(M.dim, g * M.ring.dim)
+    gens[:, s].  Column (s, mu) is e_mu * gens_s; copy-major layout.  On a
+    power whose base acts by partial permutations, act_all's scatter of
+    rows (module docstring) writes straight into this layout."""
+    g, d = gens.shape[1], M.ring.dim
+    if M.block is not None:
+        base, b = M.block
+        perm = base.partial_permutation()
+        if perm is not None:
+            i, r, c = perm
+            out = np.zeros((b, base.dim, g, d), dtype=np.int64)
+            out[:, r, :, i] = gens.reshape(b, base.dim, g)[:, c].swapaxes(0, 1)
+            return out.reshape(M.dim, g * d)
+    return M.act_all(gens).transpose(1, 2, 0).reshape(M.dim, g * d)
 
 
 @memo

@@ -31,7 +31,8 @@ from .complexes import (AugmentedComplex, DimensionValue,
 from .errors import InputError, NotSemidualizingError, TheoremViolationError
 from .linalg import Mat, _mul_arrays, rank as _rank
 from .memo import cache, memo
-from .modules import (HomSpace, Module, ModuleHom, adjunction_iso,
+from .modules import (HomSpace, Module, ModuleHom, _block_apply,
+                      _block_apply_right, adjunction_iso,
                       coevaluation_mu, direct_sum, dualizing_module,
                       evaluation_nu, hom_functor_map, hom_space, homothety_chi,
                       is_free, is_injective, kernel, matlis_dual,
@@ -472,6 +473,14 @@ class _ICExtEngine:
     adjunction isomorphism; the chain squares are checked exactly.  Formula
     route: Ext^i(C (x) M, C (x) N) from a minimal free resolution of
     C (x) M, a fully independent computation.
+
+    In degree j both routes have b_j copies of an n-dimensional carrier
+    (Hom(C (x) M, D) and Hom(M, Hom(C, D)), of equal dimension since the
+    adjunction alpha is bijective), and the comparison is Phi_j = I_(b_j)
+    kron alpha.  It is applied block by block, never built:
+    Phi_(j+1) @ T is alpha times each of the b_(j+1) row blocks of T, one
+    stacked product, and P @ Phi_j is every n-wide column block of P times
+    alpha, one product of P.reshape(-1, n).
     """
 
     def __init__(self, C: Module, M: Module, N: Module):
@@ -517,8 +526,10 @@ class _ICExtEngine:
             self._checked.append(False)
 
     def check_squares(self, top: int) -> None:
-        """Phi_j = blockdiag(adjunction) must intertwine the transport and
-        proper differentials."""
+        """Phi_j = I_(b_j) kron alpha must intertwine the transport and
+        proper differentials: Phi_(j+1) T_j = P_j Phi_j exactly.  Both sides
+        are blockwise products with alpha (class docstring), equal entry
+        for entry to the products with the Kronecker matrices."""
         self.extend(top)
         p = self.field.p
         a = self.alpha.mat
@@ -526,10 +537,8 @@ class _ICExtEngine:
         for j in range(top):
             if self._checked[j]:
                 continue
-            phi_prev = np.kron(np.eye(bass[j], dtype=np.int64), a)
-            phi_next = np.kron(np.eye(bass[j + 1], dtype=np.int64), a)
-            lhs = _mul_arrays(phi_next, self._transport[j], p)
-            rhs = _mul_arrays(self._proper[j], phi_prev, p)
+            lhs = _block_apply(a, bass[j + 1], self._transport[j], p)
+            rhs = _block_apply_right(self._proper[j], a, bass[j], p)
             if not np.array_equal(lhs, rhs):
                 raise TheoremViolationError(
                     f"adjunction square fails at differential {j + 1} for "
@@ -557,7 +566,8 @@ class _ICExtEngine:
 
     def homology_iso(self, i: int, limit: int = 600) -> ModuleHom | None:
         """The adjunction leg of the comparison, materialized on homology:
-        H^i Hom(C (x) M, I) -> H^i Hom(M, Y).  Small inputs only."""
+        H^i Hom(C (x) M, I) -> H^i Hom(M, Y), reduce_p . Phi_i . represent_t
+        with Phi_i applied block by block.  Small inputs only."""
         self.check_squares(i + 1)
         bass = self._bass(i + 1)
         for j in range(max(i - 1, 0), i + 2):
@@ -576,10 +586,8 @@ class _ICExtEngine:
                               check=False)
         Ht, rep_t, _ = homology_data(ct, i)
         Hp, _, red_p = homology_data(cp, i)
-        phi = np.kron(np.eye(bass[i], dtype=np.int64), self.alpha.mat)
-        iso = ModuleHom(Ht, Hp,
-                        _mul_arrays(red_p, _mul_arrays(phi, rep_t, p), p),
-                        check=False)
+        moved = _block_apply(self.alpha.mat, bass[i], rep_t, p)
+        iso = ModuleHom(Ht, Hp, _mul_arrays(red_p, moved, p), check=False)
         if not iso.is_bijective():
             raise TheoremViolationError(
                 "adjunction comparison is not bijective on homology in "

@@ -50,26 +50,22 @@ def _mul(a: Mat, b: Mat) -> Mat:
 
 def test_public_surface_is_what_the_library_uses():
     """The public callables defined in linalg: the field, the matrix type
-    and the six reductions, nothing else."""
+    and the six reductions, nothing else.  Field and Mat have no public
+    methods: the reductions invert pivots inline."""
     public = {name for name, obj in vars(linalg).items()
               if callable(obj) and not name.startswith("_")
               and getattr(obj, "__module__", None) == "semidual.linalg"}
     assert public == {"Field", "Mat", "rref", "rank", "kernel_basis", "solve",
                       "expressor", "extend_basis"}
-    assert not [name for name, _ in inspect.getmembers(Mat, callable)
-                if not name.startswith("_")]
+    for cls in (Field, Mat):
+        assert not [name for name, _ in inspect.getmembers(cls, callable)
+                    if not name.startswith("_")], cls
 
 
 def test_field_rejects_nonprime():
     for bad in (0, 1, 4, 6, 9, 100):
         with pytest.raises(InputError):
             Field(bad)
-
-
-def test_field_inverse():
-    f = Field(7)
-    for x in range(1, 7):
-        assert (x * f.inv(x)) % 7 == 1
 
 
 def test_rref_identity_fixed():
