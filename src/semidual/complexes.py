@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import Algebra, require_local
 from .errors import InputError, InvalidComplexError
-from .linalg import _mul_arrays, kernel_basis
+from .linalg import Mat, _mul_arrays, kernel_basis, rank
 from .memo import cache
 from .modules import (Module, ModuleHom, _quotient_by_columns,
                       _submodule_from_columns, cover_matrix, free_module,
@@ -398,13 +398,17 @@ def _entries_matrix(N: Module, ent: np.ndarray, contravariant: bool) -> np.ndarr
     return block_matrix_from_entries(N.action, ent, contravariant, N.ring.field.p)
 
 
-def hom_complex_from_resolution(res: MinimalFreeResolution, N: Module) -> AugmentedComplex:
-    """Hom(F_bullet, N) as a cohomological complex on powers of N."""
-    modules = [power_module(N, b) for b in res.betti]
+def hom_complex_from_resolution(res: MinimalFreeResolution, N: Module,
+                                lo: int = 0, hi: int | None = None) -> AugmentedComplex:
+    """Hom(F_bullet, N) as a cohomological complex on powers of N, in
+    degrees lo..hi of the resolution (all of it by default); degree lo sits
+    at position 0."""
+    hi = res.top if hi is None else hi
+    modules = [power_module(N, res.betti[j]) for j in range(lo, hi + 1)]
     arrows = []
-    for j in range(1, res.top + 1):
+    for j in range(lo + 1, hi + 1):
         mat = _entries_matrix(N, res.entries[j], contravariant=True)
-        arrows.append(ModuleHom(modules[j - 1], modules[j], mat, check=False))
+        arrows.append(ModuleHom(modules[j - lo - 1], modules[j - lo], mat, check=False))
     return AugmentedComplex(res.ring, modules, arrows, "cohomological", check=False)
 
 
@@ -418,30 +422,34 @@ def tensor_complex_from_resolution(res: MinimalFreeResolution, N: Module) -> Aug
     return AugmentedComplex(res.ring, modules, arrows, "homological", check=False)
 
 
-_ext_dims_cache = cache()          # (M, N) fingerprints -> dims, served by prefix
-_tor_dims_cache = cache()
+_ranks_cache = cache()   # (contravariant, M fp, N fp) -> [0, rank D^1, ...], extended in place
 
 
-def _homology_dims(store: dict, functor, M: Module, N: Module, top: int) -> list[int]:
-    """[dim H_i functor(F, N) for i = 0..top], F the minimal free
-    resolution of M; a longer list in the store serves its prefix."""
-    key = (M.fingerprint, N.fingerprint)
-    got = store.get(key)
-    if got is not None and len(got) > top:
-        return got[: top + 1]
-    cx = functor(minimal_free_resolution(M, top + 1), N)
-    dims = store[key] = [cx.homology_dim(i) for i in range(top + 1)]
-    return dims
+def _homology_dims(contravariant: bool, M: Module, N: Module, top: int) -> list[int]:
+    """[dim H_i for i = 0..top] of Hom(F, N) (contravariant) or F (x) N,
+    F the minimal free resolution of M, from ranks only.
+
+    The one store behind ext_dims and tor_dims, and so behind both
+    relative Exts: the ranks of the differentials are kept per (M, N), so a
+    longer request assembles and ranks only the differentials it has not
+    seen, and each matrix is dropped once ranked."""
+    ranks = _ranks_cache.setdefault(
+        (contravariant, M.fingerprint, N.fingerprint), [0])    # D^0 = 0
+    res = minimal_free_resolution(M, top + 1)
+    for j in range(len(ranks), top + 2):
+        mat = _entries_matrix(N, res.entries[j], contravariant)
+        ranks.append(rank(Mat._wrap(M.ring.field, mat)))
+    return [res.betti[i] * N.dim - ranks[i] - ranks[i + 1] for i in range(top + 1)]
 
 
 def ext_dims(M: Module, N: Module, top: int) -> list[int]:
     """[dim Ext^i(M, N) for i = 0..top], ranks only."""
-    return _homology_dims(_ext_dims_cache, hom_complex_from_resolution, M, N, top)
+    return _homology_dims(True, M, N, top)
 
 
 def tor_dims(M: Module, N: Module, top: int) -> list[int]:
     """[dim Tor_i(M, N) for i = 0..top], ranks only."""
-    return _homology_dims(_tor_dims_cache, tensor_complex_from_resolution, M, N, top)
+    return _homology_dims(False, M, N, top)
 
 
 def ext_abs(i: int, M: Module, N: Module) -> Module:

@@ -12,8 +12,8 @@ several.  Equal fingerprints mean equal structure, so a relabelled copy of
 a module hits the entry of the original and gets back the object built for
 it.  The dict behind a memoised function is its `store` attribute.
 
-Lookups with a rule of their own (a best bound, a resolution extended in
-place, a list served by prefix) use a cache() dict directly.
+Lookups with a rule of their own (a best bound, resolutions and lists of
+differential ranks extended in place) use a cache() dict directly.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ or pure tensors.  The translations are batched, and the batched forms are the
 one implementation: HomSpace.mats_of turns a (dim, k) block of coordinates
 into the (k, target.dim, source.dim) stack of maps and coords_of_all goes
 back, each in a fixed number of contractions; TensorSpace.pure_matrix gives
-every e_i (x) e_j at once.  mat_of, coords_of, basis_mat and pure(u, v) are
-one-column wrappers over them, and the natural maps (chi, nu, mu, the
-adjunction, the functor maps) translate whole bases in one call.
+every e_i (x) e_j at once.  pure(u, v) is a one-column wrapper over it, and
+the natural maps (chi, nu, mu, the adjunction, the functor maps) translate
+whole bases in one call.
 """
 
 from __future__ import annotations
@@ -248,9 +248,6 @@ class Module:
         out = copy.copy(self)
         out.label = label
         return out
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def __repr__(self) -> str:
         return f"Module({self.label}, dim={self.dim})"
@@ -757,8 +754,7 @@ class HomSpace:
     The translations are batched.  mats_of turns a (dim, k) block of
     coordinate columns into the (k, target.dim, source.dim) stack of honest
     matrices; coords_of_all inverts that on a stack of matrices that really
-    are R-linear maps, giving a (dim, k) block.  mat_of, coords_of and
-    basis_mat are their one-column cases.
+    are R-linear maps, giving a (dim, k) block.
     """
 
     def __init__(self, source: Module, target: Module):
@@ -783,18 +779,6 @@ class HomSpace:
     def basis_mats(self) -> np.ndarray:
         """(dim, target.dim, source.dim) stack of the basis maps."""
         return self.mats_of(np.eye(self.dim, dtype=np.int64))
-
-    def mat_of(self, coords: np.ndarray) -> np.ndarray:
-        return self.mats_of(np.asarray(coords).reshape(-1, 1))[0]
-
-    def coords_of(self, mat: np.ndarray) -> np.ndarray:
-        return self.coords_of_all(np.asarray(mat)[None])[:, 0]
-
-    def basis_mat(self, l: int) -> np.ndarray:
-        return self.mats_of(np.eye(self.dim, dtype=np.int64)[:, l:l + 1])[0]
-
-    def hom(self, coords: np.ndarray, check: bool = False) -> ModuleHom:
-        return ModuleHom(self.source, self.target, self.mat_of(coords), check=check)
 
 
 def _relation_blocks(rel: np.ndarray, N: Module) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from semidual import algebra, linalg, modules as mo, semidualizing as sd, sessions
 from semidual.algebra import algebra_from_monomial_quotient
-from semidual.complexes import block_matrix_from_entries, minimal_free_resolution
+from semidual.complexes import minimal_free_resolution
 from semidual.corpus import corpus_sessions
 from semidual.linalg import Field, Mat, solve
 
@@ -173,12 +173,8 @@ def test_mats_of_and_coords_of_all_match_the_loops(p):
             for c in range(k):
                 assert np.array_equal(back[:, c], ref_coords_of(hs, stack[c]))
             assert np.array_equal(back, coords)
-        # the single-vector forms are the one-column cases
         if hs.dim:
-            v = rng.integers(0, p, size=hs.dim, dtype=np.int64)
-            assert np.array_equal(hs.mat_of(v), ref_mat_of(hs, v))
-            assert np.array_equal(hs.coords_of(hs.mat_of(v)), v)
-            assert np.array_equal(hs.basis_mat(hs.dim - 1), ref_basis_mat(hs, hs.dim - 1))
+            assert np.array_equal(hs.basis_mats()[-1], ref_basis_mat(hs, hs.dim - 1))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -337,6 +333,9 @@ def test_natural_maps_match_their_loops(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_proper_resolution_and_ic_engine_match_their_loops(p):
+    """The proper C-projective augmentation and the action of the proper
+    C-injective route's carrier W_V, which rel_ext_ic resolves against,
+    match their one-column loops."""
     R = _ring(p)
     pool = _pool(R)
     D, k, M = pool[2], pool[1], pool[3]
@@ -348,14 +347,10 @@ def test_proper_resolution_and_ic_engine_match_their_loops(p):
             want = np.concatenate([ref_mat_of(hs, gens[:, s]) for s in range(gens.shape[1])],
                                   axis=1)
             assert np.array_equal(sd.proper_pc_resolution(C, X, 1).aug_map.mat, want)
-            eng = sd._ICExtEngine(C, X, k)
-            eng.extend(2)
-            T = sd._postcomposition_action(eng.hcd.source, eng.hcd.target)
-            V = ref_action(eng.hmw, T, "post")
-            entries = eng._dual_resolution(2).entries
-            for j in (1, 2):
-                assert np.array_equal(eng._proper[j - 1],
-                                      block_matrix_from_entries(V, entries[j], True, p))
+            hcd = mo.hom_space(C, mo.dualizing_module(R))
+            T = sd._postcomposition_action(hcd.source, hcd.target)
+            want = ref_action(mo.hom_space(X, hcd.module), T, "post")
+            assert np.array_equal(sd._proper_ic_carrier(C, X).action, want)
 
 
 # -- guards ------------------------------------------------------------------------

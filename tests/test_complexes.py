@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semidual import complexes
 from semidual.complexes import (AugmentedComplex, DimensionValue, betti_numbers,
                                 bass_numbers, block_matrix_from_entries, ext_abs, ext_dims, exactness_profile,
                                 hom_complex_from_resolution, homology,
@@ -323,6 +324,38 @@ def test_ext_balance_against_injective_route(R1, R2):
         pairs = [(pool[0], pool[1]), (pool[2], k), (k, pool[0])]
         for M, N in pairs:
             assert ext_dims(M, N, 3) == ext_dims_via_injective(M, N, 3)
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4"])
+def test_each_differential_is_ranked_once(name, monkeypatch):
+    """ext_dims and tor_dims extend one store: asking for degrees 0..4 in
+    order ranks each of the five differentials once, and gives what one
+    cold call at degree 4 and the whole complex's homology give."""
+    ring = corpus_rings()[name]
+    k = residue_field_module(ring)
+    D = dualizing_module(ring)
+    M = random_module_pool(ring, 1, max_dim=4)[0]
+    ranked = []
+    real = complexes.rank
+
+    def counted(a):
+        ranked.append(a.data.shape)
+        return real(a)
+
+    for dims_of, complex_of in ((ext_dims, hom_complex_from_resolution),
+                                (tor_dims, tensor_complex_from_resolution)):
+        for A, N in ((k, k), (M, D), (D, M)):
+            clear_caches()
+            ranked.clear()
+            monkeypatch.setattr(complexes, "rank", counted)
+            grown = [dims_of(A, N, t) for t in range(5)]
+            monkeypatch.undo()
+            assert len(ranked) == 5, (dims_of.__name__, A.label, N.label, ranked)
+            assert all(grown[t] == grown[4][:t + 1] for t in range(5))
+            clear_caches()
+            assert dims_of(A, N, 4) == grown[4]
+            cx = complex_of(minimal_free_resolution(A, 5), N)
+            assert grown[4] == [cx.homology_dim(i) for i in range(5)]
 
 
 # -- dimension verdicts -------------------------------------------------------------

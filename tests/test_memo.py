@@ -3,7 +3,7 @@ functions are keyed by fingerprints, and clear_caches() empties them all."""
 
 import sys
 
-from semidual import memo
+from semidual import complexes, memo
 from semidual.cli import run_command
 from semidual.corpus import corpus_sessions
 from semidual.modules import (_caches, clear_caches, coevaluation_mu, evaluation_nu,
@@ -13,8 +13,7 @@ MEMOISED = {
     "radical", "ring_report", "regular_module", "residue_field_module",
     "radical_submodule", "matlis_dual", "minimal_generators", "presentation",
     "hom_space", "tensor_space", "evaluation_nu", "coevaluation_mu",
-    "_precomposition_action", "_postcomposition_action", "_pc_engine",
-    "_ic_engine",
+    "_precomposition_action", "_postcomposition_action", "_proper_ic_carrier",
 }
 
 
@@ -68,8 +67,10 @@ def test_every_cache_is_registered_and_cleared():
     assert memo._caches is _caches
     assert sum(len(c) for c in _caches) > 0
     assert all(found[name].store for name in ("hom_space", "tensor_space",
-                                              "_pc_engine", "_ic_engine",
+                                              "_precomposition_action",
+                                              "_postcomposition_action",
                                               "evaluation_nu", "coevaluation_mu"))
+    assert complexes._ranks_cache
     clear_caches()
     assert not any(_caches)
     assert not any(fn.store for fn in found.values())

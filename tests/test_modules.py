@@ -40,25 +40,27 @@ def rings():
 
 
 def _assert_hom_contract(hs, seed=0, basis=True):
-    """coords_of inverts mat_of, every mat_of is R-linear, and the carrier
-    action is postcomposition."""
+    """coords_of_all inverts mats_of, every map mats_of gives is R-linear,
+    and the carrier action is postcomposition."""
     p = hs.ring.field.p
     rng = np.random.default_rng(seed)
     units = list(np.eye(hs.dim, dtype=np.int64)) if basis else []
-    for c in units + [rng.integers(0, p, size=hs.dim)]:
-        f = hs.mat_of(c)
+    cols = np.stack(units + [rng.integers(0, p, size=hs.dim)], axis=1)
+    fs = hs.mats_of(cols)
+    assert np.array_equal(hs.coords_of_all(fs), cols)
+    for f in fs:
         ModuleHom(hs.source, hs.target, f, check=True)
-        assert np.array_equal(hs.coords_of(f), c)
-        for i in range(hs.ring.dim):
-            moved = hs.module.act(i, c.reshape(-1, 1))[:, 0]
-            assert np.array_equal(hs.mat_of(moved), hs.target.act(i, f))
+    for i in range(hs.ring.dim):
+        moved = hs.mats_of(hs.module.act(i, cols))
+        for f, g in zip(fs, moved):
+            assert np.array_equal(g, hs.target.act(i, f))
 
 
 def _rand_hom(M, N, seed):
     hs = hom_space(M, N)
     rng = np.random.default_rng(seed)
     coords = rng.integers(0, M.ring.field.p, size=hs.dim)
-    return hs.hom(coords, check=True)
+    return ModuleHom(M, N, hs.mats_of(coords.reshape(-1, 1))[0], check=True)
 
 
 def _after(g, f):
@@ -204,14 +206,11 @@ def test_hom_carrier_action_is_postcomposition(R1):
     D = dualizing_module(R1)
     k = residue_field_module(R1)
     hs = hom_space(D, k)
+    basis = hs.basis_mats()
     for i in range(R1.dim):
+        moved = hs.mats_of(hs.module.act(i, np.eye(hs.dim, dtype=np.int64)))
         for l in range(hs.dim):
-            e = np.zeros(hs.dim, dtype=np.int64)
-            e[l] = 1
-            moved = hs.module.act(i, e.reshape(-1, 1))[:, 0]
-            lhs = hs.mat_of(moved)
-            rhs = k.act(i, hs.basis_mat(l))
-            assert np.array_equal(lhs, rhs)
+            assert np.array_equal(moved[l], k.act(i, basis[l]))
 
 
 def test_hom_block_source_fast_path_matches_generic(R1):
@@ -223,9 +222,9 @@ def test_hom_block_source_fast_path_matches_generic(R1):
     assert hs.dim == want
     rng = np.random.default_rng(0)
     coords = rng.integers(0, 2, size=hs.dim)
-    mat = hs.mat_of(coords)
+    mat = hs.mats_of(coords.reshape(-1, 1))[0]
     ModuleHom(F, M, mat, check=True)
-    assert np.array_equal(hs.coords_of(mat), coords % 2)
+    assert np.array_equal(hs.coords_of_all(mat[None])[:, 0], coords % 2)
 
 
 def test_hom_block_target_fast_path_matches_generic(R1):
@@ -236,9 +235,9 @@ def test_hom_block_target_fast_path_matches_generic(R1):
     assert hs.dim == want
     rng = np.random.default_rng(1)
     coords = rng.integers(0, 2, size=hs.dim)
-    mat = hs.mat_of(coords)
+    mat = hs.mats_of(coords.reshape(-1, 1))[0]
     ModuleHom(D, F, mat, check=True)
-    assert np.array_equal(hs.coords_of(mat), coords % 2)
+    assert np.array_equal(hs.coords_of_all(mat[None])[:, 0], coords % 2)
 
 
 def test_hom_block_power_of_dense_module(R1):
@@ -247,7 +246,7 @@ def test_hom_block_power_of_dense_module(R1):
     P = power_module(D, 2)
     hs = hom_space(P, k)
     assert hs.dim == 4  # Hom(D,k)^2
-    mat = hs.basis_mat(0)
+    mat = hs.basis_mats()[0]
     ModuleHom(P, k, mat, check=True)
 
 
@@ -383,11 +382,9 @@ def test_contravariant_hom_functor(R1):
     # g sends h: N -> D to h . f : M -> D
     hs_n = hom_space(N, D)
     hs_m = hom_space(M, D)
-    for l in range(hs_n.dim):
-        e = np.zeros(hs_n.dim, dtype=np.int64)
-        e[l] = 1
-        want = (hs_n.basis_mat(l) @ f.mat) % 2
-        assert np.array_equal(hs_m.mat_of(g.mat @ e % 2), want)
+    got = hs_m.mats_of(g.mat)
+    for l, h in enumerate(hs_n.basis_mats()):
+        assert np.array_equal(got[l], (h @ f.mat) % 2)
 
 
 # -- natural maps ----------------------------------------------------------------

@@ -309,20 +309,69 @@ def test_rel_ext_routes_disagree_on_a_wrong_precomposition(r1_mods, monkeypatch)
         clear_caches()
 
 
+def test_rel_ext_catches_a_wrong_unit_slice(r1_mods, monkeypatch):
+    """Over R1 the minimal resolution of Hom(D,k) has linear entries that
+    never use the unit, so no differential sees a wrong slice 0 of Q: the
+    proper route still reads 8.  The check of Q against the carrier action
+    sees every slice, and raises."""
+    D, k = r1_mods["D"], r1_mods["k"]
+    real = sd._precomposition_action
+
+    def perturbed(C, N):
+        Q = real(C, N).copy()
+        Q[0, 0, :] = (Q[0, 0, :] + 1) % C.ring.field.p
+        return Q
+
+    clear_caches()
+    monkeypatch.setattr(sd, "_precomposition_action", perturbed)
+    try:
+        assert sd.rel_ext(1, D, k, k, mode="proper").dim == 8
+        with pytest.raises(TheoremViolationError, match="routes disagree"):
+            sd.rel_ext(1, D, k, k, mode="both")
+    finally:
+        clear_caches()
+
+
+def test_rel_ext_ic_catches_a_wrong_postcomposition(r1_mods, monkeypatch):
+    """The C-injective twin: a wrong slice 0 of the postcomposition action
+    of Hom(C, D) leaves the proper route's dimension alone (no entry uses
+    the unit) but breaks the R-linearity of the adjunction onto its
+    carrier."""
+    D, k = r1_mods["D"], r1_mods["k"]
+    real = sd._postcomposition_action
+
+    def perturbed(A, B):
+        T = real(A, B).copy()
+        T[0, 0, :] = (T[0, 0, :] + 1) % A.ring.field.p
+        return T
+
+    clear_caches()
+    want = sd.rel_ext_ic(1, D, k, k, mode="proper").dim
+    clear_caches()
+    monkeypatch.setattr(sd, "_postcomposition_action", perturbed)
+    try:
+        assert sd.rel_ext_ic(1, D, k, k, mode="proper").dim == want
+        with pytest.raises(TheoremViolationError, match="adjunction"):
+            sd.rel_ext_ic(1, D, k, k, mode="both")
+    finally:
+        clear_caches()
+
+
 def test_homology_iso_computes_homology_once(r1_mods, monkeypatch):
+    """Once Q is checked the two C-projective routes are one complex, so
+    rel_ext materializes the comparison on one homology."""
     D, k = r1_mods["D"], r1_mods["k"]
     clear_caches()
-    eng = sd._pc_engine(D, k, k)
     calls = []
     real = sd.homology_data
 
     def counted(X, n):
-        calls.append(n)
+        calls.append((X.top, n))
         return real(X, n)
 
     monkeypatch.setattr(sd, "homology_data", counted)
-    iso = eng.homology_iso(2)
-    assert calls == [2]
+    iso = sd.rel_ext(2, D, k, k, mode="both").iso_map
+    assert calls == [(2, 1)]       # degrees 1..3, degree 2 at position 1
     assert iso.is_bijective() and iso.src.dim == 16
 
 

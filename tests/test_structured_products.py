@@ -1,6 +1,6 @@
 """Structured products against the dense products they replace.
 
-The C-injective engine applies Phi_j = I_b kron alpha block by block, and a
+The C-injective comparison applies Phi_j = I_b kron alpha block by block, and a
 power whose base acts by 0/1 partial permutations (R, k and D over a monomial
 quotient) applies its action as a scatter of rows.  Both must equal, entry
 for entry, the dense products: the Kronecker products over Python integers,
@@ -15,7 +15,7 @@ import pytest
 
 from semidual import modules as mo, semidualizing as sd
 from semidual.algebra import algebra_from_monomial_quotient, radical_generators
-from semidual.complexes import minimal_free_resolution
+from semidual.complexes import block_matrix_from_entries, minimal_free_resolution
 from semidual.corpus import corpus_rings
 from semidual.errors import TheoremViolationError
 from semidual.linalg import Field
@@ -71,45 +71,76 @@ def test_block_products_of_rectangular_blocks(p):
                           mm(rows, kron_eye(3, small), p))
 
 
-def _ic_engines():
+def _ic_pairs():
+    """(name, C, M, N) with C = D: the relative-Ext inputs the C-injective
+    checks below run on."""
     for name, R in corpus_rings().items():
         D = mo.dualizing_module(R)
         k = mo.residue_field_module(R)
         M, _ = mo.presentation_to_module(R, 1, 1, [["x"]])
-        yield name, sd._ICExtEngine(D, k, k)
-        yield name, sd._ICExtEngine(D, M, k)
+        yield name, D, k, k
+        yield name, D, M, k
 
 
-def test_engine_squares_are_the_kron_squares():
-    """The blockwise sides of every adjunction square are the kron sides,
-    and the squares commute."""
-    for name, eng in _ic_engines():
-        eng.check_squares(3)
-        p, a, bass = eng.field.p, eng.alpha.mat, eng._bass(3)
+def _adjunction_squares(C, M, N, top, W_V=None):
+    """alpha, the Bass numbers, and the transport and proper differentials
+    T_j, P_j (j = 1..top) of relative Ext over the C-injectives, assembled
+    from the minimal free resolution of the dual of C (x) N."""
+    DD = mo.dualizing_module(C.ring)
+    alpha = mo.adjunction_iso(C, M, DD).mat
+    transport = mo.hom_space(mo.tensor_space(C, M).module, DD).module
+    W_V = W_V if W_V is not None else sd._proper_ic_carrier(C, M)
+    res = minimal_free_resolution(mo.matlis_dual(mo.tensor_space(C, N).module), top)
+    p = C.ring.field.p
+    T = [block_matrix_from_entries(transport.action, res.entries[j], True, p)
+         for j in range(1, top + 1)]
+    P = [block_matrix_from_entries(W_V.action, res.entries[j], True, p)
+         for j in range(1, top + 1)]
+    return alpha, res.betti, T, P
+
+
+def test_adjunction_squares_are_the_kron_squares():
+    """rel_ext_ic checks one thing, that alpha is R-linear onto W_V; every
+    square Phi_(j+1) T_j = P_j Phi_j with Phi_j = I kron alpha then commutes,
+    and its blockwise sides are the kron sides."""
+    for name, C, M, N in _ic_pairs():
+        assert sd.rel_ext_ic(2, C, M, N, mode="both").agree, name
+        alpha, bass, T, P = _adjunction_squares(C, M, N, 3)
+        p = C.ring.field.p
         for j in range(3):
-            T, P = eng._transport[j], eng._proper[j]
-            lhs = mo._block_apply(a, bass[j + 1], T, p)
-            rhs = mo._block_apply_right(P, a, bass[j], p)
-            assert np.array_equal(lhs, mm(kron_eye(bass[j + 1], a), T, p)), (name, j)
-            assert np.array_equal(rhs, mm(P, kron_eye(bass[j], a), p)), (name, j)
+            lhs = mo._block_apply(alpha, bass[j + 1], T[j], p)
+            rhs = mo._block_apply_right(P[j], alpha, bass[j], p)
+            assert np.array_equal(lhs, mm(kron_eye(bass[j + 1], alpha), T[j], p)), (name, j)
+            assert np.array_equal(rhs, mm(P[j], kron_eye(bass[j], alpha), p)), (name, j)
             assert np.array_equal(lhs, rhs), (name, j)
 
 
-def test_engine_squares_still_catch_a_wrong_differential():
-    for name, eng in _ic_engines():
-        eng.extend(2)
-        p = eng.field.p
-        j = next(j for j in range(2) if eng._proper[j].size)
-        bad = eng._proper[j].copy()
-        bad[0, 0] = (bad[0, 0] + 1) % p
-        eng._proper[j] = bad
-        with pytest.raises(TheoremViolationError):
-            eng.check_squares(2)
+def test_adjunction_check_is_stronger_than_the_squares(monkeypatch):
+    """A wrong action in a slice that some differential uses breaks a
+    square, and one in the unit's slice breaks none; rel_ext_ic raises on
+    both."""
+    for name, C, M, N in _ic_pairs():
+        W_V = sd._proper_ic_carrier(C, M)
+        p = C.ring.field.p
+        for mu in (0, 1):
+            mo.clear_caches()
+            V = W_V.action.copy()
+            V[mu, 0, :] = (V[mu, 0, :] + 1) % p
+            bad = mo.Module(C.ring, V, label=W_V.label, check=False)
+            alpha, bass, T, P = _adjunction_squares(C, M, N, 2, bad)
+            broken = [not np.array_equal(mo._block_apply(alpha, bass[j + 1], T[j], p),
+                                         mo._block_apply_right(P[j], alpha, bass[j], p))
+                      for j in range(2)]
+            assert any(broken) == (mu != 0), (name, mu)
+            monkeypatch.setattr(sd, "_proper_ic_carrier", lambda C, M, bad=bad: bad)
+            with pytest.raises(TheoremViolationError, match="adjunction"):
+                sd.rel_ext_ic(1, C, M, N, mode="both")
+            monkeypatch.undo()
 
 
-def test_engine_homology_iso_is_the_kron_map(monkeypatch):
-    """homology_iso returns red_p . (I kron alpha) . rep_t, with the kron
-    matrix built here over Python integers."""
+def test_ic_homology_iso_is_the_kron_map(monkeypatch):
+    """The C-injective comparison on homology is red_p . (I kron alpha) .
+    rep_t, with the kron matrix built here over Python integers."""
     seen = []
     real = sd.homology_data
 
@@ -119,14 +150,16 @@ def test_engine_homology_iso_is_the_kron_map(monkeypatch):
         return out
 
     monkeypatch.setattr(sd, "homology_data", record)
-    for name, eng in _ic_engines():
+    for name, C, M, N in _ic_pairs():
+        p = C.ring.field.p
+        alpha = mo.adjunction_iso(C, M, mo.dualizing_module(C.ring)).mat
+        bass = minimal_free_resolution(mo.matlis_dual(mo.tensor_space(C, N).module), 3).betti
         for i in range(3):
             seen.clear()
-            iso = eng.homology_iso(i)
+            iso = sd.rel_ext_ic(i, C, M, N, mode="both").iso_map
             assert iso is not None and iso.is_bijective(), (name, i)
             (_, rep_t, _), (_, _, red_p) = seen
-            p = eng.field.p
-            phi = kron_eye(eng._bass(i + 1)[i], eng.alpha.mat)
+            phi = kron_eye(bass[i], alpha)
             assert np.array_equal(iso.mat, mm(red_p, mm(phi, rep_t, p), p)), (name, i)
 
 
