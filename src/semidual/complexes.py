@@ -23,7 +23,8 @@ import numpy as np
 
 from .algebra import Algebra, require_local
 from .errors import InputError, InvalidComplexError
-from .linalg import Mat, _mul_arrays, kernel_basis, rank
+from .linalg import (_SMALL_CELLS, Mat, _check_cells, _mul_arrays, kernel_basis, rank,
+                     sparse_rank)
 from .memo import cache
 from .modules import (Module, ModuleHom, _quotient_by_columns,
                       _submodule_from_columns, cover_matrix, free_module,
@@ -380,8 +381,9 @@ def block_matrix_from_entries(act: np.ndarray, ent: np.ndarray,
     """
     b_prev, b_next, d = ent.shape
     n = act.shape[1]
+    shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
+    _check_cells(shape, "induced differential")
     if n == 0 or b_prev == 0 or b_next == 0:
-        shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
         return np.zeros(shape, dtype=np.int64)
     blocks = _mul_arrays(ent.reshape(b_prev * b_next, d), act.reshape(d, n * n),
                          p).reshape(b_prev, b_next, n, n)
@@ -422,6 +424,78 @@ def tensor_complex_from_resolution(res: MinimalFreeResolution, N: Module) -> Aug
     return AugmentedComplex(res.ring, modules, arrows, "homological", check=False)
 
 
+def _entries_coords(N: Module, ent: np.ndarray,
+                    contravariant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Coordinates (rows, cols, vals) of _entries_matrix(N, ent,
+    contravariant), values at a repeated position to be added, when N, or
+    the base W of the power N = W^a, acts by partial permutations; None
+    otherwise.
+
+    Block (s, t) realises ent[s, t] = sum_i ent[s, t, i] e_i, and e_i acts
+    on W with a 1 at each (r, c) of W's record with ring index i, so every
+    nonzero ent[s, t, i] meets every record entry of index i: in copy q of
+    W it puts ent[s, t, i] at (q*w + r, q*w + c) of the block.  The join
+    lists these terms and builds nothing of the block matrix's shape.  The
+    record is listed by ring index, so the entries of index i are one run
+    of it."""
+    base, a = N.block or (N, 1)
+    perm = base.partial_permutation()
+    if perm is None:
+        return None
+    i, r, c = perm
+    # np.nonzero(ent), read off the boolean mask, which numpy scans several
+    # times faster than an int64 array
+    s, t, k = np.unravel_index(np.flatnonzero(ent != 0), ent.shape)
+    cnt = np.bincount(i, minlength=ent.shape[2])
+    rep = cnt[k]                      # record entries that entry e meets
+    total = int(rep.sum())
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    _check_cells((total, a), "coordinates of an induced differential")
+    e = np.repeat(np.arange(k.size), rep)
+    # the record entry each term takes: run start of index k[e], plus its
+    # place within the run
+    ends = np.cumsum(rep)
+    rec = np.repeat(np.cumsum(cnt)[k] - ends, rep) + np.arange(total)
+    w = base.dim
+    n = a * w
+    blk_row, blk_col = (t[e], s[e]) if contravariant else (s[e], t[e])
+    rows = blk_row * n + r[rec]
+    cols = blk_col * n + c[rec]
+    vals = ent[s, t, k][e]
+    if a > 1:
+        copies = np.arange(a) * w
+        rows = (rows[:, None] + copies).ravel()
+        cols = (cols[:, None] + copies).ravel()
+        vals = np.repeat(vals, a)
+    return rows, cols, vals
+
+
+def _differential_rank(N: Module, ent: np.ndarray, contravariant: bool) -> int:
+    """Rank of the induced differential with ring-entry array ent on powers
+    of N, the matrix _entries_matrix(N, ent, contravariant).  When N or its
+    base has a partial-permutation record the rank is read off coordinates
+    (_entries_coords, linalg.sparse_rank), and only the rows that are not
+    private are densified; otherwise the matrix is built and ranked.
+
+    A matrix of at most linalg._SMALL_CELLS cells is built and ranked
+    densely even then, by the Python-int echelon.  Measured on the
+    differentials of one small-rings pass (seed 11), best of 5 per matrix,
+    summed per power-of-two bucket of cells: at 2^7 cells 1.2 ms dense
+    against 1.5 ms from coordinates, at 2^8 0.28 against 0.17 ms, at 2^11
+    2.2 against 1.2 ms and at 2^17 5.7 against 0.4 ms."""
+    field = N.ring.field
+    b_prev, b_next, _ = ent.shape
+    n = N.dim
+    shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
+    if shape[0] * shape[1] > _SMALL_CELLS:
+        coords = _entries_coords(N, ent, contravariant)
+        if coords is not None:
+            return sparse_rank(field, shape, *coords)
+    return rank(Mat._wrap(field, _entries_matrix(N, ent, contravariant)))
+
+
 _ranks_cache = cache()   # (contravariant, M fp, N fp) -> [0, rank D^1, ...], extended in place
 
 
@@ -431,14 +505,19 @@ def _homology_dims(contravariant: bool, M: Module, N: Module, top: int) -> list[
 
     The one store behind ext_dims and tor_dims, and so behind both
     relative Exts: the ranks of the differentials are kept per (M, N), so a
-    longer request assembles and ranks only the differentials it has not
-    seen, and each matrix is dropped once ranked."""
+    longer request ranks only the differentials it has not seen, each by
+    one _differential_rank call.  When N or its base acts by partial
+    permutations (R, k and D of a monomial quotient, and their powers) a
+    differential is ranked from its nonzero coordinates: no matrix of its
+    full shape is built, and when m * N = 0 (N = k, Hom(D, k)) the entries
+    of the minimal resolution, which lie in m, give no coordinates at all
+    and rank 0.  Other N build the dense matrix, which is dropped once
+    ranked."""
     ranks = _ranks_cache.setdefault(
         (contravariant, M.fingerprint, N.fingerprint), [0])    # D^0 = 0
     res = minimal_free_resolution(M, top + 1)
     for j in range(len(ranks), top + 2):
-        mat = _entries_matrix(N, res.entries[j], contravariant)
-        ranks.append(rank(Mat._wrap(M.ring.field, mat)))
+        ranks.append(_differential_rank(N, res.entries[j], contravariant))
     return [res.betti[i] * N.dim - ranks[i] - ranks[i + 1] for i in range(top + 1)]
 
 

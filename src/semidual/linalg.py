@@ -15,13 +15,15 @@ sum is an exact integer; the rest is summed in int64 chunks.
 
 Matrices of at most _SMALL_CELLS cells are row reduced on a list of rows of
 Python ints, which are exact at any p.  Larger ones go through two stages.
-First, one count of nonzeros per column finds the private rows: nonzero
-rows that share no column with any other row.  Such a row is already
-reduced once it is scaled by the inverse of its leading entry, so it needs
-no elimination.  Over a monomial quotient each differential entry is a
-scalar times a monomial, and most of the matrices reduced there have only
-private rows.  Second, the remaining coupled rows, restricted to the
-columns they touch, go through a panel elimination.  Each panel of columns
+First, the nonzero coordinates are read once (an all-zero matrix returns
+there), and the column counts taken from them find the private rows:
+nonzero rows that share no column with any other row.  Such a row is
+already reduced once it is scaled by the inverse of its leading entry, so
+it needs no elimination; it is scattered into the result straight from its
+coordinates.  Over a monomial quotient each differential entry is a scalar
+times a monomial, and most of the matrices reduced there have only private
+rows.  Second, the remaining coupled rows, restricted to the columns they
+touch, go through a panel elimination.  Each panel of columns
 is copied transposed, so that a column is a contiguous row, and reduced by
 rank-1 updates of the columns from the pivot onward; rows are not swapped,
 pivot rows are marked and moved to the top at the end.  An update
@@ -40,12 +42,26 @@ form is unique, so neither the split nor the size tier changes any output.
 Everything else (kernel, solve, rank, inverse) is derived from the echelon
 form.
 
+`sparse_rank` ranks a matrix given only by coordinates, with no array of
+its full shape: repeated positions are summed, the private rows are split
+off the same way and each counts 1, and only the coupled rows, on the
+columns they touch, are densified and ranked by `rank`.  The rank does not
+depend on how the pivots are chosen, so the private rows are simply
+counted.  The Ext and Tor differentials over monomial quotients are ranked
+this way (complexes._differential_rank).
+
 The surface is what the library uses: `Field`, `Mat`, the six reductions
 `rref`, `rank`, `kernel_basis`, `solve`, `expressor` and `extend_basis`,
-which take `Mat` arguments, and `_mul_arrays` for products of bare arrays.
-Transposes, stacks and sums are taken on the arrays with numpy.  The
-reductions keep their `Mat` arguments because `bench/tracer.py` wraps them
-by name and counts cells from the arguments' `rows` and `cols`.
+which take `Mat` arguments, `sparse_rank` on coordinates, and `_mul_arrays`
+for products of bare arrays.  Transposes, stacks and sums are taken on the
+arrays with numpy.  The reductions keep their `Mat` arguments because
+`bench/tracer.py` wraps them by name and counts cells from the arguments'
+`rows` and `cols`; `sparse_rank` passes its dense remainder through `rank`,
+so every dense reduction is still counted there.
+
+One cell budget, _MAX_CELLS, bounds every large array the library builds
+for a matrix; `_check_cells` refuses a larger one with an InputError that
+names its shape, before numpy is asked for the memory.
 
 Arrays are reduced mod p once.  `Mat(field, data)` takes `% p` of whatever
 it is given, since sessions, tests and user code enter there.  Every array
@@ -81,6 +97,14 @@ _INT64_MAX_MACS = 2 ** 12
 # 3 per call: at 129-256 cells 31 us against 81 us per call (270 calls), at
 # 257-512 cells 45 us against 70 us, at 513-1024 cells 84 us against 90 us.
 _SMALL_CELLS = 256
+# The cell budget: the most int64 cells one matrix or stack may have when it
+# is built by radical_span, cover_matrix, block_matrix_from_entries, the
+# coordinate arrays of a differential, or reduced by _echelon.  2^27 cells
+# are 1 GiB.  A larger array is refused by _check_cells with an InputError
+# that names its shape (the CLI exits 2) before numpy is asked for it.  The
+# largest array of `ext R4 --from k --to D --bound 6` has about 2^24.6
+# cells; at --bound 7 radical_span asks for 1.72 * 10^8 (1.28 GiB).
+_MAX_CELLS = 2 ** 27
 # glibc's malloc serves a block above its mmap threshold with fresh pages
 # and returns them on free.  The threshold starts at 128 KiB and rises to
 # the size of each such block freed, up to 32 MiB, and the top of the heap
@@ -249,44 +273,97 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _check_cells(shape, what: str) -> None:
+    """Raise an InputError naming `what` and its shape when an array of that
+    shape would have more than _MAX_CELLS cells."""
+    cells = 1
+    for n in shape:
+        cells *= int(n)
+    if cells > _MAX_CELLS:
+        raise InputError(f"{what} of shape {tuple(int(n) for n in shape)} has {cells} cells, "
+                         f"over the budget of {_MAX_CELLS} cells per array")
+
+
+def _private_split(rows: np.ndarray, cols: np.ndarray,
+                   ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a matrix's nonzero positions, listed row by row with columns
+    ascending inside a row (the order of np.nonzero), into private rows
+    (nonzero rows that share no column with any other row) and coupled rows.
+
+    Returns (starts, private, coupled): starts[q] is the position of the
+    first entry of the q-th nonzero row, which is its leading entry,
+    private[q] says whether that row is private, and coupled says for each
+    entry whether its row is coupled."""
+    shared = np.bincount(cols, minlength=ncols)[cols] > 1
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    row_coupled = np.logical_or.reduceat(shared, starts)
+    lengths = np.diff(np.append(starts, rows.size))
+    return starts, ~row_coupled, np.repeat(row_coupled, lengths)
+
+
 def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p with first-nonzero pivoting, of an
     int64 array with entries in [0, p).
 
     The input is never written: the whole-matrix panel elimination works
-    on a copy, and the split reads the input and writes new arrays.  A
-    nonzero row that shares no column with any other row
-    (a private row) is reduced once it is scaled by the inverse of its
-    leading entry; only the other (coupled) rows, restricted to the columns
-    they touch, go through the panel elimination.  The two sets of rows touch
-    disjoint columns, so merging their reduced rows by pivot column gives a
-    reduced row echelon form of the whole matrix, and since that form is
-    unique it is exactly what eliminating the whole matrix gives.  A matrix
-    with no private row is restricted the same way, to its nonzero rows and
-    columns, unless it has none to drop.  Matrices of at most _SMALL_CELLS
-    cells are reduced over Python ints instead.
+    on a copy, and the split reads the input and writes new arrays.  The
+    split is read off the nonzero coordinates (_private_split); an all-zero
+    input returns as soon as it is seen to have none.  A private row is
+    reduced once it is scaled by the inverse of its leading entry, and it
+    is scattered into the output straight from its coordinates; only the
+    coupled rows, restricted to the columns they touch, go through the
+    panel elimination.  The two sets of rows touch disjoint columns, so
+    merging their reduced rows by pivot column gives a reduced row echelon
+    form of the whole matrix, and since that form is unique it is exactly
+    what eliminating the whole matrix gives.  A matrix with no private row
+    is restricted the same way, to its nonzero rows and columns, unless it
+    has none to drop.  Matrices of at most _SMALL_CELLS cells are reduced
+    over Python ints instead.
     """
     if arr.size <= _SMALL_CELLS:
         return _small_echelon(arr, p)
+    _check_cells(arr.shape, "matrix to reduce")
     R = np.asarray(arr, dtype=np.int64)     # only read until the panel stage
+    # the coordinates of np.nonzero(R), read off the boolean mask: numpy's
+    # nonzero scans a bool array several times faster than an int64 one,
+    # and the row of each entry comes from the row counts, not a division
     nz = R != 0
-    counts = np.count_nonzero(nz, axis=0)
-    live = nz.any(axis=1)
-    coupled = nz[:, counts > 1].any(axis=1)
-    private = np.flatnonzero(live & ~coupled)
-    if private.size == 0 and live.all() and counts.all():
+    flat = np.flatnonzero(nz)
+    if flat.size == 0:
+        return np.zeros(R.shape, dtype=np.int64), []
+    rows = np.repeat(np.arange(R.shape[0]), np.count_nonzero(nz, axis=1))
+    cols = flat - rows * R.shape[1]
+    del nz, flat
+    starts, private, coupled = _private_split(rows, cols, R.shape[1])
+    crow = rows[starts[~private]]
+    ccol = np.flatnonzero(np.bincount(cols[coupled], minlength=R.shape[1]))
+    if crow.size == R.shape[0] and ccol.size == R.shape[1]:
         return _panel_echelon(R.copy(order="K"), p)
-    lead = nz[private].argmax(axis=1)
-    inv = np.array([pow(v, p - 2, p) for v in R[private, lead].tolist()], dtype=np.int64)
-    crow = np.flatnonzero(coupled)
-    ccol = np.flatnonzero(nz[crow].any(axis=0))
-    Rc, cpiv = _panel_echelon(R[crow][:, ccol], p)
-    pivots = np.concatenate([lead, ccol[cpiv]])
+    out = np.zeros(R.shape, dtype=np.int64)
+    cpiv = ccol[:0]
+    if crow.size:
+        # this gather comes out column-major, so the panels' transposed
+        # copies read contiguous memory
+        Rc, piv = _panel_echelon(R[crow][:, ccol], p)
+        cpiv = ccol[piv]
+        if crow.size == starts.size:          # no private row
+            out[:cpiv.size, ccol] = Rc[:cpiv.size]
+            return out, cpiv.tolist()
+    first = starts[private]
+    prow, lead = rows[first], cols[first]
+    inv = np.array([pow(v, p - 2, p) for v in R[prow, lead].tolist()], dtype=np.int64)
+    # slot[j]: the output row of pivot j, private pivots first
+    pivots = np.concatenate([lead, cpiv])
     slot = np.empty_like(pivots)
     slot[np.argsort(pivots)] = np.arange(pivots.size)
-    out = np.zeros_like(R)
-    out[slot[:private.size]] = (R[private] * inv[:, None]) % p
-    out[slot[private.size:, None], ccol] = Rc[:len(cpiv)]
+    if cpiv.size:
+        out[slot[prow.size:, None], ccol] = Rc[:cpiv.size]
+    ordinal = np.empty(R.shape[0], dtype=np.int64)   # private row -> its index in prow
+    ordinal[prow] = np.arange(prow.size)
+    own = ~coupled
+    er, ec = rows[own], cols[own]
+    q = ordinal[er]
+    out[slot[q], ec] = (R[er, ec] * inv[q]) % p
     return out, np.sort(pivots).tolist()
 
 
@@ -437,6 +514,44 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
 def rank(a: Mat) -> int:
     _, piv = _echelon(a.data, a.field.p)
     return len(piv)
+
+
+def sparse_rank(field: Field, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> int:
+    """Rank of the matrix of the given shape whose entries are given as
+    coordinates: vals[e], in [0, p), sits at (rows[e], cols[e]), and the
+    values at a repeated position add mod p (they may cancel).
+
+    No matrix of the full shape is built.  After the repeats are summed and
+    the zeros dropped, the private rows are split off by _private_split, as
+    in _echelon; each one adds 1 to the rank.  Only the coupled rows, on the
+    columns they touch, are densified, and that remainder is ranked by
+    `rank`.  No coordinates give rank 0 with nothing built."""
+    if rows.size == 0:
+        return 0
+    p = field.p
+    n = shape[1]
+    key = rows.astype(np.int64) * n + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    summed = np.add.reduceat(np.asarray(vals, dtype=np.int64)[order], head) % p
+    live = summed != 0
+    key, summed = key[head][live], summed[live]
+    if key.size == 0:
+        return 0
+    rows, cols = np.divmod(key, n)
+    starts, private, coupled = _private_split(rows, cols, n)
+    crow = rows[starts[~private]]
+    n_private = starts.size - crow.size
+    if crow.size == 0:
+        return n_private
+    used = np.bincount(cols[coupled], minlength=n) > 0
+    ccol = np.flatnonzero(used)
+    _check_cells((crow.size, ccol.size), "coupled part of a sparse matrix")
+    sub = np.zeros((crow.size, ccol.size), dtype=np.int64)
+    sub[np.searchsorted(crow, rows[coupled]), np.cumsum(used)[cols[coupled]] - 1] = summed[coupled]
+    return n_private + rank(Mat._wrap(field, sub))
 
 
 def kernel_basis(a: Mat) -> Mat:

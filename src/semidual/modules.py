@@ -79,8 +79,8 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import InputError, TheoremViolationError
-from .linalg import (Mat, _kernel_of_echelon, _mul_arrays, expressor, extend_basis, kernel_basis,
-                     rank, rref, solve)
+from .linalg import (Mat, _check_cells, _kernel_of_echelon, _mul_arrays, expressor, extend_basis,
+                     kernel_basis, rank, rref, solve)
 # _caches and clear_caches are also reached through this module
 from .memo import _caches, clear_caches, memo
 
@@ -155,9 +155,10 @@ class Module:
     def partial_permutation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(i, r, c) index arrays of the nonzero entries of the action when
         every action matrix is a 0/1 partial permutation matrix (at most one
-        1 in each row and each column, zeros elsewhere), else None.  Read
-        off the action once and kept.  Not defined on a power, whose action
-        is its base's."""
+        1 in each row and each column, zeros elsewhere), else None.  The
+        entries are listed by ring index i ascending.  Read off the action
+        once and kept.  Not defined on a power, whose action is its
+        base's."""
         assert self._block is None, "a power acts through its base"
         if self._perm is None:
             act = self._action
@@ -570,6 +571,7 @@ def radical_span(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
     k = M.dim if cols is None else cols.shape[1]
     if r == 0 or M.dim == 0 or k == 0:
         return np.zeros((M.dim, 0), dtype=np.int64)
+    _check_cells((M.dim, r * k), "radical span")
     base, b = M.block or (M, 1)
     w = base.dim
     perm = None
@@ -599,12 +601,17 @@ def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray
     """Columns of cols (the identity when None) forming a minimal generating
     set of the submodule N they span, which must be action-stable: greedy
     in column order, a column is kept iff it lies outside m * N plus the
-    columns kept before it (Nakayama).  Deterministic."""
+    columns kept before it (Nakayama).  Deterministic.
+
+    The columns must be linearly independent; both callers pass
+    independent columns, the identity (minimal_generators) or a kernel
+    basis (the free resolutions).  So when m * N = 0 every column is kept,
+    and cols is returned with nothing reduced."""
     field = M.ring.field
     span = radical_span(M, cols)
     if cols is None:
         cols = np.eye(M.dim, dtype=np.int64)
-    if cols.shape[1] == 0:
+    if cols.shape[1] == 0 or not span.any():
         return cols
     red, piv = rref(Mat._wrap(field, span.T))
     have = Mat._wrap(field, red.data[: len(piv)].T)
@@ -624,6 +631,7 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
     power whose base acts by partial permutations, act_all's scatter of
     rows (module docstring) writes straight into this layout."""
     g, d = gens.shape[1], M.ring.dim
+    _check_cells((M.dim, g * d), "cover matrix")
     if M.block is not None:
         base, b = M.block
         perm = base.partial_permutation()

@@ -42,6 +42,8 @@ def test_betti_residue_field_doubling(R1):
 
 
 def test_betti_residue_field_truncated_line(R2):
+    # a resolution cached by an earlier test may be longer than 4
+    clear_caches()
     k = residue_field_module(R2)
     res = minimal_free_resolution(k, 4)
     assert res.betti == [1, 1, 1, 1, 1]
@@ -336,18 +338,18 @@ def test_each_differential_is_ranked_once(name, monkeypatch):
     D = dualizing_module(ring)
     M = random_module_pool(ring, 1, max_dim=4)[0]
     ranked = []
-    real = complexes.rank
+    real = complexes._differential_rank
 
-    def counted(a):
-        ranked.append(a.data.shape)
-        return real(a)
+    def counted(N, ent, contravariant):
+        ranked.append(ent.shape)
+        return real(N, ent, contravariant)
 
     for dims_of, complex_of in ((ext_dims, hom_complex_from_resolution),
                                 (tor_dims, tensor_complex_from_resolution)):
         for A, N in ((k, k), (M, D), (D, M)):
             clear_caches()
             ranked.clear()
-            monkeypatch.setattr(complexes, "rank", counted)
+            monkeypatch.setattr(complexes, "_differential_rank", counted)
             grown = [dims_of(A, N, t) for t in range(5)]
             monkeypatch.undo()
             assert len(ranked) == 5, (dims_of.__name__, A.label, N.label, ranked)
