@@ -23,8 +23,7 @@ import numpy as np
 
 from .algebra import Algebra, require_local
 from .errors import InputError, InvalidComplexError
-from .linalg import (_SMALL_CELLS, Mat, _check_cells, _mul_arrays, kernel_basis, rank,
-                     sparse_rank)
+from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
 from .modules import (Module, ModuleHom, _quotient_by_columns,
                       _submodule_from_columns, cover_matrix, free_module,
@@ -476,24 +475,16 @@ def _differential_rank(N: Module, ent: np.ndarray, contravariant: bool) -> int:
     """Rank of the induced differential with ring-entry array ent on powers
     of N, the matrix _entries_matrix(N, ent, contravariant).  When N or its
     base has a partial-permutation record the rank is read off coordinates
-    (_entries_coords, linalg.sparse_rank), and only the rows that are not
-    private are densified; otherwise the matrix is built and ranked.
-
-    A matrix of at most linalg._SMALL_CELLS cells is built and ranked
-    densely even then, by the Python-int echelon.  Measured on the
-    differentials of one small-rings pass (seed 11), best of 5 per matrix,
-    summed per power-of-two bucket of cells: at 2^7 cells 1.2 ms dense
-    against 1.5 ms from coordinates, at 2^8 0.28 against 0.17 ms, at 2^11
-    2.2 against 1.2 ms and at 2^17 5.7 against 0.4 ms."""
+    (_entries_coords, linalg._sparse_rank), and only the rows that are not
+    private are densified; otherwise the matrix is built and ranked."""
     field = N.ring.field
+    coords = _entries_coords(N, ent, contravariant)
+    if coords is None:
+        return rank(Mat._wrap(field, _entries_matrix(N, ent, contravariant)))
     b_prev, b_next, _ = ent.shape
     n = N.dim
     shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
-    if shape[0] * shape[1] > _SMALL_CELLS:
-        coords = _entries_coords(N, ent, contravariant)
-        if coords is not None:
-            return sparse_rank(field, shape, *coords)
-    return rank(Mat._wrap(field, _entries_matrix(N, ent, contravariant)))
+    return _sparse_rank(field, shape, *coords)
 
 
 _ranks_cache = cache()   # (contravariant, M fp, N fp) -> [0, rank D^1, ...], extended in place

@@ -42,7 +42,7 @@ form is unique, so neither the split nor the size tier changes any output.
 Everything else (kernel, solve, rank, inverse) is derived from the echelon
 form.
 
-`sparse_rank` ranks a matrix given only by coordinates, with no array of
+`_sparse_rank` ranks a matrix given only by coordinates, with no array of
 its full shape: repeated positions are summed, the private rows are split
 off the same way and each counts 1, and only the coupled rows, on the
 columns they touch, are densified and ranked by `rank`.  The rank does not
@@ -50,14 +50,15 @@ depend on how the pivots are chosen, so the private rows are simply
 counted.  The Ext and Tor differentials over monomial quotients are ranked
 this way (complexes._differential_rank).
 
-The surface is what the library uses: `Field`, `Mat`, the six reductions
-`rref`, `rank`, `kernel_basis`, `solve`, `expressor` and `extend_basis`,
-which take `Mat` arguments, `sparse_rank` on coordinates, and `_mul_arrays`
-for products of bare arrays.  Transposes, stacks and sums are taken on the
-arrays with numpy.  The reductions keep their `Mat` arguments because
+The surface is what the library uses: `Field`, `Mat` and the six
+reductions `rref`, `rank`, `kernel_basis`, `solve`, `expressor` and
+`extend_basis`, which take `Mat` arguments; the library also imports the
+private helpers `_mul_arrays`, for products of bare arrays, and
+`_sparse_rank`.  Transposes, stacks and sums are taken on the arrays with
+numpy.  The reductions keep their `Mat` arguments because
 `bench/tracer.py` wraps them by name and counts cells from the arguments'
-`rows` and `cols`; `sparse_rank` passes its dense remainder through `rank`,
-so every dense reduction is still counted there.
+`rows` and `cols`; `_sparse_rank` passes its dense remainder through
+`rank`, so every dense reduction is still counted there.
 
 One cell budget, _MAX_CELLS, bounds every large array the library builds
 for a matrix; `_check_cells` refuses a larger one with an InputError that
@@ -103,7 +104,9 @@ _SMALL_CELLS = 256
 # are 1 GiB.  A larger array is refused by _check_cells with an InputError
 # that names its shape (the CLI exits 2) before numpy is asked for it.  The
 # largest array of `ext R4 --from k --to D --bound 6` has about 2^24.6
-# cells; at --bound 7 radical_span asks for 1.72 * 10^8 (1.28 GiB).
+# cells, and so does the largest of the acceptance criteria with R4 at
+# degree 4 and bound 5 (the cover matrix (2916, 8748)); at --bound 7
+# radical_span asks for 1.72 * 10^8 (1.28 GiB).
 _MAX_CELLS = 2 ** 27
 # glibc's malloc serves a block above its mmap threshold with fresh pages
 # and returns them on free.  The threshold starts at 128 KiB and rises to
@@ -316,13 +319,13 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     merging their reduced rows by pivot column gives a reduced row echelon
     form of the whole matrix, and since that form is unique it is exactly
     what eliminating the whole matrix gives.  A matrix with no private row
-    is restricted the same way, to its nonzero rows and columns, unless it
-    has none to drop.  Matrices of at most _SMALL_CELLS cells are reduced
-    over Python ints instead.
+    takes the same path, restricted to its nonzero rows and columns, unless
+    it has none to drop.  Matrices of at most _SMALL_CELLS cells are reduced
+    over Python ints instead.  The cell budget is checked before the output
+    and the copies of a nonzero input are allocated.
     """
     if arr.size <= _SMALL_CELLS:
         return _small_echelon(arr, p)
-    _check_cells(arr.shape, "matrix to reduce")
     R = np.asarray(arr, dtype=np.int64)     # only read until the panel stage
     # the coordinates of np.nonzero(R), read off the boolean mask: numpy's
     # nonzero scans a bool array several times faster than an int64 one,
@@ -331,6 +334,8 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     flat = np.flatnonzero(nz)
     if flat.size == 0:
         return np.zeros(R.shape, dtype=np.int64), []
+    # the output and the copy reduced in place have the input's shape
+    _check_cells(R.shape, "matrix to reduce")
     rows = np.repeat(np.arange(R.shape[0]), np.count_nonzero(nz, axis=1))
     cols = flat - rows * R.shape[1]
     del nz, flat
@@ -346,9 +351,6 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         # copies read contiguous memory
         Rc, piv = _panel_echelon(R[crow][:, ccol], p)
         cpiv = ccol[piv]
-        if crow.size == starts.size:          # no private row
-            out[:cpiv.size, ccol] = Rc[:cpiv.size]
-            return out, cpiv.tolist()
     first = starts[private]
     prow, lead = rows[first], cols[first]
     inv = np.array([pow(v, p - 2, p) for v in R[prow, lead].tolist()], dtype=np.int64)
@@ -516,7 +518,7 @@ def rank(a: Mat) -> int:
     return len(piv)
 
 
-def sparse_rank(field: Field, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+def _sparse_rank(field: Field, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray) -> int:
     """Rank of the matrix of the given shape whose entries are given as
     coordinates: vals[e], in [0, p), sits at (rows[e], cols[e]), and the

@@ -49,14 +49,14 @@ def _mul(a: Mat, b: Mat) -> Mat:
 
 
 def test_public_surface_is_what_the_library_uses():
-    """The public callables defined in linalg: the field, the matrix type,
-    the six reductions and sparse_rank, nothing else.  Field and Mat have
-    no public methods: the reductions invert pivots inline."""
+    """The public callables defined in linalg: the field, the matrix type
+    and the six reductions, nothing else.  Field and Mat have no public
+    methods: the reductions invert pivots inline."""
     public = {name for name, obj in vars(linalg).items()
               if callable(obj) and not name.startswith("_")
               and getattr(obj, "__module__", None) == "semidual.linalg"}
     assert public == {"Field", "Mat", "rref", "rank", "kernel_basis", "solve",
-                      "expressor", "extend_basis", "sparse_rank"}
+                      "expressor", "extend_basis"}
     for cls in (Field, Mat):
         assert not [name for name, _ in inspect.getmembers(cls, callable)
                     if not name.startswith("_")], cls

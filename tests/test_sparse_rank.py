@@ -2,7 +2,7 @@
 
 `_echelon` reads its private-row split off the nonzero coordinates; it is
 checked against the panel elimination alone on random sparse matrices and
-on the edge shapes.  `sparse_rank` is checked against the dense rank on
+on the edge shapes.  `_sparse_rank` is checked against the dense rank on
 random coordinates with repeated and cancelling positions.  The induced
 differentials of Ext and Tor are ranked from coordinates when N, or the
 base of the power N, acts by partial permutations: the coordinates are
@@ -24,8 +24,7 @@ from semidual.complexes import (_differential_rank, _entries_coords, _entries_ma
                                 tor_dims)
 from semidual.corpus import corpus_rings, data_path, random_module_pool, ring_type_three
 from semidual.errors import InputError
-from semidual.linalg import (_SMALL_CELLS, Field, Mat, _echelon, _panel_echelon, rank,
-                             sparse_rank)
+from semidual.linalg import _SMALL_CELLS, Field, Mat, _echelon, _panel_echelon, _sparse_rank, rank
 
 PRIMES = [2, 3, 5, 65521, 2 ** 31 - 1]
 
@@ -74,7 +73,7 @@ def test_all_zero_input_reaches_no_elimination(monkeypatch):
     assert piv == [] and R.shape == (729, 324) and not R.any() and calls == []
 
 
-# -- sparse_rank ------------------------------------------------------------------
+# -- _sparse_rank ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -95,13 +94,13 @@ def test_sparse_rank_sums_repeats_and_matches_the_dense_rank(p):
         for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             dense[r, c] += v
         dense = (dense % p).astype(np.int64)
-        assert sparse_rank(f, (m, n), rows, cols, vals) == rank(Mat(f, dense))
+        assert _sparse_rank(f, (m, n), rows, cols, vals) == rank(Mat(f, dense))
     empty = np.zeros(0, dtype=np.int64)
-    assert sparse_rank(f, (5, 7), empty, empty, empty) == 0
+    assert _sparse_rank(f, (5, 7), empty, empty, empty) == 0
     one = np.array([2]), np.array([3])
-    assert sparse_rank(f, (5, 7), *one, np.array([1])) == 1
+    assert _sparse_rank(f, (5, 7), *one, np.array([1])) == 1
     cancel = np.array([2, 2]), np.array([3, 3]), np.array([1, p - 1])
-    assert sparse_rank(f, (5, 7), *cancel) == 0
+    assert _sparse_rank(f, (5, 7), *cancel) == 0
 
 
 def test_sparse_rank_densifies_only_the_coupled_rows(monkeypatch):
@@ -115,7 +114,7 @@ def test_sparse_rank_densifies_only_the_coupled_rows(monkeypatch):
     real = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda a: shapes.append(a.data.shape) or real(a))
     # rows 1 and 2 share column 1; rows 0, 3 and 4 are private
-    assert sparse_rank(f, (6, 10), rows, cols, vals) == 5
+    assert _sparse_rank(f, (6, 10), rows, cols, vals) == 5
     assert shapes == [(2, 2)]
 
 
@@ -178,7 +177,7 @@ def test_differential_coordinates_match_the_dense_block_matrix(name):
                         assert coords is None
                         continue
                     assert np.array_equal(_dense_from_coords(coords, dense.shape, p), dense)
-                    assert sparse_rank(ring.field, dense.shape, *coords) == want
+                    assert _sparse_rank(ring.field, dense.shape, *coords) == want
 
 
 def test_m_killed_targets_give_no_coordinates():
@@ -210,7 +209,7 @@ def test_every_builder_refuses_arrays_past_the_budget(monkeypatch):
         ("induced differential", lambda: block_matrix_from_entries(D.action, ent, True, 5)),
         ("coordinates", lambda: _entries_coords(mo.power_module(D, 9), ent, True)),
         ("matrix to reduce", lambda: _echelon(np.ones((30, 30), dtype=np.int64), 5)),
-        ("coupled part", lambda: sparse_rank(Field(5), (6, 6), np.repeat(np.arange(6), 6),
+        ("coupled part", lambda: _sparse_rank(Field(5), (6, 6), np.repeat(np.arange(6), 6),
                                              np.tile(np.arange(6), 6),
                                              np.ones(36, dtype=np.int64))),
     ]
@@ -233,9 +232,8 @@ def test_cli_exits_2_past_the_budget(monkeypatch, capsys):
 
 
 def test_store_ranks_through_the_coordinate_path(monkeypatch):
-    """Ext into D over R4 ranks its differentials past the small-matrix
-    cutoff from coordinates: the dense block matrix is built only for the
-    small ones."""
+    """Ext into D over R4 ranks every differential from coordinates: D
+    acts by partial permutations, so no dense block matrix is built."""
     R4 = ring_type_three()
     k = mo.residue_field_module(R4)
     D = mo.dualizing_module(R4)
@@ -244,7 +242,4 @@ def test_store_ranks_through_the_coordinate_path(monkeypatch):
     monkeypatch.setattr(complexes, "_entries_matrix",
                         lambda N, ent, c: built.append(ent.shape) or real(N, ent, c))
     assert ext_dims(k, D, 4) == [1, 0, 0, 0, 0]
-    res = minimal_free_resolution(k, 5)
-    small = [res.entries[j].shape for j in range(1, 6)
-             if res.betti[j] * res.betti[j - 1] * D.dim ** 2 <= _SMALL_CELLS]
-    assert built == small
+    assert built == []
