@@ -23,9 +23,8 @@ import time
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, ring_report
-from .complexes import (DimensionValue, exactness_profile, ext_dims, id_exact,
-                        minimal_free_resolution, minimal_injective_resolution,
-                        pd_exact, tor_dims)
+from .complexes import (DimensionValue, bass_numbers, betti_numbers, exactness_profile,
+                        ext_dims, id_exact, pd_exact, tor_dims)
 from .errors import CheckError, InputError
 from .modules import (dualizing_module, free_module, hom_space,
                       power_module, residue_field_module, tensor_space)
@@ -249,11 +248,9 @@ def _cmd_resolve(session, ring, opt) -> tuple:
         raise InputError(f"length must be nonnegative, got {length}")
     kind = opt["kind"]
     if kind == "free":
-        res = minimal_free_resolution(M, length)
-        return "computed", {"betti": list(res.betti[:length + 1])}, []
+        return "computed", {"betti": betti_numbers(M, length)}, []
     if kind == "injective":
-        ires = minimal_injective_resolution(M, length)
-        return "computed", {"bass": list(ires.bass[:length + 1])}, []
+        return "computed", {"bass": bass_numbers(M, length)}, []
     if opt["c"] is None:
         raise InputError("--c is required for proper resolution kinds")
     C = session.module(opt["c"], ring)

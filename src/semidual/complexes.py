@@ -3,11 +3,16 @@
 Free resolutions are minimal by construction: each step picks minimal
 generators of the syzygy (kernel columns extending a basis of rad times the
 kernel), so differentials land in the radical and betti numbers are read off
-directly.  Injective resolutions are Matlis duals of free resolutions of the
-dual.  Both ends of the pipeline keep the R-entry block structure of the
-differentials, which is what makes the induced Hom/tensor complexes cheap:
-Hom(R^b, N) and R^b (x) N are powers of N, and the induced differentials are
-assembled from entrywise action matrices without ever touching the carriers.
+directly.  A free resolution is kept as the ring entries of its
+differentials, and every complex built from one is an InducedComplex: those
+entries realised through the action of a module N on powers of N, since
+Hom(R^b, N) and R^b (x) N are N^b.  The resolution itself is its entries
+realised through R; a minimal injective resolution is the free resolution
+of the dual realised through D, the dual of R (Matlis duality); the
+Hom and tensor complexes behind Ext, Tor and the proper resolutions realise
+them through N, C or Hom(C, D).  A differential is realised on first use and
+then kept, so nothing builds the matrix of a differential that no one reads:
+Ext and Tor dimensions rank the entries directly (_homology_dims).
 
 Dimension verdicts over an Artinian local ring are exact: finite projective
 (resp. injective) dimension forces dimension zero, so pd and id are decided
@@ -26,7 +31,7 @@ from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
 from .modules import (Module, ModuleHom, _quotient_by_columns,
-                      _submodule_from_columns, cover_matrix, free_module,
+                      _submodule_from_columns, cover_matrix,
                       is_free, is_injective, matlis_dual, minimal_generators,
                       nakayama_generators, power_module, regular_module,
                       zero_module)
@@ -95,7 +100,7 @@ class AugmentedComplex:
             raise InputError("need one arrow between each consecutive pair")
         self.ring = ring
         self.modules = list(modules)
-        self.arrows = list(arrows)
+        self._arrows = list(arrows)
         self.orientation = orientation
         self.augmentation = augmentation
         self.aug_map = aug_map
@@ -105,6 +110,16 @@ class AugmentedComplex:
     @property
     def top(self) -> int:
         return len(self.modules) - 1
+
+    @property
+    def arrows(self) -> list[ModuleHom]:
+        return [self._arrow(k) for k in range(self.top)]
+
+    def _arrow(self, k: int) -> ModuleHom:
+        """The k-th arrow in degree order, 0 <= k < top: X_{k+1} -> X_k
+        (homological) or X^k -> X^{k+1} (cohomological).  Every arrow is
+        read through here."""
+        return self._arrows[k]
 
     def module(self, i: int) -> Module:
         if 0 <= i <= self.top:
@@ -121,27 +136,28 @@ class AugmentedComplex:
             if i == 0:
                 return self.aug_map
             if 1 <= i <= self.top:
-                return self.arrows[i - 1]
+                return self._arrow(i - 1)
             return None
         if i == -1:
             return self.aug_map
         if 0 <= i <= self.top - 1:
-            return self.arrows[i]
+            return self._arrow(i)
         return None
 
     def validate(self) -> None:
         p = self.ring.field.p
+        arrows = self.arrows
         pairs = []
         if self.orientation == "homological":
-            if self.aug_map is not None and self.arrows:
-                pairs.append((self.aug_map, self.arrows[0]))
-            for i in range(len(self.arrows) - 1):
-                pairs.append((self.arrows[i], self.arrows[i + 1]))
+            if self.aug_map is not None and arrows:
+                pairs.append((self.aug_map, arrows[0]))
+            for i in range(len(arrows) - 1):
+                pairs.append((arrows[i], arrows[i + 1]))
         else:
-            if self.aug_map is not None and self.arrows:
-                pairs.append((self.arrows[0], self.aug_map))
-            for i in range(len(self.arrows) - 1):
-                pairs.append((self.arrows[i + 1], self.arrows[i]))
+            if self.aug_map is not None and arrows:
+                pairs.append((arrows[0], self.aug_map))
+            for i in range(len(arrows) - 1):
+                pairs.append((arrows[i + 1], arrows[i]))
         for later, earlier in pairs:
             if _mul_arrays(later.mat, earlier.mat, p).any():
                 raise InvalidComplexError("differentials do not compose to zero")
@@ -244,31 +260,95 @@ def syzygy(X: AugmentedComplex, n: int) -> Module:
     return image(into, label).carrier
 
 
-# -- minimal free resolutions -----------------------------------------------------
+# -- complexes induced by a resolution ------------------------------------------
 
 
-class MinimalFreeResolution(AugmentedComplex):
-    """Augmented minimal free resolution F_B -> ... -> F_0 -> M -> 0.
+class InducedComplex(AugmentedComplex):
+    """The complex that a resolution's ring-entry arrays induce on powers of
+    N, in degrees lo..hi of the resolution (all of it by default), degree lo
+    at position 0, with an optional augmentation.
 
-    Extra fields: betti (list of ranks), entries[j] ((b_{j-1}, b_j, d) array
-    of ring-element entries of the j-th differential, j >= 1), complete
-    (True once a zero syzygy has been found).
+    entries[j] is the (b_{j-1}, b_j, d) array of ring-element entries of the
+    j-th differential of a free resolution F with ranks betti.  Covariant:
+    F (x) N, homological, on N^{b_j}, block (s, t) of the j-th arrow
+    realising entries[j][s, t] through N's action.  Contravariant:
+    Hom(F, N), cohomological, block (t, s).  Each differential is realised
+    the first time arrow or arrows asks for it, and then kept.  aug is the
+    matrix of the augmentation X_0 -> augmentation (covariant) or
+    augmentation -> X^0 (contravariant).  Modules are labelled label_j when
+    a label is given.
 
-    The kernel of the last arrow (the syzygy that F_{B+1} would cover) is
-    computed only when the resolution is extended, so `complete` may read
-    False for a resolution that a further degree would show to terminate:
-    a free M resolved to length 0 is not yet complete, and becomes complete
-    at length >= 1.
+    complete is True once a rank past the first is zero: the resolution
+    ended within these degrees.
     """
 
-    def __init__(self, ring, modules, arrows, augmentation, aug_map,
-                 betti, entries):
-        super().__init__(ring, modules, arrows, "homological",
+    def __init__(self, N: Module, betti: list[int], entries: list, contravariant: bool,
+                 lo: int = 0, hi: int | None = None,
+                 augmentation: Module | None = None, aug: np.ndarray | None = None,
+                 label: str | None = None):
+        hi = len(betti) - 1 if hi is None else hi
+        self.N = N
+        self.contravariant = contravariant
+        self.betti = list(betti[lo:hi + 1])
+        self.entries = list(entries[lo:hi + 1])     # entries[k] is degree lo + k
+        modules = [power_module(N, b, None if label is None else f"{label}_{j}")
+                   for j, b in enumerate(self.betti, lo)]
+        aug_map = None
+        if augmentation is not None:
+            aug_map = (ModuleHom(augmentation, modules[0], aug, check=False) if contravariant
+                       else ModuleHom(modules[0], augmentation, aug, check=False))
+        super().__init__(N.ring, modules, [None] * (hi - lo),
+                         "cohomological" if contravariant else "homological",
                          augmentation, aug_map, check=False)
-        self.betti = betti
-        self.entries = entries
-        self.complete = False
-        self._kernel_cols = None   # kernel of the last arrow, None until needed
+
+    @property
+    def complete(self) -> bool:
+        return 0 in self.betti[1:]
+
+    def _arrow(self, k: int) -> ModuleHom:
+        got = self._arrows[k]
+        if got is None:
+            src, dst = self.modules[k + 1], self.modules[k]
+            if self.contravariant:
+                src, dst = dst, src
+            got = self._arrows[k] = ModuleHom(src, dst, self._realise(k + 1), check=False)
+        return got
+
+    def _realise(self, k: int) -> np.ndarray:
+        """Matrix of the differential with entries[k]: X_k -> X_{k-1}
+        (covariant) or X^{k-1} -> X^k (contravariant)."""
+        return _entries_matrix(self.N, self.entries[k], self.contravariant)
+
+
+class MinimalFreeResolution(InducedComplex):
+    """Augmented minimal free resolution F_B -> ... -> F_0 -> M -> 0: its
+    own entries realised through R.  A differential is realised by
+    cover_matrix from its generators, which on a power of R that acts by
+    partial permutations is a scatter of rows (see modules).
+
+    The kernel of the last arrow (the syzygy that F_{B+1} would cover) is
+    taken, and so the last arrow realised, only when the resolution is
+    extended; so `complete` may read False for a resolution that a further
+    degree would show to terminate: a free M resolved to length 0 is not
+    yet complete, and becomes complete at length >= 1.
+    """
+
+    def _realise(self, k: int) -> np.ndarray:
+        ent = self.entries[k]
+        b_prev, b, d = ent.shape
+        return cover_matrix(self.modules[k - 1], ent.transpose(0, 2, 1).reshape(b_prev * d, b))
+
+    def _extend(self) -> None:
+        """Append degree top + 1: minimal generators of the kernel of the
+        last arrow (the augmentation at top 0)."""
+        K = kernel_basis(self.arrow(self.top).matrix()).data
+        gens = nakayama_generators(self.modules[-1], K)
+        b = gens.shape[1]
+        self.entries.append(np.ascontiguousarray(
+            gens.reshape(self.betti[-1], self.ring.dim, b).transpose(0, 2, 1)))
+        self.betti.append(b)
+        self.modules.append(power_module(self.N, b))
+        self._arrows.append(None)
 
 
 _freeres_cache = cache()          # M.fingerprint -> resolution, extended in place
@@ -279,47 +359,14 @@ def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
     require_local(M.ring)
     if length < 0:
         raise InputError("resolution length must be >= 0")
-    cached = _freeres_cache.get(M.fingerprint)
-    if cached is not None and cached.top >= length:
-        return cached
-    R = M.ring
-    if cached is None:
+    res = _freeres_cache.get(M.fingerprint)
+    if res is None:
         gens = minimal_generators(M)
-        b0 = gens.shape[1]
-        F0 = free_module(R, b0)
-        eps = ModuleHom(F0, M, cover_matrix(M, gens), check=False)
-        res = MinimalFreeResolution(R, [F0], [], M, eps, [b0], [None])
-    else:
-        res = cached
-    d = R.dim
+        res = MinimalFreeResolution(regular_module(M.ring), [gens.shape[1]], [None], False,
+                                    augmentation=M, aug=cover_matrix(M, gens))
+        _freeres_cache[M.fingerprint] = res
     while res.top < length:
-        j = res.top + 1
-        F_prev = res.modules[-1]
-        if res._kernel_cols is None:
-            last = res.arrows[-1] if res.arrows else res.aug_map
-            res._kernel_cols = kernel_basis(last.matrix()).data
-        K = res._kernel_cols
-        if K.shape[1] == 0:
-            res.modules.append(zero_module(R))
-            res.arrows.append(ModuleHom(zero_module(R), F_prev,
-                                        np.zeros((F_prev.dim, 0), dtype=np.int64),
-                                        check=False))
-            res.betti.append(0)
-            res.entries.append(np.zeros((res.betti[j - 1], 0, d), dtype=np.int64))
-            res.complete = True
-            res._kernel_cols = np.zeros((0, 0), dtype=np.int64)
-            continue
-        gens = nakayama_generators(F_prev, K)
-        bj = gens.shape[1]
-        Fj = free_module(R, bj)
-        diff = ModuleHom(Fj, F_prev, cover_matrix(F_prev, gens), check=False)
-        res.modules.append(Fj)
-        res.arrows.append(diff)
-        res.betti.append(bj)
-        res.entries.append(np.ascontiguousarray(
-            gens.reshape(res.betti[j - 1], d, bj).transpose(0, 2, 1)))
-        res._kernel_cols = None
-    _freeres_cache[M.fingerprint] = res
+        res._extend()
     return res
 
 
@@ -330,43 +377,23 @@ def betti_numbers(M: Module, length: int) -> list[int]:
 # -- minimal injective resolutions ---------------------------------------------
 
 
-class MinimalInjectiveResolution(AugmentedComplex):
-    """0 -> M -> I^0 -> ... -> I^B, the Matlis dual of a minimal free
-    resolution of the dual.  bass holds the ranks (I^j is a power of the
-    dual of the ring by bass[j])."""
-
-    def __init__(self, ring, modules, arrows, augmentation, aug_map,
-                 bass, entries, complete, dual_resolution):
-        super().__init__(ring, modules, arrows, "cohomological",
-                         augmentation, aug_map, check=False)
-        self.bass = bass
-        self.entries = entries
-        self.complete = complete
-        self.dual_resolution = dual_resolution
-
-
-def minimal_injective_resolution(M: Module, length: int) -> MinimalInjectiveResolution:
-    dual = matlis_dual(M)
-    res = minimal_free_resolution(dual, length)
-    D = matlis_dual(regular_module(M.ring))
-    modules = [power_module(D, b) for b in res.betti]
-    arrows = []
-    for i in range(1, res.top + 1):
-        arrows.append(ModuleHom(modules[i - 1], modules[i],
-                                res.arrows[i - 1].mat.T, check=False))
-    # dual of (F_0 -> M^dual) is (M -> I^0): double dualizing is the
-    # coordinate identity here (actions transpose twice)
-    aug = ModuleHom(M, modules[0], res.aug_map.mat.T, check=False)
-    return MinimalInjectiveResolution(M.ring, modules, arrows, M, aug,
-                                      list(res.betti), res.entries,
-                                      res.complete, res)
+def minimal_injective_resolution(M: Module, length: int) -> InducedComplex:
+    """0 -> M -> I^0 -> ... -> I^B, the Matlis dual of the minimal free
+    resolution F of the dual of M: F's entries realised through D, the dual
+    of R, so I^j = D^{b_j} and betti holds the Bass numbers of M.  Actions
+    transpose under duality, so each arrow is the transpose of F's, and so
+    is the augmentation M -> I^0 (double dualizing is the coordinate
+    identity)."""
+    res = minimal_free_resolution(matlis_dual(M), length)
+    return InducedComplex(matlis_dual(regular_module(M.ring)), res.betti, res.entries, True,
+                          augmentation=M, aug=res.aug_map.mat.T)
 
 
 def bass_numbers(M: Module, length: int) -> list[int]:
-    return list(minimal_injective_resolution(M, length).bass[: length + 1])
+    return list(minimal_injective_resolution(M, length).betti[: length + 1])
 
 
-# -- induced complexes, Ext, Tor --------------------------------------------------
+# -- induced differentials, Ext, Tor --------------------------------------------------
 
 
 def block_matrix_from_entries(act: np.ndarray, ent: np.ndarray,
@@ -397,30 +424,6 @@ def _entries_matrix(N: Module, ent: np.ndarray, contravariant: bool) -> np.ndarr
     """Matrix of the induced map on powers of N for a differential with
     ring-entry array ent, realised through N's action matrices."""
     return block_matrix_from_entries(N.action, ent, contravariant, N.ring.field.p)
-
-
-def hom_complex_from_resolution(res: MinimalFreeResolution, N: Module,
-                                lo: int = 0, hi: int | None = None) -> AugmentedComplex:
-    """Hom(F_bullet, N) as a cohomological complex on powers of N, in
-    degrees lo..hi of the resolution (all of it by default); degree lo sits
-    at position 0."""
-    hi = res.top if hi is None else hi
-    modules = [power_module(N, res.betti[j]) for j in range(lo, hi + 1)]
-    arrows = []
-    for j in range(lo + 1, hi + 1):
-        mat = _entries_matrix(N, res.entries[j], contravariant=True)
-        arrows.append(ModuleHom(modules[j - lo - 1], modules[j - lo], mat, check=False))
-    return AugmentedComplex(res.ring, modules, arrows, "cohomological", check=False)
-
-
-def tensor_complex_from_resolution(res: MinimalFreeResolution, N: Module) -> AugmentedComplex:
-    """F_bullet (x) N as a homological complex on powers of N."""
-    modules = [power_module(N, b) for b in res.betti]
-    arrows = []
-    for j in range(1, res.top + 1):
-        mat = _entries_matrix(N, res.entries[j], contravariant=False)
-        arrows.append(ModuleHom(modules[j], modules[j - 1], mat, check=False))
-    return AugmentedComplex(res.ring, modules, arrows, "homological", check=False)
 
 
 def _entries_coords(N: Module, ent: np.ndarray,
@@ -527,7 +530,7 @@ def ext_abs(i: int, M: Module, N: Module) -> Module:
     if i < 0:
         raise InputError("Ext degree must be >= 0")
     res = minimal_free_resolution(M, i + 1)
-    cx = hom_complex_from_resolution(res, N)
+    cx = InducedComplex(N, res.betti, res.entries, True)
     return homology(cx, i, f"Ext^{i}({M.label},{N.label})")
 
 
@@ -536,7 +539,7 @@ def tor_abs(i: int, M: Module, N: Module) -> Module:
     if i < 0:
         raise InputError("Tor degree must be >= 0")
     res = minimal_free_resolution(M, i + 1)
-    cx = tensor_complex_from_resolution(res, N)
+    cx = InducedComplex(N, res.betti, res.entries, False)
     return homology(cx, i, f"Tor_{i}({M.label},{N.label})")
 
 

@@ -65,7 +65,7 @@ or pure tensors.  The translations are batched, and the batched forms are the
 one implementation: HomSpace.mats_of turns a (dim, k) block of coordinates
 into the (k, target.dim, source.dim) stack of maps and coords_of_all goes
 back, each in a fixed number of contractions; TensorSpace.pure_matrix gives
-every e_i (x) e_j at once.  pure(u, v) is a one-column wrapper over it, and
+every e_i (x) e_j at once, and u (x) v is its product with kron(u, v);
 the natural maps (chi, nu, mu, the adjunction, the functor maps) translate
 whole bases in one call.
 """
@@ -356,10 +356,6 @@ def _right_act(module: Module, i: int, rows: np.ndarray) -> np.ndarray:
 
 def identity_hom(m: Module) -> ModuleHom:
     return ModuleHom(m, m, np.eye(m.dim, dtype=np.int64), check=False)
-
-
-def zero_hom(src: Module, dst: Module) -> ModuleHom:
-    return ModuleHom(src, dst, np.zeros((dst.dim, src.dim), dtype=np.int64), check=False)
 
 
 # -- basic constructors ------------------------------------------------------
@@ -927,12 +923,6 @@ def hom_space(M: Module, N: Module) -> HomSpace:
 _homspace_cache = hom_space.store      # keyed (M.fingerprint, N.fingerprint)
 
 
-def hom_module(M: Module, N: Module) -> tuple[Module, list[ModuleHom]]:
-    """Hom_R(M, N) as a module, with each basis vector interpreted as a map."""
-    hs = hom_space(M, N)
-    return hs.module, [ModuleHom(M, N, bm, check=False) for bm in hs.basis_mats()]
-
-
 def hom_functor_map(C: Module, f: ModuleHom, side: str = "covariant") -> ModuleHom:
     """Hom(C, f): Hom(C, src) -> Hom(C, dst) for covariant side,
     Hom(f, C): Hom(dst, C) -> Hom(src, C) for contravariant."""
@@ -971,7 +961,7 @@ class TensorSpace:
     pure_matrix() is the dim x (left.dim * right.dim) matrix whose column
     i*right.dim + j is e_i (x) e_j, built once per space by its
     construction's _pure_matrix, without a loop over the pairs, and kept
-    read-only; pure(u, v) is its product with kron(u, v).
+    read-only; u (x) v is its product with kron(u, v).
     """
 
     def __init__(self, left: Module, right: Module):
@@ -993,11 +983,6 @@ class TensorSpace:
 
     def _pure_matrix(self) -> np.ndarray:
         raise NotImplementedError
-
-    def pure(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p = self.ring.field.p
-        uv = np.kron(np.asarray(u, dtype=np.int64) % p, np.asarray(v, dtype=np.int64) % p) % p
-        return _mul_arrays(self.pure_matrix(), uv.reshape(-1, 1), p)[:, 0]
 
 
 class _RightFreeTensor(TensorSpace):
@@ -1093,11 +1078,6 @@ def tensor_space(M: Module, N: Module) -> TensorSpace:
 
 
 _tensorspace_cache = tensor_space.store    # keyed (M.fingerprint, N.fingerprint)
-
-
-def tensor_module(M: Module, N: Module) -> tuple[Module, TensorSpace]:
-    ts = tensor_space(M, N)
-    return ts.module, ts
 
 
 def tensor_functor_map(C: Module, f: ModuleHom) -> ModuleHom:

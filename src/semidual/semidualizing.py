@@ -5,8 +5,10 @@ and Ext^i(C,C) vanishes for i >= 1 (verified up to an explicit bound).  Around
 a certified C this module builds the whole relative theory:
 
   * the C-projectives {C (x) free} and C-injectives {Hom(C, injective)},
-  * proper resolutions obtained by transport: C (x) (minimal free resolution
-    of Hom(C,M)), and dually Hom(C, injective resolution of C (x) M),
+  * proper resolutions obtained by transport, each a complexes.InducedComplex:
+    X_j = C (x) F_j, the entries of the minimal free resolution F of Hom(C,M)
+    realised through C, and dually Y^j = Hom(C, I^j), the entries of the
+    minimal injective resolution I of C (x) M realised through Hom(C, D),
   * relative Ext as absolute Ext of the transported pair, along two routes
     with the explicit comparison map: over the C-projectives both routes
     read one resolution and agree through the naturality identity
@@ -27,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (AugmentedComplex, DimensionValue, exactness_profile,
-                        ext_dims, hom_complex_from_resolution, homology_data,
-                        id_exact, minimal_free_resolution,
-                        minimal_injective_resolution, pd_exact, syzygy,
-                        tor_dims, _entries_matrix)
+from .complexes import (AugmentedComplex, DimensionValue, InducedComplex,
+                        exactness_profile, ext_dims, homology_data, id_exact,
+                        minimal_free_resolution, minimal_injective_resolution,
+                        pd_exact, syzygy, tor_dims)
 from .errors import InputError, NotSemidualizingError, TheoremViolationError
 from .linalg import _mul_arrays
 from .memo import cache, memo
@@ -136,19 +137,6 @@ def is_c_injective(C: Module, M: Module) -> bool:
 # -- proper resolutions by transport ---------------------------------------------
 
 
-class ProperResolution(AugmentedComplex):
-    """An augmented complex of C-projectives (or C-injectives) built by
-    transporting a minimal resolution through the Foxby functors.  Carries the
-    base resolution it was transported from."""
-
-    def __init__(self, ring, modules, arrows, orientation, augmentation,
-                 aug_map, C, base_resolution):
-        super().__init__(ring, modules, arrows, orientation, augmentation,
-                         aug_map, check=False)
-        self.C = C
-        self.base_resolution = base_resolution
-
-
 def _generator_vectors(res) -> np.ndarray:
     """Columns: images of the free-cover unit generators, read off the
     augmentation of a minimal free resolution.  Shape (dim, b_0)."""
@@ -158,7 +146,7 @@ def _generator_vectors(res) -> np.ndarray:
     return _mul_arrays(blocks, R.unit.reshape(-1, 1), R.field.p).reshape(n, b0)
 
 
-def proper_pc_resolution(C: Module, M: Module, B: int) -> ProperResolution:
+def proper_pc_resolution(C: Module, M: Module, B: int) -> InducedComplex:
     """Proper C-projective resolution X of M to length B.
 
     X_j = C (x) F_j for F the minimal free resolution of Hom(C,M); the
@@ -172,21 +160,13 @@ def proper_pc_resolution(C: Module, M: Module, B: int) -> ProperResolution:
         raise InputError("resolution length must be >= 0")
     hs = hom_space(C, M)
     res = minimal_free_resolution(hs.module, B)
-    c = C.dim
-    modules = [power_module(C, res.betti[j], label=f"X_{j}")
-               for j in range(B + 1)]
-    arrows = []
-    for j in range(1, B + 1):
-        mat = _entries_matrix(C, res.entries[j], contravariant=False)
-        arrows.append(ModuleHom(modules[j], modules[j - 1], mat, check=False))
     gens = hs.mats_of(_generator_vectors(res))         # (b_0, M.dim, c)
-    aug = gens.transpose(1, 0, 2).reshape(M.dim, res.betti[0] * c)
-    aug_map = ModuleHom(modules[0], M, aug, check=False)
-    return ProperResolution(C.ring, modules, arrows, "homological", M,
-                            aug_map, C, res)
+    aug = gens.transpose(1, 0, 2).reshape(M.dim, res.betti[0] * C.dim)
+    return InducedComplex(C, res.betti, res.entries, False, hi=B,
+                          augmentation=M, aug=aug, label="X")
 
 
-def proper_ic_resolution(C: Module, M: Module, B: int) -> ProperResolution:
+def proper_ic_resolution(C: Module, M: Module, B: int) -> InducedComplex:
     """Proper C-injective coresolution Y of M to length B.
 
     Y^j = Hom(C, I^j) for I the minimal injective resolution of C (x) M; the
@@ -197,21 +177,11 @@ def proper_ic_resolution(C: Module, M: Module, B: int) -> ProperResolution:
         raise InputError("resolution length must be >= 0")
     ts = tensor_space(C, M)
     ires = minimal_injective_resolution(ts.module, B)
-    hcd = hom_space(C, dualizing_module(C.ring))
-    W = hcd.module
-    modules = [power_module(W, ires.bass[j], label=f"Y_{j}")
-               for j in range(B + 1)]
-    arrows = []
-    for j in range(1, B + 1):
-        mat = _entries_matrix(W, ires.entries[j], contravariant=True)
-        arrows.append(ModuleHom(modules[j - 1], modules[j], mat, check=False))
+    W = hom_space(C, dualizing_module(C.ring)).module
     mu = coevaluation_mu(C, M)
     lift = hom_functor_map(C, ires.aug_map, side="covariant")
-    p = C.ring.field.p
-    aug_map = ModuleHom(M, modules[0], _mul_arrays(lift.mat, mu.mat, p),
-                        check=False)
-    return ProperResolution(C.ring, modules, arrows, "cohomological", M,
-                            aug_map, C, ires)
+    return InducedComplex(W, ires.betti, ires.entries, True, hi=B, augmentation=M,
+                          aug=_mul_arrays(lift.mat, mu.mat, C.ring.field.p), label="Y")
 
 
 def apply_hom_covariant(C: Module, X: AugmentedComplex) -> AugmentedComplex:
@@ -303,12 +273,12 @@ def _comparison_on_homology(F_of: Module, src: Module, dst: Module,
     if max(res.betti[lo:i + 2]) * max(src.dim, dst.dim) > 600:
         return None
     H, represent, reduce_ = homology_data(
-        hom_complex_from_resolution(res, src, lo, i + 1), i - lo)
+        InducedComplex(src, res.betti, res.entries, True, lo, i + 1), i - lo)
     H_dst = H
     p = src.ring.field.p
     if alpha is not None:
         H_dst, _, reduce_ = homology_data(
-            hom_complex_from_resolution(res, dst, lo, i + 1), i - lo)
+            InducedComplex(dst, res.betti, res.entries, True, lo, i + 1), i - lo)
         represent = _block_apply(alpha, res.betti[i], represent, p)
     iso = ModuleHom(H, H_dst, _mul_arrays(reduce_, represent, p), check=False)
     if not iso.is_bijective():
@@ -716,7 +686,7 @@ def two_of_three_check(C: Module, f: ModuleHom, g: ModuleHom,
     return ok
 
 
-def _padded_resolution(C: Module, X: ProperResolution,
+def _padded_resolution(C: Module, X: InducedComplex,
                        pad_spec: tuple[tuple[int, int], ...]) -> AugmentedComplex:
     """Direct-sum split complexes 0 -> C^j -> C^j -> 0 into the degrees
     (t, t-1) named by pad_spec; the result is still a proper resolution."""

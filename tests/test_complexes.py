@@ -1,16 +1,18 @@
 """Resolutions, homology, Ext/Tor, dimension verdicts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from semidual import complexes
-from semidual.complexes import (AugmentedComplex, DimensionValue, betti_numbers,
-                                bass_numbers, block_matrix_from_entries, ext_abs, ext_dims, exactness_profile,
-                                hom_complex_from_resolution, homology,
-                                minimal_free_resolution,
+from semidual.complexes import (AugmentedComplex, DimensionValue, InducedComplex,
+                                _entries_matrix, betti_numbers, bass_numbers,
+                                block_matrix_from_entries, ext_abs, ext_dims,
+                                exactness_profile, homology, minimal_free_resolution,
                                 minimal_injective_resolution, pd_exact, id_exact,
-                                syzygy, tensor_complex_from_resolution, tor_abs,
-                                tor_dims)
+                                syzygy, tor_abs, tor_dims)
 from semidual.corpus import (corpus_rings, corpus_sessions, random_module_pool,
                              ring_complete_intersection,
                              ring_square_zero_two_vars, ring_truncated_line,
@@ -20,8 +22,7 @@ from semidual.linalg import Mat, rank
 from semidual.modules import (ModuleHom, clear_caches, dualizing_module, free_module,
                               hom_functor_map, hom_space, matlis_dual,
                               power_module, radical_span, regular_module,
-                              residue_field_module, tensor_space, zero_hom,
-                              zero_module)
+                              residue_field_module, tensor_space, zero_module)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,48 @@ def test_resolution_takes_one_kernel_per_new_degree(monkeypatch):
     assert calls[-1] == res.arrows[3].mat.shape
 
 
+def test_resolution_builds_no_unused_cover(monkeypatch):
+    """A differential is realised only when a kernel or a caller needs it:
+    resolving to degree 4 covers eps, d_1, d_2 and d_3, whose kernels give
+    F_1..F_4, but not d_4."""
+    import semidual.complexes as cx
+    k = residue_field_module(ring_type_three())
+    clear_caches()
+    real = cx.cover_matrix
+    calls = []
+    monkeypatch.setattr(cx, "cover_matrix", lambda M, g: calls.append(g.shape) or real(M, g))
+    res = minimal_free_resolution(k, 4)
+    assert len(calls) == 4
+    minimal_free_resolution(k, 5)
+    assert len(calls) == 5
+    assert res.arrow(4) is res.arrow(4)    # realised once, then kept
+    assert len(calls) == 5
+
+
+def test_resolutions_are_freed_without_the_cycle_collector(R1):
+    """No resolution holds a reference to itself: with the collector off,
+    each dies once the caller drops it and the caches are cleared."""
+    k = residue_field_module(R1)
+    D = dualizing_module(R1)
+    from semidual.semidualizing import proper_pc_resolution
+    builders = (lambda: minimal_free_resolution(k, 3),
+                lambda: minimal_injective_resolution(k, 3),
+                lambda: proper_pc_resolution(D, k, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builders:
+            clear_caches()
+            X = build()
+            X.arrows                      # realise every differential
+            ref = weakref.ref(X)
+            del X
+            clear_caches()
+            assert ref() is None, build
+    finally:
+        gc.enable()
+
+
 def _resolution_arrays(res):
     return ([np.array(res.betti)] + res.entries[1:]
             + [a.mat for a in res.arrows] + [res.aug_map.mat])
@@ -165,7 +208,8 @@ def test_homology_of_exact_identity_complex(R1):
 
 def test_homology_of_zero_differential_complex(R1):
     k = residue_field_module(R1)
-    X = AugmentedComplex(R1, [k, k, k], [zero_hom(k, k), zero_hom(k, k)])
+    zero = ModuleHom(k, k, np.zeros((1, 1), dtype=np.int64), check=False)
+    X = AugmentedComplex(R1, [k, k, k], [zero, zero])
     assert [X.homology_dim(n) for n in range(3)] == [1, 1, 1]
     assert exactness_profile(X) == [0, 1]
     assert homology(X, 1).dim == 1
@@ -229,8 +273,8 @@ def test_injective_resolution_of_injective_is_length_zero(R1):
     D = dualizing_module(R1)
     ires = minimal_injective_resolution(D, 3)
     assert ires.complete
-    assert ires.bass[0] == 1
-    assert all(b == 0 for b in ires.bass[1:])
+    assert ires.betti[0] == 1
+    assert all(b == 0 for b in ires.betti[1:])
     clear_caches()
     minimal_injective_resolution(D, 0)
     assert minimal_injective_resolution(D, 1).complete
@@ -239,10 +283,32 @@ def test_injective_resolution_of_injective_is_length_zero(R1):
 def test_injective_resolution_of_residue_field(R1):
     k = residue_field_module(R1)
     ires = minimal_injective_resolution(k, 4)
-    assert ires.bass == [1, 2, 4, 8, 16]
+    assert ires.betti == [1, 2, 4, 8, 16]
     assert ires.modules[0].dim == 3  # I^0 = injective hull = dual of ring
     ires.validate()
     assert ires.aug_map.rank() == 1  # k embeds
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4"])
+def test_resolutions_match_their_dense_definitions(name):
+    """Oracle for the induced resolutions: a free differential is the dense
+    block matrix of its entries realised through R, and an injective
+    resolution's arrows and augmentation are the transposes of the dual's
+    free ones."""
+    ring = corpus_rings()[name]
+    R = regular_module(ring)
+    for M in [residue_field_module(ring)] + random_module_pool(ring, 2, max_dim=4):
+        clear_caches()
+        res = minimal_free_resolution(M, 3)
+        for j in range(1, 4):
+            assert np.array_equal(res.arrow(j).mat, _entries_matrix(R, res.entries[j], False))
+        ires = minimal_injective_resolution(M, 3)
+        dual = minimal_free_resolution(matlis_dual(M), 3)
+        assert ires.betti == dual.betti
+        assert np.array_equal(ires.aug_map.mat, dual.aug_map.mat.T)
+        for i in range(3):
+            assert np.array_equal(ires.arrow(i).mat, dual.arrow(i + 1).mat.T)
+        ires.validate()
 
 
 def test_injective_resolution_of_zero(R1):
@@ -300,11 +366,11 @@ def test_hom_complex_arrows_are_linear_and_compose(R1):
     D = dualizing_module(R1)
     res = minimal_free_resolution(k, 3)
     for N in (k, D):
-        cx = hom_complex_from_resolution(res, N)
+        cx = InducedComplex(N, res.betti, res.entries, True)
         cx.validate()
         for i in range(cx.top):
             cx.arrow(i).validate()
-        tx = tensor_complex_from_resolution(res, N)
+        tx = InducedComplex(N, res.betti, res.entries, False)
         tx.validate()
         for i in range(1, tx.top + 1):
             tx.arrow(i).validate()
@@ -344,8 +410,7 @@ def test_each_differential_is_ranked_once(name, monkeypatch):
         ranked.append(ent.shape)
         return real(N, ent, contravariant)
 
-    for dims_of, complex_of in ((ext_dims, hom_complex_from_resolution),
-                                (tor_dims, tensor_complex_from_resolution)):
+    for dims_of, contravariant in ((ext_dims, True), (tor_dims, False)):
         for A, N in ((k, k), (M, D), (D, M)):
             clear_caches()
             ranked.clear()
@@ -356,7 +421,8 @@ def test_each_differential_is_ranked_once(name, monkeypatch):
             assert all(grown[t] == grown[4][:t + 1] for t in range(5))
             clear_caches()
             assert dims_of(A, N, 4) == grown[4]
-            cx = complex_of(minimal_free_resolution(A, 5), N)
+            res = minimal_free_resolution(A, 5)
+            cx = InducedComplex(N, res.betti, res.entries, contravariant)
             assert grown[4] == [cx.homology_dim(i) for i in range(5)]
 
 

@@ -7,7 +7,7 @@ from semidual import complexes, memo
 from semidual.cli import run_command
 from semidual.corpus import corpus_sessions
 from semidual.modules import (_caches, clear_caches, coevaluation_mu, evaluation_nu,
-                              hom_module, hom_space, matlis_dual, tensor_module)
+                              hom_space, matlis_dual, tensor_space)
 
 MEMOISED = {
     "radical", "ring_report", "regular_module", "residue_field_module",
@@ -48,8 +48,8 @@ def _mixed_run():
         mods = [session.module(name, R) for name in ("k", "D", "F", "M")]
         for C in mods:
             for M in mods:
-                hom_module(C, M)
-                tensor_module(C, M)
+                hom_space(C, M).basis_mats()
+                tensor_space(C, M)
 
 
 def test_every_cache_is_registered_and_cleared():

@@ -17,9 +17,9 @@ from semidual.linalg import (Field, Mat, _mul_arrays, expressor, extend_basis, k
                              rank, rref, solve)
 from semidual.modules import (Module, ModuleHom, adjunction_iso, clear_caches,
                               coevaluation_mu, evaluation_nu, hom_functor_map,
-                              hom_module, homothety_chi, identity_hom,
+                              hom_space, homothety_chi, identity_hom,
                               regular_module, tensor_functor_map,
-                              tensor_module)
+                              tensor_space)
 
 
 def _assert_reduced(arr, p: int, site: str) -> None:
@@ -109,8 +109,9 @@ def test_hom_and_tensor_over_the_corpus_pass_only_reduced_arrays(audit):
         for C in mods:
             homothety_chi(R, C)
             for M in mods:
-                hom_module(C, M)
-                tensor_module(C, M)
+                for bm in hom_space(C, M).basis_mats():
+                    ModuleHom(C, M, bm, check=False)
+                tensor_space(C, M)
                 evaluation_nu(C, M)
                 coevaluation_mu(C, M)
                 f = identity_hom(M)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from semidual.algebra import radical
-from semidual.complexes import (DimensionValue, betti_numbers,
+from semidual.complexes import (DimensionValue, _entries_matrix, betti_numbers,
                                 exactness_profile, ext_dims, id_exact,
+                                minimal_free_resolution, minimal_injective_resolution,
                                 pd_exact, syzygy, tor_dims)
 from semidual.corpus import corpus_rings, corpus_sessions, random_module_pool
 from semidual.errors import (InputError, NotSemidualizingError,
@@ -241,6 +242,36 @@ def test_proper_resolutions_for_regular_c(r1_mods):
     X = sd.proper_pc_resolution(R, k, 4)
     assert exactness_profile(X) == []
     assert [m.dim for m in X.modules] == [b * 3 for b in betti_numbers(k, 4)]
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4"])
+def test_proper_resolutions_match_their_dense_definitions(rings, name):
+    """Oracle for the transported resolutions: X_j = C^{b_j} with the
+    entries of the free resolution of Hom(C, M) realised through C, and
+    Y^j = W^{b_j}, W = Hom(C, D), with the entries of the injective
+    resolution of C (x) M realised through W; modules labelled X_j and Y_j,
+    the augmentation attached at degree 0."""
+    ring = rings[name]
+    D = dualizing_module(ring)
+    for C in (regular_module(ring), D):
+        W = hom_space(C, D).module
+        for M in random_module_pool(ring, 2, max_dim=4):
+            X = sd.proper_pc_resolution(C, M, 2)
+            res = minimal_free_resolution(hom_space(C, M).module, 2)
+            assert [m.label for m in X.modules] == [
+                power_module(C, res.betti[j], label=f"X_{j}").label for j in range(3)]
+            for j in range(1, 3):
+                assert np.array_equal(X.arrow(j).mat, _entries_matrix(C, res.entries[j], False))
+            assert X.aug_map.src is X.modules[0]
+            X.validate()
+            Y = sd.proper_ic_resolution(C, M, 2)
+            ires = minimal_injective_resolution(tensor_space(C, M).module, 2)
+            assert [m.label for m in Y.modules] == [
+                power_module(W, ires.betti[j], label=f"Y_{j}").label for j in range(3)]
+            for j in range(1, 3):
+                assert np.array_equal(Y.arrow(j - 1).mat, _entries_matrix(W, ires.entries[j], True))
+            assert Y.aug_map.dst is Y.modules[0]
+            Y.validate()
 
 
 # -- relative Ext: both routes -------------------------------------------------------
