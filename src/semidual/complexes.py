@@ -2,17 +2,19 @@
 
 Free resolutions are minimal by construction: each step picks minimal
 generators of the syzygy (kernel columns extending a basis of rad times the
-kernel), so differentials land in the radical and betti numbers are read off
-directly.  A free resolution is kept as the ring entries of its
-differentials, and every complex built from one is an InducedComplex: those
-entries realised through the action of a module N on powers of N, since
-Hom(R^b, N) and R^b (x) N are N^b.  The resolution itself is its entries
-realised through R; a minimal injective resolution is the free resolution
-of the dual realised through D, the dual of R (Matlis duality); the
-Hom and tensor complexes behind Ext, Tor and the proper resolutions realise
-them through N, C or Hom(C, D).  A differential is realised on first use and
-then kept, so nothing builds the matrix of a differential that no one reads:
-Ext and Tor dimensions rank the entries directly (_homology_dims).
+kernel; over a ring with m^2 = 0 the whole kernel basis, since the kernel
+lies in m * F and so rad times it is zero), so differentials land in the
+radical and betti numbers are read off directly.  A free resolution is kept
+as the ring entries of its differentials, and every complex built from one
+is an InducedComplex: those entries realised through the action of a module
+N on powers of N, since Hom(R^b, N) and R^b (x) N are N^b.  The resolution
+itself is its entries realised through R; a minimal injective resolution is
+the free resolution of the dual realised through D, the dual of R (Matlis
+duality); the Hom and tensor complexes behind Ext, Tor and the proper
+resolutions realise them through N, C or Hom(C, D).  A differential is
+realised on first use and then kept, so nothing builds the matrix of a
+differential that no one reads: Ext and Tor dimensions rank the entries
+directly (_homology_dims).
 
 Dimension verdicts over an Artinian local ring are exact: finite projective
 (resp. injective) dimension forces dimension zero, so pd and id are decided
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, require_local
+from .algebra import Algebra, require_local, ring_report
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
@@ -324,7 +326,7 @@ class MinimalFreeResolution(InducedComplex):
     """Augmented minimal free resolution F_B -> ... -> F_0 -> M -> 0: its
     own entries realised through R.  A differential is realised by
     cover_matrix from its generators, which on a power of R that acts by
-    partial permutations is a scatter of rows (see modules).
+    partial permutations is act_all's scatter of rows (see modules).
 
     The kernel of the last arrow (the syzygy that F_{B+1} would cover) is
     taken, and so the last arrow realised, only when the resolution is
@@ -342,7 +344,11 @@ class MinimalFreeResolution(InducedComplex):
         """Append degree top + 1: minimal generators of the kernel of the
         last arrow (the augmentation at top 0)."""
         K = kernel_basis(self.arrow(self.top).matrix()).data
-        gens = nakayama_generators(self.modules[-1], K)
+        # a minimal arrow's kernel lies in m * F: with m^2 = 0, m kills it, so its basis is minimal
+        if ring_report(self.ring).loewy_length <= 2:
+            gens = K
+        else:
+            gens = nakayama_generators(self.modules[-1], K)
         b = gens.shape[1]
         self.entries.append(np.ascontiguousarray(
             gens.reshape(self.betti[-1], self.ring.dim, b).transpose(0, 2, 1)))

@@ -103,10 +103,10 @@ _SMALL_CELLS = 256
 # coordinate arrays of a differential, or reduced by _echelon.  2^27 cells
 # are 1 GiB.  A larger array is refused by _check_cells with an InputError
 # that names its shape (the CLI exits 2) before numpy is asked for it.  The
-# largest array of `ext R4 --from k --to D --bound 6` has about 2^24.6
-# cells, and so does the largest of the acceptance criteria with R4 at
-# degree 4 and bound 5 (the cover matrix (2916, 8748)); at --bound 7
-# radical_span asks for 1.72 * 10^8 (1.28 GiB).
+# largest array that `ext R4 --from k --to D --bound 6` checks is the cover
+# matrix (972, 2916), about 2^21.4 cells; at --bound 7 it is the cover
+# matrix (2916, 8748), about 2^24.6, as in the largest of the acceptance
+# criteria with R4 at degree 4 and bound 5.
 _MAX_CELLS = 2 ** 27
 # glibc's malloc serves a block above its mmap threshold with fresh pages
 # and returns them on free.  The threshold starts at 128 KiB and rises to

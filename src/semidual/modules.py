@@ -15,21 +15,23 @@ their block structure instead of materialised action matrices.  Basis order
 inside a power is copy-major: b consecutive copies of W's basis.
 
 act_all applies every basis element of R to a set of columns, a (d, dim, k)
-stack; a power applies its base's action.  Covers, submodule and quotient
-structures, and the action matrices of ring elements (element_matrices) are
-each read off one such stack rather than a loop over the d basis elements.
-The stack is one contraction, unless the module is a power whose base acts
-by partial permutations: every action matrix is 0/1 with at most one 1 in
-each row and each column.  Over a monomial quotient R, k and the dual D of
-R do, since a monomial sends each monomial to one monomial or to 0.  The
-base records this once (partial_permutation), with the positions of the
-1s; then row r of e_i * X is row c of X when entry (r, c) of e_i's matrix
-is 1 and zero otherwise, so act_all and radical_span on the power are one
-scatter of rows of X into copy-major blocks.  Entries of X are moved, never
-multiplied or added, so the scatter is exact and equals the contraction
-mod p.  Free and injective modules in resolutions are such powers.  A
-module that is not a power keeps the contraction: most are small carriers
-acted on once, where reading the record would cost more than it saves.
+stack; a power applies its base's action.  Covers (cover_matrix, the stack
+laid out by generator), submodule and quotient structures, and the action
+matrices of ring elements (element_matrices) are each read off one such
+stack rather than a loop over the d basis elements.  The stack is one
+contraction, unless the module is a power whose base acts by partial
+permutations: every action matrix is 0/1 with at most one 1 in each row
+and each column.  Over a monomial quotient R, k and the dual D of R do,
+since a monomial sends each monomial to one monomial or to 0.  The base
+records this once (partial_permutation), with the positions of the 1s;
+then row r of e_i * X is row c of X when entry (r, c) of e_i's matrix is 1
+and zero otherwise, so act_all on the power is one scatter of rows of X
+into copy-major blocks.  Entries of X are moved, never multiplied or
+added, so the scatter is exact and equals the contraction mod p.  act_all
+is the one code that moves columns through the record; the free and
+injective modules of resolutions are such powers.  A module that is not a
+power keeps the contraction: most are small carriers acted on once, where
+reading the record would cost more than it saves.
 
 Hom and tensor are both read off one cached presentation R^a -> R^g -> M of
 the source (left factor) M: its g minimal generators, a relations among
@@ -55,9 +57,10 @@ combination of earlier columns; by induction on f the kept columns
 generate.  The test is one vectorised lookup in the ring's
 divide-by-variable table (presentation gives the proof in full).  Other
 algebras keep the whole kernel basis.  Minimal generators come from
-one Nakayama step (nakayama_generators), shared with the free resolutions,
-which spans m * N by the generators of m: the variables of a monomial
-quotient, every radical basis vector otherwise.
+one Nakayama step (nakayama_generators), shared with the free resolutions
+over rings with m^2 != 0, which spans m * N by the generators of m (the
+variables of a monomial quotient, every radical basis vector otherwise)
+and keeps the columns outside that span.
 
 Hom spaces and tensor products both come as "space" objects holding the
 carrier Module plus the translation between coordinates and honest matrices
@@ -553,13 +556,9 @@ def radical_span(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
     None); not reduced to a basis.
 
     m is generated by radical_generators(R), so m * N = sum_j x_j * N and
-    block j of the answer is the j-th generator applied to cols.  Over a
-    monomial quotient the generators are unit columns, the variables, so
-    x_j acts on the base of a power by one of its action matrices; when
-    those are partial permutations, the answer is one scatter of rows of
-    cols, exact because entries are only moved (module docstring).
-    Otherwise: one element_matrices call on M, or on the base of a power,
-    and one stacked product (none when cols is None).
+    block j of the answer is the j-th generator applied to cols: one
+    element_matrices call on M, or on the base of a power, and one stacked
+    product (none when cols is None).
     """
     from .algebra import radical_generators
     x = radical_generators(M.ring)
@@ -570,21 +569,6 @@ def radical_span(M: Module, cols: np.ndarray | None = None) -> np.ndarray:
     _check_cells((M.dim, r * k), "radical span")
     base, b = M.block or (M, 1)
     w = base.dim
-    perm = None
-    if M.block is not None and M.ring.monomial_data is not None:
-        perm = base.partial_permutation()
-    if perm is not None:
-        if cols is None:
-            cols = np.eye(M.dim, dtype=np.int64)
-        # variable j is a unit column: the 1s of its action matrix go to slot j
-        slot = np.full(M.ring.dim, -1)
-        slot[np.argmax(x, axis=0)] = np.arange(r)
-        i, rows, src = perm
-        t = slot[i]
-        keep = t >= 0
-        out = np.zeros((b, w, r, k), dtype=np.int64)
-        out[:, rows[keep], t[keep]] = cols.reshape(b, w, k)[:, src[keep]]
-        return out.reshape(M.dim, r * k)
     mats = base.element_matrices(x)
     if cols is None:
         return _block_diagonal(mats, b).transpose(1, 0, 2).reshape(M.dim, r * M.dim)
@@ -597,21 +581,22 @@ def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray
     """Columns of cols (the identity when None) forming a minimal generating
     set of the submodule N they span, which must be action-stable: greedy
     in column order, a column is kept iff it lies outside m * N plus the
-    columns kept before it (Nakayama).  Deterministic.
+    columns kept before it (Nakayama).  One extend_basis over
+    [radical_span | cols]: which columns it keeps depends only on the
+    column space of the span.  Deterministic.
 
     The columns must be linearly independent; both callers pass
     independent columns, the identity (minimal_generators) or a kernel
-    basis (the free resolutions).  So when m * N = 0 every column is kept,
-    and cols is returned with nothing reduced."""
+    basis (the free resolutions over rings with m^2 != 0).  So when
+    m * N = 0 every column is kept, and cols is returned with nothing
+    reduced."""
     field = M.ring.field
     span = radical_span(M, cols)
     if cols is None:
         cols = np.eye(M.dim, dtype=np.int64)
     if cols.shape[1] == 0 or not span.any():
         return cols
-    red, piv = rref(Mat._wrap(field, span.T))
-    have = Mat._wrap(field, red.data[: len(piv)].T)
-    return cols[:, extend_basis(have, Mat._wrap(field, cols))]
+    return cols[:, extend_basis(Mat._wrap(field, span), Mat._wrap(field, cols))]
 
 
 @memo
@@ -623,19 +608,10 @@ def minimal_generators(M: Module) -> np.ndarray:
 
 def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
     """Matrix of the map R^g -> M sending the s-th free generator to
-    gens[:, s].  Column (s, mu) is e_mu * gens_s; copy-major layout.  On a
-    power whose base acts by partial permutations, act_all's scatter of
-    rows (module docstring) writes straight into this layout."""
+    gens[:, s]: act_all(gens) laid out by generator, column (s, mu) is
+    e_mu * gens_s (copy-major layout)."""
     g, d = gens.shape[1], M.ring.dim
     _check_cells((M.dim, g * d), "cover matrix")
-    if M.block is not None:
-        base, b = M.block
-        perm = base.partial_permutation()
-        if perm is not None:
-            i, r, c = perm
-            out = np.zeros((b, base.dim, g, d), dtype=np.int64)
-            out[:, r, :, i] = gens.reshape(b, base.dim, g)[:, c].swapaxes(0, 1)
-            return out.reshape(M.dim, g * d)
     return M.act_all(gens).transpose(1, 2, 0).reshape(M.dim, g * d)
 
 

@@ -18,7 +18,7 @@ from semidual.corpus import (corpus_rings, corpus_sessions, random_module_pool,
                              ring_square_zero_two_vars, ring_truncated_line,
                              ring_type_three)
 from semidual.errors import InvalidComplexError
-from semidual.linalg import Mat, rank
+from semidual.linalg import Mat, kernel_basis, rank
 from semidual.modules import (ModuleHom, clear_caches, dualizing_module, free_module,
                               hom_functor_map, hom_space, matlis_dual,
                               power_module, radical_span, regular_module,
@@ -113,6 +113,39 @@ def test_resolution_builds_no_unused_cover(monkeypatch):
     assert len(calls) == 5
     assert res.arrow(4) is res.arrow(4)    # realised once, then kept
     assert len(calls) == 5
+
+
+def test_square_zero_rings_take_no_nakayama_step(monkeypatch):
+    """Over a ring with m^2 = 0 (R1, R4) the kernel K of a minimal arrow lies
+    in m * F, so m * K = 0 and its whole basis is minimal: _extend keeps it
+    without a Nakayama step, and the step would have kept every column.
+    Over R2 and R3 (m^2 != 0) the step still runs."""
+    from semidual import modules as mo
+    real_nakayama, real_span = complexes.nakayama_generators, mo.radical_span
+    for name, ring in corpus_rings().items():
+        square_zero = name in ("R1", "R4")
+        k = residue_field_module(ring)
+        mods = [(k, 4)] + [(M, 3 if name == "R4" else 4)
+                           for M in random_module_pool(ring, 2, max_dim=6)]
+        for M, length in mods:
+            clear_caches()
+            mo.minimal_generators(M)        # degree 0, memoised: not an extension
+            steps = []
+            with monkeypatch.context() as m:
+                m.setattr(complexes, "nakayama_generators",
+                          lambda N, cols=None: steps.append("nakayama") or real_nakayama(N, cols))
+                m.setattr(mo, "radical_span",
+                          lambda N, cols=None: steps.append("span") or real_span(N, cols))
+                res = minimal_free_resolution(M, length)
+            assert (steps == []) == square_zero, (name, M.label, steps)
+            if square_zero:
+                for j in range(length):
+                    K = kernel_basis(res.arrow(j).matrix()).data
+                    assert np.array_equal(real_nakayama(res.modules[j], K), K), (name, M.label, j)
+        betti = minimal_free_resolution(k, 4).betti[:5]
+        want = {"R1": [2 ** j for j in range(5)], "R2": [1] * 5,
+                "R3": [j + 1 for j in range(5)], "R4": [3 ** j for j in range(5)]}[name]
+        assert betti == want, name
 
 
 def test_resolutions_are_freed_without_the_cycle_collector(R1):

@@ -4,7 +4,7 @@ The C-injective comparison applies Phi_j = I_b kron alpha block by block, and a
 power whose base acts by 0/1 partial permutations (R, k and D over a monomial
 quotient) applies its action as a scatter of rows.  Both must equal, entry
 for entry, the dense products: the Kronecker products over Python integers,
-and the contraction path that Module.act_all and radical_span take when the
+and the contraction path that Module.act_all and cover_matrix take when the
 base record is withheld.
 """
 
@@ -227,8 +227,12 @@ def test_gathered_powers_equal_the_dense_path(name, monkeypatch):
                 cases.append((label, P, rng.integers(0, p, (P.dim, k))))
     with monkeypatch.context() as m:
         calls = _count_products(m)
-        got = [structured(P, c) for _, P, c in cases]
-        assert not calls
+        got = []
+        for _, P, c in cases:
+            moved, cover = P.act_all(c), mo.cover_matrix(P, c)
+            assert not calls      # radical_span takes the base's stacked product
+            got.append((moved, mo.radical_span(P, c), mo.radical_span(P), cover))
+            calls.clear()
     with monkeypatch.context() as m:
         _dense(m)
         want = [structured(P, c) for _, P, c in cases]
@@ -306,11 +310,16 @@ def test_a_dense_base_keeps_the_contraction(monkeypatch):
 
 def test_resolving_k_over_r4_gathers_on_every_power(monkeypatch):
     """Past degree 0 every step of the resolution acts on a free module R^b:
-    cover_matrix and radical_span there make no product."""
+    cover_matrix there is act_all's scatter and makes no product, and R4
+    has m^2 = 0, so no radical span is taken."""
     R = corpus_rings()["R4"]
     k = mo.residue_field_module(R)
     on_powers = []
     real = mo._mul_arrays
+    spans = []
+    real_span = mo.radical_span
+    monkeypatch.setattr(mo, "radical_span",
+                        lambda M, cols=None: spans.append(M.block) or real_span(M, cols))
 
     def guarded(a, b, p):
         frame = sys._getframe(1)
@@ -325,6 +334,7 @@ def test_resolving_k_over_r4_gathers_on_every_power(monkeypatch):
     res = minimal_free_resolution(k, 4)
     assert res.betti[:5] == [1, 3, 9, 27, 81]
     assert not on_powers
+    assert spans in ([], [None])      # at most minimal_generators(k), at degree 0
 
 
 def test_rel_ext_ic_builds_no_kron(monkeypatch):
