@@ -2,17 +2,21 @@
 
 Free resolutions are minimal by construction: each step picks minimal
 generators of the syzygy (kernel columns extending a basis of rad times the
-kernel; over a ring with m^2 = 0 the whole kernel basis, since the kernel
-lies in m * F and so rad times it is zero), so differentials land in the
-radical and betti numbers are read off directly.  A free resolution is kept
-as the ring entries of its differentials, and every complex built from one
-is an InducedComplex: those entries realised through the action of a module
-N on powers of N, since Hom(R^b, N) and R^b (x) N are N^b.  The resolution
-itself is its entries realised through R; a minimal injective resolution is
-the free resolution of the dual realised through D, the dual of R (Matlis
-duality); the Hom and tensor complexes behind Ext, Tor and the proper
-resolutions realise them through N, C or Hom(C, D).  A differential is
-realised on first use and then kept, so nothing builds the matrix of a
+kernel), so differentials land in the radical and betti numbers are read
+off directly.  Over a ring with m^2 = 0 no step past the first takes a
+kernel at all: a minimal arrow d_j (j >= 1) sends m * F_j into m^2 * F_{j-1}
+= 0, and the images of its generators are independent over k, so its
+kernel is exactly m * F_j, whose kernel basis is one copy of the radical's
+per generator.  A free resolution is kept as the ring entries of its
+differentials, stored as coordinates (RingEntries: row, column, ring index,
+scalar; no dense array of the entries is kept), and every complex built
+from one is an InducedComplex: those entries realised through the action
+of a module N on powers of N, since Hom(R^b, N) and R^b (x) N are N^b.  The
+resolution itself is its entries realised through R; a minimal injective
+resolution is the free resolution of the dual realised through D, the dual
+of R (Matlis duality); the Hom and tensor complexes behind Ext, Tor and the
+proper resolutions realise them through N, C or Hom(C, D).  A differential
+is realised on first use and then kept, so nothing builds the matrix of a
 differential that no one reads: Ext and Tor dimensions rank the entries
 directly (_homology_dims).
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, require_local, ring_report
+from .algebra import Algebra, radical, require_local, ring_report
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
@@ -265,15 +269,61 @@ def syzygy(X: AugmentedComplex, n: int) -> Module:
 # -- complexes induced by a resolution ------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class RingEntries:
+    """The ring entries of a differential F_j -> F_{j-1} of free modules,
+    the b_{j-1} x b_j matrix over R of shape[:2], as coordinates: entry
+    (s, t) is the sum of v[e] * e_{i[e]} over the e with s[e] = s and
+    t[e] = t, e_i the i-th basis element of R (d = shape[2] of them).
+    Every v[e] lies in (0, p).  The coordinates are listed in the row-major
+    order of the generator matrix (generators): by s, then i, then t.  No
+    dense form is kept; generators builds one on request."""
+
+    shape: tuple[int, int, int]
+    s: np.ndarray
+    t: np.ndarray
+    i: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def from_generators(cls, gens: np.ndarray, b_prev: int, d: int) -> "RingEntries":
+        """The coordinates of the differential R^b -> R^{b_prev} that sends
+        generator t to column t of gens, whose rows s*d..(s+1)*d are its
+        ring coefficient at generator s of R^{b_prev}."""
+        rows, t = np.nonzero(gens)
+        s = rows // d
+        return cls((b_prev, gens.shape[1], d), s, t, rows - s * d, gens[rows, t])
+
+    @classmethod
+    def square_zero(cls, b_prev: int, basis: np.ndarray) -> "RingEntries":
+        """from_generators(kron(I_{b_prev}, basis), b_prev, d) for a (d, e)
+        basis, built from basis's nonzeros alone: generator s*e + c of the
+        result is column c of basis in copy s."""
+        d, e = basis.shape
+        i, c = np.nonzero(basis)
+        s = np.repeat(np.arange(b_prev), i.size)
+        return cls((b_prev, b_prev * e, d), s, s * e + np.tile(c, b_prev),
+                   np.tile(i, b_prev), np.tile(basis[i, c], b_prev))
+
+    def generators(self) -> np.ndarray:
+        """The (b_{j-1} * d, b_j) matrix whose column t is the image of
+        generator t (the inverse of from_generators)."""
+        b_prev, b, d = self.shape
+        _check_cells((b_prev * d, b), "generator matrix")
+        out = np.zeros((b_prev * d, b), dtype=np.int64)
+        out[self.s * d + self.i, self.t] = self.v
+        return out
+
+
 class InducedComplex(AugmentedComplex):
-    """The complex that a resolution's ring-entry arrays induce on powers of
-    N, in degrees lo..hi of the resolution (all of it by default), degree lo
+    """The complex that a resolution's ring entries induce on powers of N,
+    in degrees lo..hi of the resolution (all of it by default), degree lo
     at position 0, with an optional augmentation.
 
-    entries[j] is the (b_{j-1}, b_j, d) array of ring-element entries of the
-    j-th differential of a free resolution F with ranks betti.  Covariant:
+    entries[j] holds the ring entries (RingEntries) of the j-th
+    differential of a free resolution F with ranks betti.  Covariant:
     F (x) N, homological, on N^{b_j}, block (s, t) of the j-th arrow
-    realising entries[j][s, t] through N's action.  Contravariant:
+    realising entry (s, t) through N's action.  Contravariant:
     Hom(F, N), cohomological, block (t, s).  Each differential is realised
     the first time arrow or arrows asks for it, and then kept.  aug is the
     matrix of the augmentation X_0 -> augmentation (covariant) or
@@ -330,28 +380,42 @@ class MinimalFreeResolution(InducedComplex):
 
     The kernel of the last arrow (the syzygy that F_{B+1} would cover) is
     taken, and so the last arrow realised, only when the resolution is
-    extended; so `complete` may read False for a resolution that a further
-    degree would show to terminate: a free M resolved to length 0 is not
-    yet complete, and becomes complete at length >= 1.
+    extended, and over a ring with m^2 = 0 only at the augmentation; so
+    `complete` may read False for a resolution that a further degree would
+    show to terminate: a free M resolved to length 0 is not yet complete,
+    and becomes complete at length >= 1.
     """
 
     def _realise(self, k: int) -> np.ndarray:
-        ent = self.entries[k]
-        b_prev, b, d = ent.shape
-        return cover_matrix(self.modules[k - 1], ent.transpose(0, 2, 1).reshape(b_prev * d, b))
+        return cover_matrix(self.modules[k - 1], self.entries[k].generators())
 
     def _extend(self) -> None:
         """Append degree top + 1: minimal generators of the kernel of the
-        last arrow (the augmentation at top 0)."""
-        K = kernel_basis(self.arrow(self.top).matrix()).data
-        # a minimal arrow's kernel lies in m * F: with m^2 = 0, m kills it, so its basis is minimal
-        if ring_report(self.ring).loewy_length <= 2:
-            gens = K
+        last arrow (the augmentation at top 0).
+
+        A minimal arrow's kernel lies in m * F; with m^2 = 0, m kills it, so
+        its kernel basis is minimal and no Nakayama step is taken.  Past the
+        augmentation (top >= 1) the kernel is known: the arrow d is minimal,
+        so d(m * F) lies in m^2 * F' = 0, and d is injective on F / m * F
+        (the images of the generators minimally generate the syzygy, which
+        m kills, so they are independent over k); so ker d = m * F, the
+        direct sum of one copy of m per generator.  Its kernel_basis is
+        kron(I_b, B) with B the kernel_basis form of m in R: that form
+        depends only on the subspace, and on disjoint coordinate blocks it
+        is block diagonal.  radical(R) is B: the unit vectors of the
+        monomials other than 1 over a monomial quotient, a kernel_basis
+        output otherwise.  So no differential is realised and no kernel
+        taken, and the entries are those of the kernel path bit for bit."""
+        b_prev, d = self.betti[-1], self.ring.dim
+        square_zero = ring_report(self.ring).loewy_length <= 2
+        if square_zero and self.top >= 1:
+            ent = RingEntries.square_zero(b_prev, radical(self.ring).data)
         else:
-            gens = nakayama_generators(self.modules[-1], K)
-        b = gens.shape[1]
-        self.entries.append(np.ascontiguousarray(
-            gens.reshape(self.betti[-1], self.ring.dim, b).transpose(0, 2, 1)))
+            K = kernel_basis(self.arrow(self.top).matrix()).data
+            gens = K if square_zero else nakayama_generators(self.modules[-1], K)
+            ent = RingEntries.from_generators(gens, b_prev, d)
+        b = ent.shape[1]
+        self.entries.append(ent)
         self.betti.append(b)
         self.modules.append(power_module(self.N, b))
         self._arrows.append(None)
@@ -402,14 +466,14 @@ def bass_numbers(M: Module, length: int) -> list[int]:
 # -- induced differentials, Ext, Tor --------------------------------------------------
 
 
-def block_matrix_from_entries(act: np.ndarray, ent: np.ndarray,
+def block_matrix_from_entries(act: np.ndarray, ent: RingEntries,
                               contravariant: bool, p: int) -> np.ndarray:
-    """Expand a ring-entry array ent (b_prev, b_next, d) into a block matrix
-    using act[k] as the matrix realising the k-th basis element.
+    """Expand ring entries ent of shape (b_prev, b_next, d) into a block
+    matrix using act[k] as the matrix realising the k-th basis element.
 
-    Covariant layout: (b_prev*n, b_next*n), block (s, t) realises ent[s, t].
-    Contravariant layout: (b_next*n, b_prev*n), block (t, s) realises
-    ent[s, t].
+    Covariant layout: (b_prev*n, b_next*n), block (s, t) realises entry
+    (s, t).  Contravariant layout: (b_next*n, b_prev*n), block (t, s)
+    realises entry (s, t).
     """
     b_prev, b_next, d = ent.shape
     n = act.shape[1]
@@ -417,8 +481,10 @@ def block_matrix_from_entries(act: np.ndarray, ent: np.ndarray,
     _check_cells(shape, "induced differential")
     if n == 0 or b_prev == 0 or b_next == 0:
         return np.zeros(shape, dtype=np.int64)
-    blocks = _mul_arrays(ent.reshape(b_prev * b_next, d), act.reshape(d, n * n),
-                         p).reshape(b_prev, b_next, n, n)
+    _check_cells((b_prev * b_next, d), "ring entries")
+    elems = np.zeros((b_prev * b_next, d), dtype=np.int64)
+    elems[ent.s * b_next + ent.t, ent.i] = ent.v
+    blocks = _mul_arrays(elems, act.reshape(d, n * n), p).reshape(b_prev, b_next, n, n)
     if contravariant:
         out = blocks.transpose(1, 2, 0, 3).reshape(b_next * n, b_prev * n)
     else:
@@ -426,23 +492,24 @@ def block_matrix_from_entries(act: np.ndarray, ent: np.ndarray,
     return np.ascontiguousarray(out)
 
 
-def _entries_matrix(N: Module, ent: np.ndarray, contravariant: bool) -> np.ndarray:
+def _entries_matrix(N: Module, ent: RingEntries, contravariant: bool) -> np.ndarray:
     """Matrix of the induced map on powers of N for a differential with
-    ring-entry array ent, realised through N's action matrices."""
+    ring entries ent, realised through N's action matrices."""
     return block_matrix_from_entries(N.action, ent, contravariant, N.ring.field.p)
 
 
-def _entries_coords(N: Module, ent: np.ndarray,
+def _entries_coords(N: Module, ent: RingEntries,
                     contravariant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Coordinates (rows, cols, vals) of _entries_matrix(N, ent,
     contravariant), values at a repeated position to be added, when N, or
     the base W of the power N = W^a, acts by partial permutations; None
     otherwise.
 
-    Block (s, t) realises ent[s, t] = sum_i ent[s, t, i] e_i, and e_i acts
-    on W with a 1 at each (r, c) of W's record with ring index i, so every
-    nonzero ent[s, t, i] meets every record entry of index i: in copy q of
-    W it puts ent[s, t, i] at (q*w + r, q*w + c) of the block.  The join
+    Block (s, t) realises entry (s, t) = sum_e v[e] e_{i[e]} over the
+    coordinates e of ent at (s, t), and e_i acts on W with a 1 at each
+    (r, c) of W's record with ring index i, so every coordinate e meets
+    every record entry of index i[e]: in copy q of W it puts v[e] at
+    (q*w + r, q*w + c) of the block.  The join
     lists these terms and builds nothing of the block matrix's shape.  The
     record is listed by ring index, so the entries of index i are one run
     of it."""
@@ -451,9 +518,7 @@ def _entries_coords(N: Module, ent: np.ndarray,
     if perm is None:
         return None
     i, r, c = perm
-    # np.nonzero(ent), read off the boolean mask, which numpy scans several
-    # times faster than an int64 array
-    s, t, k = np.unravel_index(np.flatnonzero(ent != 0), ent.shape)
+    s, t, k = ent.s, ent.t, ent.i
     cnt = np.bincount(i, minlength=ent.shape[2])
     rep = cnt[k]                      # record entries that entry e meets
     total = int(rep.sum())
@@ -471,7 +536,7 @@ def _entries_coords(N: Module, ent: np.ndarray,
     blk_row, blk_col = (t[e], s[e]) if contravariant else (s[e], t[e])
     rows = blk_row * n + r[rec]
     cols = blk_col * n + c[rec]
-    vals = ent[s, t, k][e]
+    vals = ent.v[e]
     if a > 1:
         copies = np.arange(a) * w
         rows = (rows[:, None] + copies).ravel()
@@ -480,8 +545,8 @@ def _entries_coords(N: Module, ent: np.ndarray,
     return rows, cols, vals
 
 
-def _differential_rank(N: Module, ent: np.ndarray, contravariant: bool) -> int:
-    """Rank of the induced differential with ring-entry array ent on powers
+def _differential_rank(N: Module, ent: RingEntries, contravariant: bool) -> int:
+    """Rank of the induced differential with ring entries ent on powers
     of N, the matrix _entries_matrix(N, ent, contravariant).  When N or its
     base has a partial-permutation record the rank is read off coordinates
     (_entries_coords, linalg._sparse_rank), and only the rows that are not

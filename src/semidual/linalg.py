@@ -100,13 +100,16 @@ _INT64_MAX_MACS = 2 ** 12
 _SMALL_CELLS = 256
 # The cell budget: the most int64 cells one matrix or stack may have when it
 # is built by radical_span, cover_matrix, block_matrix_from_entries, the
-# coordinate arrays of a differential, or reduced by _echelon.  2^27 cells
-# are 1 GiB.  A larger array is refused by _check_cells with an InputError
-# that names its shape (the CLI exits 2) before numpy is asked for it.  The
-# largest array that `ext R4 --from k --to D --bound 6` checks is the cover
-# matrix (972, 2916), about 2^21.4 cells; at --bound 7 it is the cover
-# matrix (2916, 8748), about 2^24.6, as in the largest of the acceptance
-# criteria with R4 at degree 4 and bound 5.
+# ring entries or the coordinate arrays of a differential, a product
+# (_mul_arrays) or a kernel basis, or reduced by _echelon.  2^27 cells are
+# 1 GiB.  A larger array is refused by _check_cells with an InputError that
+# names its shape (the CLI exits 2) before numpy is asked for it.  Over R4
+# (m^2 = 0) the resolution of k past its first syzygy is read in closed
+# form, with no cover and no kernel, so the largest array that `ext R4
+# --from k --to D --bound B` checks is the coordinate list of its last
+# differential, (3^(B+1), 1): 19683 cells at --bound 8.  The largest in the
+# acceptance criteria with R4 at degree 4 and bound 5 is an induced
+# differential (2916, 8748) and its reduction, about 2^24.6 cells.
 _MAX_CELLS = 2 ** 27
 # glibc's malloc serves a block above its mmap threshold with fresh pages
 # and returns them on free.  The threshold starts at 128 KiB and rises to
@@ -249,9 +252,12 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     multiply-adds with inner * (p-1)^2 < 2^63, are taken directly, which skips
     the float round trip but has no BLAS behind it; larger ones use BLAS
     through float64 when inner * (p-1)^2 < 2^52; otherwise the sum is
-    chunked in int64."""
+    chunked in int64.  A result of more than _MAX_CELLS cells is refused
+    by _check_cells."""
     inner = a.shape[1]
     shape = b.shape[:-2] + (a.shape[0], b.shape[-1])
+    if a.shape[0] * b.shape[-1] * (b.shape[0] if b.ndim == 3 else 1) > _MAX_CELLS:
+        _check_cells(shape, "product")
     if inner == 0:
         return np.zeros(shape, dtype=np.int64)
     per = (p - 1) ** 2
@@ -573,6 +579,7 @@ def _kernel_of_echelon(R: np.ndarray, piv: list[int], p: int) -> np.ndarray:
     is_free = np.ones(n, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
+    _check_cells((n, free.size), "kernel basis")
     K = np.zeros((n, free.size), dtype=np.int64)
     K[free, np.arange(free.size)] = 1
     K[piv] = (-R[:len(piv)][:, free]) % p

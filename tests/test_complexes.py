@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from semidual import complexes
-from semidual.complexes import (AugmentedComplex, DimensionValue, InducedComplex,
+from semidual.algebra import (algebra_from_monomial_quotient,
+                              algebra_from_structure_constants, ring_report)
+from semidual.complexes import (AugmentedComplex, DimensionValue, InducedComplex, RingEntries,
                                 _entries_matrix, betti_numbers, bass_numbers,
                                 block_matrix_from_entries, ext_abs, ext_dims,
                                 exactness_profile, homology, minimal_free_resolution,
@@ -18,7 +20,7 @@ from semidual.corpus import (corpus_rings, corpus_sessions, random_module_pool,
                              ring_square_zero_two_vars, ring_truncated_line,
                              ring_type_three)
 from semidual.errors import InvalidComplexError
-from semidual.linalg import Mat, kernel_basis, rank
+from semidual.linalg import Field, Mat, expressor, kernel_basis, rank
 from semidual.modules import (ModuleHom, clear_caches, dualizing_module, free_module,
                               hom_functor_map, hom_space, matlis_dual,
                               power_module, radical_span, regular_module,
@@ -52,7 +54,7 @@ def test_betti_residue_field_truncated_line(R2):
     x = R2.element_from_string("x")
     x2 = R2.element_from_string("x^2")
     for j in range(1, 5):
-        entry = res.entries[j][0, 0]
+        entry = res.entries[j].generators()[:, 0]      # the 1 x 1 matrix's entry
         want = x if j % 2 == 1 else x2
         assert np.array_equal(entry, want)
 
@@ -83,36 +85,55 @@ def test_resolution_of_free_module_is_length_zero(R1):
 
 
 def test_resolution_takes_one_kernel_per_new_degree(monkeypatch):
+    """Over a ring with m^2 != 0 (R3) each new degree takes one kernel, of
+    the last arrow; over R4 (m^2 = 0) only the augmentation's kernel is
+    taken, and every later syzygy is read off in closed form."""
     import semidual.complexes as cx
-    k = residue_field_module(ring_type_three())
-    clear_caches()
     real = cx.kernel_basis
     calls = []
     monkeypatch.setattr(cx, "kernel_basis", lambda m: calls.append(m.data.shape) or real(m))
+    k = residue_field_module(ring_complete_intersection())
+    clear_caches()
     res = minimal_free_resolution(k, 4)
-    assert res.betti == [1, 3, 9, 27, 81]
+    assert res.betti == [1, 2, 3, 4, 5]
     assert len(calls) == 4        # eps, d_1, d_2, d_3; not the unused d_4
     minimal_free_resolution(k, 5)
     assert len(calls) == 5
     assert calls[-1] == res.arrows[3].mat.shape
+    k = residue_field_module(ring_type_three())
+    clear_caches()
+    calls.clear()
+    res = minimal_free_resolution(k, 4)
+    assert res.betti == [1, 3, 9, 27, 81]
+    assert calls == [res.aug_map.mat.shape]     # eps only
+    minimal_free_resolution(k, 5)
+    assert calls == [res.aug_map.mat.shape]
 
 
 def test_resolution_builds_no_unused_cover(monkeypatch):
     """A differential is realised only when a kernel or a caller needs it:
-    resolving to degree 4 covers eps, d_1, d_2 and d_3, whose kernels give
-    F_1..F_4, but not d_4."""
+    over R3 (m^2 != 0) resolving to degree 4 covers eps, d_1, d_2 and d_3,
+    whose kernels give F_1..F_4, but not d_4.  Over R4 (m^2 = 0) only eps
+    is covered while resolving; a caller that reads d_4 realises it once."""
     import semidual.complexes as cx
-    k = residue_field_module(ring_type_three())
-    clear_caches()
     real = cx.cover_matrix
     calls = []
     monkeypatch.setattr(cx, "cover_matrix", lambda M, g: calls.append(g.shape) or real(M, g))
+    k = residue_field_module(ring_complete_intersection())
+    clear_caches()
     res = minimal_free_resolution(k, 4)
     assert len(calls) == 4
     minimal_free_resolution(k, 5)
     assert len(calls) == 5
     assert res.arrow(4) is res.arrow(4)    # realised once, then kept
     assert len(calls) == 5
+    k = residue_field_module(ring_type_three())
+    clear_caches()
+    calls.clear()
+    res = minimal_free_resolution(k, 5)
+    assert calls == [(1, 1)]               # eps: k's one generator
+    assert res.arrow(4) is res.arrow(4)
+    assert calls == [(1, 1), (27 * 4, 81)]
 
 
 def test_square_zero_rings_take_no_nakayama_step(monkeypatch):
@@ -148,6 +169,66 @@ def test_square_zero_rings_take_no_nakayama_step(monkeypatch):
         assert betti == want, name
 
 
+def _square_zero_structure_constants():
+    """R4 in a random basis, as structure constants: m^2 = 0, with neither
+    the unit nor the radical on coordinate vectors."""
+    R4 = ring_type_three()
+    field, d = R4.field, R4.dim
+    rng = np.random.default_rng(19)
+    P = rng.integers(0, field.p, size=(d, d))
+    while rank(Mat(field, P)) < d:
+        P = rng.integers(0, field.p, size=(d, d))
+    Q = expressor(Mat(field, P)).data                 # Q @ P = I
+    # f_a = sum_i P[i, a] e_i, so f_a f_b has e-coordinates sum P[i, a] P[j, b] c[i, j]
+    c = np.einsum("ia,jb,ijk->abk", P, P, R4.structure) % field.p
+    c = np.einsum("lk,abk->abl", Q, c) % field.p
+    return algebra_from_structure_constants(field, c, Q @ R4.unit % field.p, name="R4'")
+
+
+def test_square_zero_syzygies_equal_the_kernel_path(monkeypatch):
+    """Over a ring with m^2 = 0, F_{j+1} (j >= 1) is read in closed form,
+    one copy of the radical's kernel_basis per generator of F_j: its
+    generators and ring entries are what the kernel_basis of the realised
+    arrow d_j gives, bit for bit, over R1, R4 and R4 in a random basis
+    (whose radical is not spanned by coordinate vectors), for k, D and two
+    pool modules, j = 1..5; resolving takes only the augmentation's kernel.
+    Over R2, R3 and T27 (m^2 != 0) every degree still calls kernel_basis
+    and nakayama_generators."""
+    real_kernel, real_nakayama = complexes.kernel_basis, complexes.nakayama_generators
+    calls = []
+    monkeypatch.setattr(complexes, "kernel_basis",
+                        lambda m: calls.append("kernel") or real_kernel(m))
+    monkeypatch.setattr(complexes, "nakayama_generators",
+                        lambda N, cols=None: calls.append("nakayama") or real_nakayama(N, cols))
+    S = _square_zero_structure_constants()
+    assert S.monomial_data is None and ring_report(S).loewy_length == 2
+    assert not np.array_equal(S.unit, np.eye(S.dim, dtype=np.int64)[0])
+    for ring in (ring_square_zero_two_vars(), ring_type_three(), S):
+        d = ring.dim
+        for M in ([residue_field_module(ring), dualizing_module(ring)]
+                  + random_module_pool(ring, 2, max_dim=6)):
+            clear_caches()
+            calls.clear()
+            res = minimal_free_resolution(M, 6)
+            assert calls == ["kernel"], (ring.name, M.label, calls)     # the augmentation's
+            for j in range(1, 6):
+                K = real_kernel(res.arrow(j).matrix()).data
+                got = res.entries[j + 1]
+                want = RingEntries.from_generators(K, res.betti[j], d)
+                assert np.array_equal(got.generators(), K), (ring.name, M.label, j)
+                assert got.shape == want.shape == (res.betti[j], K.shape[1], d)
+                for a, b in zip((got.s, got.t, got.i, got.v), (want.s, want.t, want.i, want.v)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (ring.name, M.label, j)
+    T27 = algebra_from_monomial_quotient(Field(3), ["x", "y", "z"], ["x^3", "y^3", "z^3"],
+                                         name="T27")
+    for ring, length in ((ring_truncated_line(), 4), (ring_complete_intersection(), 4),
+                         (T27, 3)):
+        clear_caches()
+        calls.clear()
+        minimal_free_resolution(residue_field_module(ring), length)
+        assert calls == ["kernel", "nakayama"] * length, ring.name
+
+
 def test_resolutions_are_freed_without_the_cycle_collector(R1):
     """No resolution holds a reference to itself: with the collector off,
     each dies once the caller drops it and the caches are cleared."""
@@ -173,7 +254,7 @@ def test_resolutions_are_freed_without_the_cycle_collector(R1):
 
 
 def _resolution_arrays(res):
-    return ([np.array(res.betti)] + res.entries[1:]
+    return ([np.array(res.betti)] + [e.generators() for e in res.entries[1:]]
             + [a.mat for a in res.arrows] + [res.aug_map.mat])
 
 
@@ -538,7 +619,9 @@ def test_block_matrix_from_entries_matches_per_block_oracle(p, contravariant,
     rng = np.random.default_rng(p + 7 * b_prev + 11 * b_next + n)
     ent = rng.integers(0, p, size=(b_prev, b_next, d), dtype=np.int64)
     act = rng.integers(0, p, size=(d, n, n), dtype=np.int64)
-    got = block_matrix_from_entries(act, ent, contravariant, p)
+    gens = ent.transpose(0, 2, 1).reshape(b_prev * d, b_next)
+    got = block_matrix_from_entries(act, RingEntries.from_generators(gens, b_prev, d),
+                                    contravariant, p)
     want = _naive_block_matrix(act, ent, contravariant, p)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)

@@ -219,6 +219,30 @@ def test_every_builder_refuses_arrays_past_the_budget(monkeypatch):
         assert what in str(exc.value) and "budget of 20 cells" in str(exc.value)
 
 
+def test_products_and_kernel_bases_are_held_to_the_budget(monkeypatch, capsys):
+    """A product or a kernel basis can be far larger than its input: an
+    (n, 1) by (1, n) product has n^2 cells, and the kernel basis of a 1 x n
+    row is n x (n - 1).  Past the budget each is refused with an InputError
+    that names its shape, before numpy allocates it, and the CLI exits 2:
+    with 200 cells the first array refused is the (16, 16) product of R4's
+    associativity check."""
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 1000)
+    col = np.ones((100, 1), dtype=np.int64)
+    with pytest.raises(InputError, match=r"product of shape \(100, 100\) has 10000 cells"):
+        linalg._mul_arrays(col, col.T, 5)
+    with pytest.raises(InputError, match=r"product of shape \(3, 100, 100\)"):
+        linalg._mul_arrays(col, np.ones((3, 1, 100), dtype=np.int64), 5)
+    with pytest.raises(InputError, match=r"kernel basis of shape \(100, 99\) has 9900 cells"):
+        linalg.kernel_basis(Mat(Field(5), col.T))
+    assert linalg._mul_arrays(col[:30], col[:30].T, 5).shape == (30, 30)
+    assert linalg.kernel_basis(Mat(Field(5), col[:30].T)).data.shape == (30, 29)
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 200)
+    capsys.readouterr()
+    rc = main(["ext", data_path("R4.session"), "--from", "M", "--to", "M", "--bound", "3"])
+    assert rc == 2
+    assert "product of shape (16, 16) has 256 cells" in capsys.readouterr().err
+
+
 def test_cli_exits_2_past_the_budget(monkeypatch, capsys):
     monkeypatch.setattr(linalg, "_MAX_CELLS", 2 ** 12)
     rc = main(["ext", data_path("R4.session"), "--from", "k", "--to", "D", "--bound", "7"])
