@@ -170,28 +170,49 @@ class AugmentedComplex:
 
     # -- dimension bookkeeping via ranks only
 
-    def _in_out(self, n: int) -> tuple[ModuleHom | None, ModuleHom | None]:
-        """(arrow into degree n, arrow out of degree n), either may be None.
+    def _in_out_keys(self, n: int) -> tuple:
+        """(arrow into degree n, arrow out of degree n), each as k for the
+        k-th arrow (_arrow(k)), "aug" for the augmentation or None.
         Augmented positions count: degree -1 holds the augmentation module."""
+        if n < -1:
+            return None, None
         if self.orientation == "homological":
-            into = self.arrow(n + 1) if n + 1 <= self.top else None
             if n == -1:
-                return self.aug_map, None
-            out = self.arrow(n) if n >= 1 else self.aug_map
-            return into, out
+                return "aug", None
+            into = n if n + 1 <= self.top else None
+            if n == 0:
+                return into, "aug"
+            return into, (n - 1 if n <= self.top else None)
         # cohomological: arrows increase degree
         if n == -1:
-            return None, self.aug_map
-        into = self.arrow(n - 1) if n >= 1 else self.aug_map
-        out = self.arrow(n) if n <= self.top - 1 else None
-        return into, out
+            return None, "aug"
+        into = "aug" if n == 0 else (n - 1 if n <= self.top else None)
+        return into, (n if n <= self.top - 1 else None)
+
+    def _in_out(self, n: int) -> tuple[ModuleHom | None, ModuleHom | None]:
+        """(arrow into degree n, arrow out of degree n), either may be None."""
+        into, out = self._in_out_keys(n)
+        return self._keyed_arrow(into), self._keyed_arrow(out)
+
+    def _keyed_arrow(self, key) -> ModuleHom | None:
+        if key == "aug":
+            return self.aug_map
+        return None if key is None else self._arrow(key)
+
+    def _arrow_rank(self, k: int) -> int:
+        """Rank of the k-th arrow."""
+        return self._arrow(k).rank()
+
+    def _keyed_rank(self, key) -> int:
+        if key == "aug":
+            return 0 if self.aug_map is None else self.aug_map.rank()
+        return 0 if key is None else self._arrow_rank(key)
 
     def homology_dim(self, n: int) -> int:
-        into, out = self._in_out(n)
-        dim = self.module(n).dim
-        r_out = out.rank() if out is not None else 0
-        r_in = into.rank() if into is not None else 0
-        return dim - r_out - r_in
+        """dim H_n from the ranks of the arrows into and out of degree n;
+        an InducedComplex ranks an unrealised arrow without realising it."""
+        into, out = self._in_out_keys(n)
+        return self.module(n).dim - self._keyed_rank(into) - self._keyed_rank(out)
 
 
 def homology_data(X: AugmentedComplex, n: int, label: str | None = None):
@@ -352,6 +373,7 @@ class InducedComplex(AugmentedComplex):
         super().__init__(N.ring, modules, [None] * (hi - lo),
                          "cohomological" if contravariant else "homological",
                          augmentation, aug_map, check=False)
+        self._ranks: dict[int, int] = {}       # k -> rank of the unrealised k-th arrow
 
     @property
     def complete(self) -> bool:
@@ -370,6 +392,20 @@ class InducedComplex(AugmentedComplex):
         """Matrix of the differential with entries[k]: X_k -> X_{k-1}
         (covariant) or X^{k-1} -> X^k (contravariant)."""
         return _entries_matrix(self.N, self.entries[k], self.contravariant)
+
+    def _arrow_rank(self, k: int) -> int:
+        """Rank of the k-th arrow.  A realised arrow keeps its
+        ModuleHom.rank(); an unrealised one is ranked from its ring entries
+        by _differential_rank, from coordinates when N or its base acts by
+        partial permutations, with no matrix of its full shape built and
+        without realising it, and the rank is kept."""
+        if self._arrows[k] is not None:
+            return self._arrows[k].rank()
+        got = self._ranks.get(k)
+        if got is None:
+            got = self._ranks[k] = _differential_rank(self.N, self.entries[k + 1],
+                                                      self.contravariant)
+        return got
 
 
 class MinimalFreeResolution(InducedComplex):

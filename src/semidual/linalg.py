@@ -14,41 +14,56 @@ through BLAS in float64 when inner * (p-1)^2 < 2^52, below which every float
 sum is an exact integer; the rest is summed in int64 chunks.
 
 Matrices of at most _SMALL_CELLS cells are row reduced on a list of rows of
-Python ints, which are exact at any p.  Larger ones go through two stages.
-First, the nonzero coordinates are read once (an all-zero matrix returns
-there), and the column counts taken from them find the private rows:
-nonzero rows that share no column with any other row.  Such a row is
-already reduced once it is scaled by the inverse of its leading entry, so
-it needs no elimination; it is scattered into the result straight from its
-coordinates.  Over a monomial quotient each differential entry is a scalar
-times a monomial, and most of the matrices reduced there have only private
-rows.  Second, the remaining coupled rows, restricted to the columns they
-touch, go through a panel elimination.  Each panel of columns
-is copied transposed, so that a column is a contiguous row, and reduced by
-rank-1 updates of the columns from the pivot onward; rows are not swapped,
-pivot rows are marked and moved to the top at the end.  An update
-subtracts a product of two entries in [0, p), at most (p-1)^2, so after t
-updates without a `% p` every entry lies in [-t(p-1)^2, p-1].  Then one
-accumulated update is applied to the trailing block per panel, a float64
-matrix product exact as long as width * (p-1)^2 stays below 2^52; the
-panel width shrinks automatically for large p (to one column once
-2(p-1)^2 reaches 2^52, for p above about 4.7 * 10^7).  A column takes
-fewer than width updates inside its panel, so by the same bound no entry
-can leave int64 there, and the panel is reduced mod p once, at its end:
-after every column near p = 2^31, once per 64 columns at small p.  Private
-and coupled rows touch disjoint columns, so their reduced rows, merged by
-pivot column, form a reduced row echelon form of the whole matrix; that
-form is unique, so neither the split nor the size tier changes any output.
-Everything else (kernel, solve, rank, inverse) is derived from the echelon
-form.
+Python ints, which are exact at any p.  Larger ones (an all-zero one returns
+at once) are restricted to their nonzero rows and columns and go through
+Faugere-Lachartre rounds (Faugere and Lachartre, PASCO 2010; Bouillaguet
+and Delaplace, CASC 2016).  A round reads every row's leading column off
+the nonzero mask and takes the first row for each distinct leading column
+as a pivot row, scaled to a leading 1.  On their own leading columns u the
+pivot rows form a unit upper triangular T, and T^-1 = (I - N)(I + N^2)
+(I + N^4)... with N = T - I nilpotent, so a few products bring them to
+reduced form; when T = I, as for private rows that share no column with
+any other, there is no product at all, and over a monomial quotient most
+matrices have only such rows.  One product then clears u from the other
+rows (their Schur complement, which the next round takes) and one from
+the pivot rows of earlier rounds; the columns u are dropped, being unit
+vectors in the result.  A round that would take fewer than _FL_MIN_PIVOTS
+pivots, from more rows than that, hands its rows to the panel elimination
+instead, and one product merges that result like a round's.
+
+The rounds work in one of two kinds of array (_Residues).  When
+(columns + 1) * (p-1)^2 < 2^52 they are float64 arrays of integers of
+absolute value below p, each standing for its residue: a product of inner
+dimension at most the column count, plus one such entry, sums integers
+below that bound and is exact, and it is brought back below p by
+subtracting p times the nearest integer to x / p, which costs a fraction
+of a `% p`.  Otherwise they are int64 arrays in [0, p) multiplied by
+`_mul_arrays`, exact for every p < 2^31.
+
+The panel elimination copies each panel of columns transposed, so that a
+column is a contiguous row, and reduces it by rank-1 updates of the
+columns from the pivot onward; rows are not swapped, pivot rows are marked
+and moved to the top at the end.  An update subtracts a product of two
+entries in [0, p), at most (p-1)^2, so after t updates without a `% p`
+every entry lies in [-t(p-1)^2, p-1].  Then one accumulated update is
+applied to the trailing block per panel, a float64 matrix product exact as
+long as width * (p-1)^2 stays below 2^52; the panel width shrinks
+automatically for large p (to one column once 2(p-1)^2 reaches 2^52, for p
+above about 4.7 * 10^7).  A column takes fewer than width updates inside
+its panel, so by the same bound no entry can leave int64 there, and the
+panel is reduced mod p once, at its end: after every column near p = 2^31,
+once per 64 columns at small p.  The reduced row echelon form is unique,
+so neither the rounds, the size tier nor the hand-over to the panel
+changes any output.  Everything else (kernel, solve, rank, inverse) is
+derived from the echelon form.
 
 `_sparse_rank` ranks a matrix given only by coordinates, with no array of
 its full shape: repeated positions are summed, the private rows are split
-off the same way and each counts 1, and only the coupled rows, on the
-columns they touch, are densified and ranked by `rank`.  The rank does not
-depend on how the pivots are chosen, so the private rows are simply
-counted.  The Ext and Tor differentials over monomial quotients are ranked
-this way (complexes._differential_rank).
+off by their column counts (_private_split) and each counts 1, and only
+the coupled rows, on the columns they touch, are densified and ranked by
+`rank`.  The rank does not depend on how the pivots are chosen, so the
+private rows are simply counted.  The Ext and Tor differentials over
+monomial quotients are ranked this way (complexes._differential_rank).
 
 The surface is what the library uses: `Field`, `Mat` and the six
 reductions `rref`, `rank`, `kernel_basis`, `solve`, `expressor` and
@@ -93,11 +108,22 @@ _INT64_EXACT = 2 ** 63
 # and from 2^14 up the float path wins (at 2^16, 47 us against 71 us).
 _INT64_MAX_MACS = 2 ** 12
 # Matrices of at most this many cells are reduced over Python ints; larger
-# ones go through the private-row split and the panel elimination.
+# ones go through the pivot rounds and the panel elimination.
 # Measured on the echelon inputs of one small-rings benchmark pass, best of
 # 3 per call: at 129-256 cells 31 us against 81 us per call (270 calls), at
 # 257-512 cells 45 us against 70 us, at 513-1024 cells 84 us against 90 us.
 _SMALL_CELLS = 256
+# A Faugere-Lachartre round (_pivot_round) that would take fewer pivots
+# than this, from more rows, hands its matrix to the panel elimination: a
+# round costs a few dozen numpy calls, about what the panel spends on 5-10
+# pivots of the matrices reduced here.  Measured on the echelon inputs of
+# one hom-tensor pass against the private-row split and panel elimination
+# that the rounds replaced (interleaved, best of 9 each): at 4 the few-row
+# wide cokernels (12, 66), (12, 48) and (6, 60) took 1.16-1.35x the time,
+# their rounds taking 3-5 pivots each; at 8 they take 0.9-1.03x, and the
+# rounds of 13-30 pivots of the (81, 54) and (108, 54) cokernels still run
+# 1.6-1.8x faster; 12 changes nothing there and loses on small-rings.
+_FL_MIN_PIVOTS = 8
 # The cell budget: the most int64 cells one matrix or stack may have when it
 # is built by radical_span, cover_matrix, block_matrix_from_entries, the
 # ring entries or the coordinate arrays of a differential, a product
@@ -314,65 +340,238 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p with first-nonzero pivoting, of an
     int64 array with entries in [0, p).
 
-    The input is never written: the whole-matrix panel elimination works
-    on a copy, and the split reads the input and writes new arrays.  The
-    split is read off the nonzero coordinates (_private_split); an all-zero
-    input returns as soon as it is seen to have none.  A private row is
-    reduced once it is scaled by the inverse of its leading entry, and it
-    is scattered into the output straight from its coordinates; only the
-    coupled rows, restricted to the columns they touch, go through the
-    panel elimination.  The two sets of rows touch disjoint columns, so
-    merging their reduced rows by pivot column gives a reduced row echelon
-    form of the whole matrix, and since that form is unique it is exactly
-    what eliminating the whole matrix gives.  A matrix with no private row
-    takes the same path, restricted to its nonzero rows and columns, unless
-    it has none to drop.  Matrices of at most _SMALL_CELLS cells are reduced
-    over Python ints instead.  The cell budget is checked before the output
-    and the copies of a nonzero input are allocated.
+    The input is never written: the rounds read it and build new arrays,
+    and the panel elimination works on a copy.  An all-zero input returns
+    as soon as it is seen to have no nonzero row.  Otherwise the nonzero
+    rows, on the nonzero columns, go through Faugere-Lachartre rounds
+    (_pivot_round) until no row is left, or until a round would take too
+    few pivots; the panel elimination then reduces what is left, and one
+    more product clears its pivot columns from the pivot rows found before.
+    A column that becomes a pivot column is dropped from the working
+    arrays, since it is a unit vector in the result.  The rounds work in
+    float64 on residues of absolute value below p when (columns + 1) *
+    (p-1)^2 < 2^52, and in int64 on residues in [0, p) through _mul_arrays
+    otherwise (_Residues).  Matrices of at most _SMALL_CELLS cells are
+    reduced over Python ints instead.  The cell budget is checked before
+    the output and the copies of a nonzero input are allocated.
     """
     if arr.size <= _SMALL_CELLS:
         return _small_echelon(arr, p)
-    R = np.asarray(arr, dtype=np.int64)     # only read until the panel stage
-    # the coordinates of np.nonzero(R), read off the boolean mask: numpy's
-    # nonzero scans a bool array several times faster than an int64 one,
-    # and the row of each entry comes from the row counts, not a division
+    R = np.asarray(arr, dtype=np.int64)
     nz = R != 0
-    flat = np.flatnonzero(nz)
-    if flat.size == 0:
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size == 0:
         return np.zeros(R.shape, dtype=np.int64), []
-    # the output and the copy reduced in place have the input's shape
     _check_cells(R.shape, "matrix to reduce")
-    rows = np.repeat(np.arange(R.shape[0]), np.count_nonzero(nz, axis=1))
-    cols = flat - rows * R.shape[1]
-    del nz, flat
-    starts, private, coupled = _private_split(rows, cols, R.shape[1])
-    crow = rows[starts[~private]]
-    ccol = np.flatnonzero(np.bincount(cols[coupled], minlength=R.shape[1]))
-    if crow.size == R.shape[0] and ccol.size == R.shape[1]:
-        return _panel_echelon(R.copy(order="K"), p)
+    cols = np.flatnonzero(nz.any(axis=0))
+    A = R
+    if rows.size < R.shape[0]:
+        A, nz = A[rows], nz[rows]
+    if cols.size < R.shape[1]:
+        A, nz = A[:, cols], nz[:, cols]
+    first, u = _distinct_leads(nz)
+    if u.size < min(_FL_MIN_PIVOTS, A.shape[0]):
+        # no round: the panel elimination takes the whole nonzero block
+        if A is R:
+            return _panel_echelon(R.copy(order="K"), p)
+        Q, local = _panel_echelon(A, p)           # A is a gathered copy
+        out = np.zeros(R.shape, dtype=np.int64)
+        out[:len(local), cols] = Q[:len(local)]
+        return out, cols[local].tolist()
+    ops = _Residues(p, cols.size)
+    A = ops.enter(A)
+    # P: the pivot rows found so far, reduced, on the columns in cols, the
+    # columns that are not pivot columns yet; piv: their pivot columns
+    P, piv = A[:0], []
+    while True:
+        if u.size < min(_FL_MIN_PIVOTS, A.shape[0]):
+            local, keep, P, A = _panel_round(A, P, ops)
+        else:
+            local, keep, P, A = _pivot_round(A, first, u, P, ops)
+        piv.append(cols[local])
+        cols = cols[keep]
+        nz = A != 0
+        live = nz.any(axis=1)
+        if not live.any():
+            break
+        if not live.all():
+            A, nz = A[live], nz[live]
+        first, u = _distinct_leads(nz)
+    piv = np.concatenate(piv)
+    order = np.argsort(piv)
+    piv = piv[order]
     out = np.zeros(R.shape, dtype=np.int64)
-    cpiv = ccol[:0]
-    if crow.size:
-        # this gather comes out column-major, so the panels' transposed
-        # copies read contiguous memory
-        Rc, piv = _panel_echelon(R[crow][:, ccol], p)
-        cpiv = ccol[piv]
-    first = starts[private]
-    prow, lead = rows[first], cols[first]
-    inv = np.array([pow(v, p - 2, p) for v in R[prow, lead].tolist()], dtype=np.int64)
-    # slot[j]: the output row of pivot j, private pivots first
-    pivots = np.concatenate([lead, cpiv])
-    slot = np.empty_like(pivots)
-    slot[np.argsort(pivots)] = np.arange(pivots.size)
-    if cpiv.size:
-        out[slot[prow.size:, None], ccol] = Rc[:cpiv.size]
-    ordinal = np.empty(R.shape[0], dtype=np.int64)   # private row -> its index in prow
-    ordinal[prow] = np.arange(prow.size)
-    own = ~coupled
-    er, ec = rows[own], cols[own]
-    q = ordinal[er]
-    out[slot[q], ec] = (R[er, ec] * inv[q]) % p
-    return out, np.sort(pivots).tolist()
+    out[np.arange(piv.size), piv] = 1
+    if cols.size:
+        out[:piv.size, cols] = ops.leave(P[order])
+    return out, piv.tolist()
+
+
+class _Residues:
+    """The arithmetic of _echelon's rounds mod p, on one of two kinds of
+    array, chosen per matrix from p and its column count n.
+
+    float64, when (n + 1) * (p-1)^2 < 2^52: every entry is an integer of
+    absolute value below p that represents its residue, so a product with
+    inner dimension at most n, plus one more such entry, is a sum of
+    integers below (n + 1) * (p-1)^2 in absolute value and is computed
+    exactly.  It is brought back by subtracting p times the nearest integer
+    to the computed x / p, which lies within 1/p of the true quotient, so
+    the result, an exact integer congruent to x, is at most p/2 + 1 in
+    absolute value: below p for p >= 3, and for p = 2 the quotient is
+    computed exactly.  This avoids numpy's float and int64 `%`, which cost
+    several times a product on the small matrices reduced here.  A value
+    is zero mod p exactly when it is 0, so nonzero masks read the same.
+
+    int64 otherwise: entries in [0, p), products by _mul_arrays, which is
+    exact for every p < 2^31, and sums reduced by `%`."""
+
+    __slots__ = ("p", "exact_float")
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.exact_float = (n + 1) * (p - 1) ** 2 < _FLOAT_EXACT
+
+    def enter(self, a: np.ndarray) -> np.ndarray:
+        """An int64 array in [0, p) as a working array."""
+        return a.astype(np.float64) if self.exact_float else a
+
+    def leave(self, a: np.ndarray) -> np.ndarray:
+        """A working array as a new int64 array in [0, p)."""
+        if self.exact_float:
+            return np.remainder(a.astype(np.int64), self.p)
+        return a.copy()
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """x, a fresh array of exact sums, brought back in place."""
+        if self.exact_float:
+            q = x * (1.0 / self.p)
+            np.rint(q, out=q)
+            q *= self.p
+            x -= q
+            return x
+        return np.remainder(x, self.p, out=x)
+
+    def product(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        if self.exact_float:
+            return self.reduce(X @ Q)
+        return _mul_arrays(X, Q, self.p)
+
+    def add_product(self, C: np.ndarray, X: np.ndarray, Q: np.ndarray,
+                    sign: int) -> np.ndarray:
+        """C + sign * X @ Q, sign +1 or -1, with C's entries of the same
+        kind."""
+        out = X @ Q if self.exact_float else _mul_arrays(X, Q, self.p)
+        if sign > 0:
+            np.add(C, out, out=out)
+        else:
+            np.subtract(C, out, out=out)
+        return self.reduce(out)
+
+    def scale(self, B: np.ndarray, lead: np.ndarray) -> np.ndarray:
+        """B, a fresh working array, with row i divided by its nonzero
+        entry lead[i], in place.  A residue of +-1 is its own inverse, and
+        negating a row keeps every absolute value, so when every row is led
+        by +-1 the rows led by -1 are negated and nothing is reduced; else
+        each leading entry is inverted by Python's pow."""
+        one = lead == 1
+        if one.all():
+            return B
+        if self.exact_float:
+            minus = (lead == -1) | (lead == self.p - 1)
+            if (one | minus).all():
+                return np.negative(B, out=B, where=minus[:, None])
+        p = self.p
+        vals = np.remainder(lead.astype(np.int64), p).tolist()
+        inv = self.enter(np.array([pow(v, p - 2, p) for v in vals], dtype=np.int64))
+        B *= inv[:, None]
+        return self.reduce(B)
+
+
+def _eliminate(C: np.ndarray, u: np.ndarray, keep: np.ndarray, Q: np.ndarray,
+               ops: _Residues) -> np.ndarray:
+    """C with its columns u cleared by the rows of a reduced block whose row
+    j has a 1 at column u[j] and 0 at the rest of u, Q being that block on
+    the columns `keep` (the complement of u): C[:, keep] - C[:, u] @ Q, one
+    product, none when C is zero on u."""
+    X = C[:, u]
+    if not X.any():
+        return C[:, keep]
+    return ops.add_product(C[:, keep], X, Q, -1)
+
+
+def _distinct_leads(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, u) for the nonzero mask nz of a matrix with no zero row: u
+    the distinct leading columns of its rows, ascending, and first[j] the
+    first row that leads at u[j]."""
+    lead = nz.argmax(axis=1)
+    order = lead.argsort(kind="stable")
+    sl = lead[order]
+    head = np.empty(sl.size, dtype=bool)
+    head[0] = True
+    np.not_equal(sl[1:], sl[:-1], out=head[1:])
+    return order[head], sl[head]
+
+
+def _pivot_round(A: np.ndarray, first: np.ndarray, u: np.ndarray, P: np.ndarray,
+                 ops: _Residues):
+    """One Faugere-Lachartre round on A, a working array with no zero row,
+    against the reduced pivot rows P found so far on the same columns;
+    u are the distinct leading columns of A's rows and first the first row
+    leading at each (_distinct_leads).
+
+    Those rows become pivot rows, scaled to a leading 1.  Sorted by leading
+    column, the pivot rows restricted to the columns u form T, unit upper
+    triangular: row i is zero before its leading column u[i].  With
+    N = T - I, nilpotent, T^-1 = (I - N)(I + N^2)(I + N^4)..., applied to
+    the pivot rows by two products per factor until the power of N
+    vanishes; no product is made when T = I, which includes every private
+    row (one that shares no column with another).  That brings the pivot
+    rows to reduced form on u.  The other rows of A then lose their entries
+    on u by one product (their Schur complement), and P loses its entries
+    there by one more.
+
+    Returns (u, keep, P', S): the mask keep of the columns outside u, P
+    with the new pivot rows appended and S the Schur complement, both
+    restricted to keep."""
+    k = u.size
+    B = A[first]
+    diag = np.arange(k)
+    B = ops.scale(B, B[diag, u])
+    keep = np.ones(A.shape[1], dtype=bool)
+    keep[u] = False
+    T = B[:, u]
+    Bk = B[:, keep]
+    if np.count_nonzero(T) > k:
+        Nk = T
+        Nk[diag, diag] = 0
+        sign = -1
+        while True:
+            Bk = ops.add_product(Bk, Nk, Bk, sign)
+            Nk = ops.product(Nk, Nk)
+            if not Nk.any():
+                break
+            sign = 1
+    if k == A.shape[0]:
+        S = A[:0, keep]
+    else:
+        others = np.ones(A.shape[0], dtype=bool)
+        others[first] = False
+        S = _eliminate(A[others], u, keep, Bk, ops)
+    return u, keep, np.concatenate([_eliminate(P, u, keep, Bk, ops), Bk]), S
+
+
+def _panel_round(A: np.ndarray, P: np.ndarray, ops: _Residues):
+    """The panel elimination of A, the Schur complement a round left,
+    merged like a round (_pivot_round): its pivot rows are already
+    reduced, so one product clears their pivot columns from P.  Returns
+    (local pivot columns, keep, P', an empty Schur complement)."""
+    Q, local = _panel_echelon(ops.leave(A), ops.p)
+    local = np.asarray(local, dtype=np.int64)
+    keep = np.ones(A.shape[1], dtype=bool)
+    keep[local] = False
+    Q = ops.enter(Q[:local.size, keep])
+    return local, keep, np.concatenate([_eliminate(P, local, keep, Q, ops), Q]), A[:0, keep]
 
 
 def _small_echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -531,8 +730,8 @@ def _sparse_rank(field: Field, shape: tuple[int, int], rows: np.ndarray, cols: n
     values at a repeated position add mod p (they may cancel).
 
     No matrix of the full shape is built.  After the repeats are summed and
-    the zeros dropped, the private rows are split off by _private_split, as
-    in _echelon; each one adds 1 to the rank.  Only the coupled rows, on the
+    the zeros dropped, the private rows are split off by _private_split;
+    each one adds 1 to the rank.  Only the coupled rows, on the
     columns they touch, are densified, and that remainder is ranked by
     `rank`.  No coordinates give rank 0 with nothing built."""
     if rows.size == 0:

@@ -9,6 +9,10 @@ runs the full advertised depth.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -324,3 +328,39 @@ def test_criterion_11_out_of_scope_guard():
     for line in not_applicable:
         assert "Krull dimension" in line or "noetherian" in line
     _report(11, True, "3 out-of-scope statements listed explicitly")
+
+
+# The child runs the eleven criteria above with R4 at the depth of the other
+# rings, patching this module's tables after collection, and prints its own
+# peak RSS in bytes (ru_maxrss is in KiB on Linux, in bytes on macOS).
+_FULL_DEPTH_CHILD = """
+import resource, sys, pytest
+
+class FullDepth:
+    def pytest_collection_modifyitems(self, items):
+        for item in items:
+            item.module.DEGREES["R4"], item.module.BOUNDS["R4"] = 4, 5
+
+code = pytest.main([sys.argv[1], "-q", "-s", "-p", "no:cacheprovider", "-k", "criterion"],
+                   plugins=[FullDepth()])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print("peak_rss_bytes", peak if sys.platform == "darwin" else peak * 1024)
+sys.exit(code)
+"""
+
+
+def test_full_depth_r4_in_a_child_process():
+    """All eleven criteria with R4 at degree 4 and bound 5, the full depth
+    of the other rings, in a child process whose peak RSS is its own:
+    every criterion passes and the peak stays under 1 GB (about 0.42 GB
+    on a 2-vCPU Linux host with numpy 2; the module's own tables keep R4
+    at degree 2 and bound 2 in this process)."""
+    assert DEGREES["R4"] == BOUNDS["R4"] == 2
+    run = subprocess.run([sys.executable, "-c", _FULL_DEPTH_CHILD, os.path.abspath(__file__)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+    passed = sorted(int(n) for n in re.findall(r"criterion (\d+): PASS", run.stdout))
+    assert passed == list(range(1, 12))
+    assert "R4 at bound 5" in run.stdout
+    peak = int(re.search(r"peak_rss_bytes (\d+)", run.stdout).group(1))
+    assert peak < 10 ** 9, f"peak RSS {peak / 10 ** 6:.0f} MB"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semidual import linalg
+from semidual.algebra import algebra_from_monomial_quotient
 from semidual.complexes import minimal_free_resolution
 from semidual.corpus import ring_type_three
 from semidual.errors import InputError
@@ -315,12 +316,51 @@ def test_mul_arrays_matrix_and_stack_match_python_ints(p):
             assert flat.shape == (m, k) and flat.tolist() == want[r]
 
 
-def _split_kinds(data: np.ndarray) -> tuple[int, int]:
-    """(private, coupled) row counts: nonzero rows that share no column with
-    another row, and rows that do."""
-    nz = data != 0
-    coupled = nz[:, nz.sum(axis=0) > 1].any(axis=1)
-    return int((nz.any(axis=1) & ~coupled).sum()), int(coupled.sum())
+def _reduction_steps(data, p, monkeypatch):
+    """_echelon(data, p), with the steps it took and the products it made.
+
+    Steps, in order: ('round', pivots, products) for each pivot round, its
+    products being those of the round's arithmetic (_Residues.product and
+    add_product, which serve both kinds of working array), and ('panel',
+    shape) for each panel elimination.  The total counts every product,
+    the merges after a panel elimination and every _mul_arrays call
+    included."""
+    steps = []
+    count = [0, 0, 0]     # products this round, all products, open product calls
+    real_round, real_panel = linalg._pivot_round, linalg._panel_echelon
+    real_product, real_add = linalg._Residues.product, linalg._Residues.add_product
+    real_mul = linalg._mul_arrays
+
+    def counting(real):
+        def counted(*args):
+            if not count[2]:                  # an int64 round product calls _mul_arrays
+                count[0] += 1
+                count[1] += 1
+            count[2] += 1
+            try:
+                return real(*args)
+            finally:
+                count[2] -= 1
+        return counted
+
+    def pivot_round(A, first, u, P, ops):
+        count[0] = 0
+        got = real_round(A, first, u, P, ops)
+        steps.append(("round", int(u.size), count[0]))
+        return got
+
+    def panel(R, q):
+        steps.append(("panel", R.shape))
+        return real_panel(R, q)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_pivot_round", pivot_round)
+        patched.setattr(linalg, "_panel_echelon", panel)
+        patched.setattr(linalg._Residues, "product", counting(real_product))
+        patched.setattr(linalg._Residues, "add_product", counting(real_add))
+        patched.setattr(linalg, "_mul_arrays", counting(real_mul))
+        R, piv = _echelon(data, p)
+    return R, piv, steps, count[1]
 
 
 def _structured_sparse(p: int, rng, n_private: int, n_coupled: int) -> np.ndarray:
@@ -365,19 +405,21 @@ def _panel_only(arr, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
 def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
-    """Structured sparse matrices through the private-row split, and
-    matrices under _SMALL_CELLS through the Python-int echelon: the RREF
-    against the pure-Python oracle, and every echelon consumer against the
-    panel elimination alone."""
+    """Structured sparse matrices of private and coupled rows through the
+    pivot rounds, and matrices under _SMALL_CELLS through the Python-int
+    echelon: the RREF against the pure-Python oracle, and every echelon
+    consumer against the panel elimination alone.  A matrix of private
+    rows only is reduced by one round with no product."""
     f = Field(p)
     rng = np.random.default_rng(p % 1009)
     mixed = [_structured_sparse(p, rng, n_private, n_coupled)
              for n_private, n_coupled in [(12, 10), (30, 3), (5, 30)]]
     for data in mixed:
-        private, coupled = _split_kinds(data)
-        assert private and coupled and data.size > _SMALL_CELLS
+        _, _, steps, _ = _reduction_steps(data, p, monkeypatch)
+        assert steps[0][0] == "round" and data.size > _SMALL_CELLS
     only_private = _structured_sparse(p, rng, 20, 0)
-    assert _split_kinds(only_private)[1] == 0
+    _, _, steps, products = _reduction_steps(only_private, p, monkeypatch)
+    assert steps == [("round", 20, 0)] and products == 0
     one_row = np.zeros((1, 300), dtype=np.int64)
     one_row[0, 7::11] = rng.integers(1, p, size=one_row[0, 7::11].size)
     one_col = np.zeros((300, 1), dtype=np.int64)
@@ -405,20 +447,17 @@ def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
 
 def test_private_rows_need_no_elimination(monkeypatch):
     """The third differential of the resolution of k over R4 has one nonzero
-    per row and per column: its rank makes no matrix product."""
+    per row and per column: its 27 nonzero rows lead at 27 distinct
+    columns and share no column, so one pivot round reduces it with no
+    product, and no panel elimination is made."""
     R4 = ring_type_three()
     d3 = minimal_free_resolution(residue_field_module(R4), 3).arrow(3).mat
     assert d3.shape == (36, 108) and d3.size > _SMALL_CELLS
-    assert _split_kinds(d3) == (27, 0)
-    calls = []
-
-    def counted(a, b, p):
-        calls.append(a.shape)
-        return _mul_arrays(a, b, p)
-
-    monkeypatch.setattr(linalg, "_mul_arrays", counted)
-    assert rank(Mat(R4.field, d3)) == 27
-    assert calls == []
+    R, piv, steps, products = _reduction_steps(d3, R4.field.p, monkeypatch)
+    assert steps == [("round", 27, 0)] and products == 0
+    assert len(piv) == 27 and rank(Mat(R4.field, d3)) == 27
+    want, want_piv = naive_rref(d3.tolist(), R4.field.p)
+    assert piv == want_piv and R.tolist() == want
 
 
 # -- size tiers ---------------------------------------------------------------------
@@ -548,8 +587,9 @@ def test_small_echelon_matches_naive_and_panel(p, monkeypatch):
 
 
 def test_coupled_matrix_is_restricted_to_nonzero_rows_and_columns(monkeypatch):
-    """A coupled matrix with no private row reaches the panel elimination
-    without its zero rows and columns."""
+    """A matrix whose nonzero rows all lead at one column takes no pivot
+    round (one distinct leading column is fewer than _FL_MIN_PIVOTS), and
+    reaches the panel elimination without its zero rows and columns."""
     p = 5
     rng = np.random.default_rng(7)
     block = rng.integers(1, p, size=(20, 20))
@@ -564,19 +604,25 @@ def test_coupled_matrix_is_restricted_to_nonzero_rows_and_columns(monkeypatch):
         return _panel_echelon(R, q)
 
     monkeypatch.setattr(linalg, "_panel_echelon", counted)
+    rounds = []
+    monkeypatch.setattr(linalg, "_pivot_round", lambda *args: rounds.append(args))
     for data in (padded, block):
         shapes.clear()
-        assert _split_kinds(data) == (0, 20) and data.size > _SMALL_CELLS
+        leads = (data != 0).argmax(axis=1)[(data != 0).any(axis=1)]
+        assert leads.size == 20 and np.unique(leads).size == 1
+        assert data.size > _SMALL_CELLS
         R, piv = _echelon(data, p)
-        assert shapes == [(20, 20)]
+        assert shapes == [(20, 20)] and rounds == []
         want, want_piv = naive_rref(data.tolist(), p)
         assert len(piv) == 19 and piv == want_piv and R.tolist() == want
 
 
 @pytest.mark.parametrize("p", [3, 65521])
-def test_echelon_never_writes_its_input(p):
-    """The private-row split only reads its input and the whole-matrix
-    panel path works on a copy, so a read-only input passes both unchanged."""
+def test_echelon_never_writes_its_input(p, monkeypatch):
+    """The pivot rounds only read their input and the whole-matrix panel
+    path works on a copy, so a read-only input passes both unchanged.  The
+    dense input takes the panel path (every row leads at column 0), the
+    structured one starts with a round."""
     rng = np.random.default_rng(11)
     dense = rng.integers(1, p, size=(20, 20))
     split = _structured_sparse(p, rng, 12, 9)
@@ -588,7 +634,148 @@ def test_echelon_never_writes_its_input(p):
         assert np.array_equal(frozen, data)
         want, want_piv = naive_rref(data.tolist(), p)
         assert piv == want_piv and R.tolist() == want
-    assert _split_kinds(dense)[0] == 0 and _split_kinds(split)[0] > 0
+    assert _reduction_steps(dense, p, monkeypatch)[2] == [("panel", (20, 20))]
+    assert _reduction_steps(split, p, monkeypatch)[2][0][0] == "round"
+
+
+# -- pivot rounds ---------------------------------------------------------------
+
+
+def _lead_block(p, rng, leads, cols, cross):
+    """Rows leading at the given columns (ascending), each with a random
+    leading entry and random entries after it at density 0.3; with cross,
+    row i also has an entry at the next row's leading column, so the rows'
+    block on their leading columns is a chain of length len(leads) - 1;
+    without it, no row has an entry at another row's leading column."""
+    k = len(leads)
+    data = np.zeros((k, cols), dtype=np.int64)
+    lead_cols = np.zeros(cols, dtype=bool)
+    lead_cols[leads] = True
+    for i, c in enumerate(leads):
+        data[i, c] = rng.integers(1, p)
+        tail = np.arange(c + 1, cols)
+        tail = tail[~lead_cols[tail] & (rng.random(tail.size) < 0.3)]
+        data[i, tail] = rng.integers(1, p, size=tail.size)
+        if cross and i + 1 < k:
+            data[i, leads[i + 1]] = rng.integers(1, p)
+    return data
+
+
+def _combinations(p, rng, basis, count):
+    """count random combinations of the rows of basis, mod p (Python ints)."""
+    coeff = rng.integers(0, p, size=(count, basis.shape[0]))
+    return (coeff.astype(object) @ basis.astype(object) % p).astype(np.int64)
+
+
+def _cokernel_rows(p, rng, gens, rels):
+    """The matrix that presentation_to_module's cokernel reduces over
+    k[x,y,z]/(x^3, y^3, z^3) (d = 27, the T27 ring of the hom-tensor
+    benchmark) at p: rows x^nu * f_t for the 27 monomials nu and rels
+    random relations f_t in m * R^gens, (rels * 27, gens * 27)."""
+    R = algebra_from_monomial_quotient(Field(p), ["x", "y", "z"], ["x^3", "y^3", "z^3"])
+    d = R.dim
+    coeffs = rng.integers(0, p, size=(gens * rels, d)) * (rng.random((gens * rels, d)) < 0.3)
+    coeffs[:, 0] = 0                      # no unit entry: the relations lie in m
+    blocks = _mul_arrays(coeffs, R.left_mult.reshape(d, d * d), p)
+    mat = blocks.reshape(gens, rels, d, d).transpose(0, 2, 1, 3).reshape(gens * d, rels * d)
+    return np.ascontiguousarray(mat.T)
+
+
+def _round_cases(p, rng):
+    """(name, matrix, check of its steps) for each kind of input the pivot
+    rounds must handle; every matrix has more than _SMALL_CELLS cells."""
+    cases = []
+    # distinct leads, no cross entries: one round, no product
+    leads = np.sort(rng.permutation(70)[:24])
+    private = _lead_block(p, rng, leads, 70, cross=False)[rng.permutation(24)]
+    cases.append(("private", private, lambda s, n: s == [("round", 24, 0)] and n == 0))
+    # distinct leads whose block T is a chain of 39: T^-1 by doubling
+    leads = np.sort(rng.permutation(60)[:40])
+    deep = _lead_block(p, rng, leads, 60, cross=True)[rng.permutation(40)]
+    cases.append(("deep T", deep, lambda s, n: s[0][:2] == ("round", 40) and s[0][2] >= 12))
+    # every row leads at column 0: the panel elimination takes it whole
+    shared = rng.integers(0, p, size=(60, 40))
+    shared[:, 0] = rng.integers(1, p, size=60)
+    cases.append(("one lead", shared, lambda s, n: s == [("panel", (60, 40))]))
+    # a round of 12, then a dense Schur complement for the panel elimination
+    top = _lead_block(p, rng, np.arange(12), 40, cross=True)
+    dense = rng.integers(0, p, size=(50, 40))
+    dense[:, 0] = rng.integers(1, p, size=50)
+    mixed = np.concatenate([top, dense])[rng.permutation(62)]
+    cases.append(("round then panel", mixed,
+                  lambda s, n: s[0][:2] == ("round", 12) and s[1][0] == "panel"))
+    # zero and repeated rows: the repeats vanish in the Schur complement
+    rep = np.concatenate([deep, np.zeros((5, 60), dtype=np.int64), deep[:10],
+                          (3 * deep[10:20]) % p])[rng.permutation(65)]
+    cases.append(("zero and repeated rows", rep, lambda s, n: s[0][:2] == ("round", 40)))
+    # tall: 20 leading rows and 280 combinations of them, one round
+    basis = _lead_block(p, rng, np.arange(20), 20, cross=True)
+    tall = np.concatenate([basis, _combinations(p, rng, basis, 280)])[rng.permutation(300)]
+    cases.append(("tall", tall, lambda s, n: s[0][:2] == ("round", 20) and len(s) == 1))
+    cases.append(("tall dense", rng.integers(1, p, size=(300, 20)),
+                  lambda s, n: s == [("panel", (300, 20))]))
+    # wide: 12 rows with distinct leads, one round; dense, the panel
+    leads = np.sort(rng.permutation(300)[:12])
+    wide = _lead_block(p, rng, leads, 300, cross=True)[rng.permutation(12)]
+    cases.append(("wide", wide, lambda s, n: s[0][:2] == ("round", 12) and len(s) == 1))
+    cases.append(("wide dense", rng.integers(1, p, size=(12, 300)),
+                  lambda s, n: s == [("panel", (12, 300))]))
+    # T27-style cokernels x^nu * f_t, the hom-tensor benchmark's shapes
+    for gens, rels in [(2, 3), (2, 4), (1, 2)]:
+        coker = _cokernel_rows(p, rng, gens, rels)
+        cases.append((f"cokernel {coker.shape}", coker, lambda s, n: s[0][0] == "round"))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2 ** 31 - 1])
+def test_pivot_rounds_match_naive_and_panel(p, monkeypatch):
+    """Each kind of input through the pivot rounds: the steps it takes,
+    the RREF and pivots against the pure-Python oracle and against the
+    panel elimination alone, dtype and shape, and a read-only input left
+    unwritten."""
+    rng = np.random.default_rng(p % 983)
+    for name, data, steps_ok in _round_cases(p, rng):
+        assert data.size > _SMALL_CELLS, name
+        frozen = data.copy()
+        frozen.setflags(write=False)
+        R, piv, steps, products = _reduction_steps(frozen, p, monkeypatch)
+        assert steps_ok(steps, products), (name, steps, products)
+        assert np.array_equal(frozen, data), name
+        want, want_piv = naive_rref(data.tolist(), p)
+        assert piv == want_piv and R.tolist() == want, name
+        panel, panel_piv = _panel_echelon(data.copy(), p)
+        assert R.dtype == np.int64 and R.shape == data.shape
+        assert piv == panel_piv and np.array_equal(R, panel), name
+
+
+def test_float_rounds_are_exact_up_to_their_bound(monkeypatch):
+    """The rounds work in float64 exactly when (columns + 1) * (p-1)^2 <
+    2^52.  At p = 2^24 - 3 that allows 15 columns; with entries p - 1 and a
+    deep chain, the sums of every product reach the bound's order, and the
+    RREF still equals the oracle's, on 15 columns (float64) and on 16
+    (int64)."""
+    p = 2 ** 24 - 3
+    assert linalg._is_prime(p)
+    assert linalg._Residues(p, 15).exact_float and not linalg._Residues(p, 16).exact_float
+    rng = np.random.default_rng(5)
+    for cols in (15, 16):
+        data = _lead_block(p, rng, np.arange(cols), cols, cross=True)
+        data[data != 0] = p - 1
+        data = np.concatenate([data, (2 * data[:5]) % p, np.full((4, cols), p - 1)])
+        data = data[rng.permutation(data.shape[0])]
+        assert data.size > _SMALL_CELLS
+        R, piv, steps, products = _reduction_steps(data, p, monkeypatch)
+        assert steps[0][0] == "round" and products
+        want, want_piv = naive_rref(data.tolist(), p)
+        assert piv == want_piv and R.tolist() == want
+
+
+def test_echelon_has_no_selection_knob():
+    """The path is chosen from the input alone: _echelon takes the array
+    and p, and linalg reads no environment variable."""
+    assert list(inspect.signature(_echelon).parameters) == ["arr", "p"]
+    source = inspect.getsource(linalg)
+    assert "environ" not in source and "getenv" not in source
 
 
 def _glibc() -> bool:

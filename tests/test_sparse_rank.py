@@ -1,13 +1,14 @@
 """Ranks from coordinates, and the cell budget.
 
-`_echelon` reads its private-row split off the nonzero coordinates; it is
-checked against the panel elimination alone on random sparse matrices and
-on the edge shapes.  `_sparse_rank` is checked against the dense rank on
+`_echelon`'s pivot rounds are checked against the panel elimination alone
+on random sparse matrices and on the edge shapes.  `_sparse_rank` is checked against the dense rank on
 random coordinates with repeated and cancelling positions.  The induced
 differentials of Ext and Tor are ranked from coordinates when N, or the
 base of the power N, acts by partial permutations: the coordinates are
 checked entry for entry against the dense block matrix, and their rank
 against its rank, over the corpus rings, T27 and a ring over GF(2^31 - 1).
+`homology_dim` and `exactness_profile` rank an induced complex's
+unrealised differentials the same way, without realising them.
 Arrays past the cell budget are refused with an InputError naming the
 shape, and the CLI exits 2.
 """
@@ -45,7 +46,7 @@ def _same_as_panel(A, p):
     assert np.array_equal(got_R, want_R)
 
 
-# -- the coordinate split in _echelon ------------------------------------------
+# -- the pivot rounds in _echelon against the panel elimination ------------------------------------------
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -191,6 +192,57 @@ def test_m_killed_targets_give_no_coordinates():
             rows, cols, vals = _entries_coords(k, res.entries[j], contravariant)
             assert rows.size == cols.size == vals.size == 0
     assert ext_dims(k, k, 3) == tor_dims(k, k, 3) == [1, 3, 9, 27]
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4"])
+def test_homology_dims_rank_unrealised_differentials_from_coordinates(name, monkeypatch):
+    """homology_dim, and so exactness_profile, ranks each unrealised
+    differential of an InducedComplex by _differential_rank and keeps the
+    rank: over a partial-permutation N no block matrix is built and no
+    arrow is realised (a guard on block_matrix_from_entries raises), and
+    the homology dimensions equal those read off the realised, densely
+    ranked arrows, with or without an augmentation."""
+    ring = corpus_rings()[name]
+    k = mo.residue_field_module(ring)
+    D = mo.dualizing_module(ring)
+    R = mo.regular_module(ring)
+    other = _non_permutation_module(ring)
+    real = complexes.block_matrix_from_entries
+    for M in [k, D] + random_module_pool(ring, 2, max_dim=6):
+        res = minimal_free_resolution(M, 3)
+        # the resolution itself (entries realised through R by cover_matrix)
+        assert complexes.exactness_profile(res) == []
+        for j, r in res._ranks.items():
+            assert r == rank(Mat._wrap(ring.field, res.arrow(j + 1).mat))
+        for N in (k, D, R, mo.power_module(D, 2), other):
+            guarded = N is not other
+            for contravariant in (True, False):
+                def built(*args):
+                    assert not guarded, "a partial-permutation N built a block matrix"
+                    return real(*args)
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(complexes, "block_matrix_from_entries", built)
+                    cx = complexes.InducedComplex(N, res.betti, res.entries, contravariant)
+                    got = [cx.homology_dim(n) for n in range(-1, cx.top + 2)]
+                    assert complexes.exactness_profile(cx) == [n for n in range(cx.top)
+                                                               if got[n + 1]]
+                if guarded:
+                    assert cx._arrows == [None] * cx.top
+                dense = complexes.InducedComplex(N, res.betti, res.entries, contravariant)
+                ranks = [f.rank() for f in dense.arrows]
+                assert [cx._ranks[j] for j in range(cx.top)] == ranks
+                assert got == [dense.homology_dim(n) for n in range(-1, cx.top + 2)]
+    # an augmented complex, the minimal injective resolution of M over D:
+    # the augmentation keeps its ModuleHom rank, the differentials are
+    # ranked from coordinates, and the complex is exact
+    for M in (k, R):
+        ires = complexes.minimal_injective_resolution(M, 3)
+        with monkeypatch.context() as patched:
+            patched.setattr(complexes, "block_matrix_from_entries",
+                            lambda *args: pytest.fail("realised a differential over D"))
+            assert complexes.exactness_profile(ires) == []
+        assert ires._arrows == [None] * ires.top
 
 
 # -- the cell budget ------------------------------------------------------------------
