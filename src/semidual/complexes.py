@@ -170,49 +170,32 @@ class AugmentedComplex:
 
     # -- dimension bookkeeping via ranks only
 
-    def _in_out_keys(self, n: int) -> tuple:
-        """(arrow into degree n, arrow out of degree n), each as k for the
-        k-th arrow (_arrow(k)), "aug" for the augmentation or None.
-        Augmented positions count: degree -1 holds the augmentation module."""
-        if n < -1:
-            return None, None
-        if self.orientation == "homological":
-            if n == -1:
-                return "aug", None
-            into = n if n + 1 <= self.top else None
-            if n == 0:
-                return into, "aug"
-            return into, (n - 1 if n <= self.top else None)
-        # cohomological: arrows increase degree
-        if n == -1:
-            return None, "aug"
-        into = "aug" if n == 0 else (n - 1 if n <= self.top else None)
-        return into, (n if n <= self.top - 1 else None)
-
     def _in_out(self, n: int) -> tuple[ModuleHom | None, ModuleHom | None]:
-        """(arrow into degree n, arrow out of degree n), either may be None."""
-        into, out = self._in_out_keys(n)
-        return self._keyed_arrow(into), self._keyed_arrow(out)
-
-    def _keyed_arrow(self, key) -> ModuleHom | None:
-        if key == "aug":
-            return self.aug_map
-        return None if key is None else self._arrow(key)
+        """(arrow into degree n, arrow out of degree n), either may be None.
+        Augmented positions count: degree -1 holds the augmentation module."""
+        if self.orientation == "homological":
+            return self.arrow(n + 1), self.arrow(n)
+        return self.arrow(n - 1), self.arrow(n)
 
     def _arrow_rank(self, k: int) -> int:
         """Rank of the k-th arrow."""
         return self._arrow(k).rank()
 
-    def _keyed_rank(self, key) -> int:
-        if key == "aug":
+    def _rank_at(self, i: int) -> int:
+        """Rank of arrow(i), 0 where there is none."""
+        if self.orientation == "homological":
+            aug, k = 0, i - 1
+        else:
+            aug, k = -1, i
+        if i == aug:
             return 0 if self.aug_map is None else self.aug_map.rank()
-        return 0 if key is None else self._arrow_rank(key)
+        return self._arrow_rank(k) if 0 <= k < self.top else 0
 
     def homology_dim(self, n: int) -> int:
         """dim H_n from the ranks of the arrows into and out of degree n;
         an InducedComplex ranks an unrealised arrow without realising it."""
-        into, out = self._in_out_keys(n)
-        return self.module(n).dim - self._keyed_rank(into) - self._keyed_rank(out)
+        into = n + 1 if self.orientation == "homological" else n - 1
+        return self.module(n).dim - self._rank_at(into) - self._rank_at(n)
 
 
 def homology_data(X: AugmentedComplex, n: int, label: str | None = None):
@@ -386,6 +369,7 @@ class InducedComplex(AugmentedComplex):
             if self.contravariant:
                 src, dst = dst, src
             got = self._arrows[k] = ModuleHom(src, dst, self._realise(k + 1), check=False)
+            got._rank = self._ranks.pop(k, None)
         return got
 
     def _realise(self, k: int) -> np.ndarray:
@@ -398,7 +382,8 @@ class InducedComplex(AugmentedComplex):
         ModuleHom.rank(); an unrealised one is ranked from its ring entries
         by _differential_rank, from coordinates when N or its base acts by
         partial permutations, with no matrix of its full shape built and
-        without realising it, and the rank is kept."""
+        without realising it, and the rank is kept, to be handed to the
+        arrow if it is realised later (_arrow)."""
         if self._arrows[k] is not None:
             return self._arrows[k].rank()
         got = self._ranks.get(k)

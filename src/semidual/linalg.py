@@ -31,14 +31,14 @@ vectors in the result.  A round that would take fewer than _FL_MIN_PIVOTS
 pivots, from more rows than that, hands its rows to the panel elimination
 instead, and one product merges that result like a round's.
 
-The rounds work in one of two kinds of array (_Residues).  When
-(columns + 1) * (p-1)^2 < 2^52 they are float64 arrays of integers of
-absolute value below p, each standing for its residue: a product of inner
-dimension at most the column count, plus one such entry, sums integers
-below that bound and is exact, and it is brought back below p by
-subtracting p times the nearest integer to x / p, which costs a fraction
-of a `% p`.  Otherwise they are int64 arrays in [0, p) multiplied by
-`_mul_arrays`, exact for every p < 2^31.
+The rounds work in float64 on integers of absolute value below p, each
+standing for its residue, and run only when (columns + 1) * (p-1)^2 <
+2^52: a product of inner dimension at most the column count, plus one
+such entry, sums integers below that bound and is exact, and it is
+brought back below p by subtracting p times the nearest integer to x / p,
+which costs a fraction of a `% p` (_reduce).  For larger p or more
+columns, the panel elimination takes the whole nonzero block, as it does
+when the first round would take too few pivots.
 
 The panel elimination copies each panel of columns transposed, so that a
 column is a contiguous row, and reduces it by rank-1 updates of the
@@ -344,16 +344,16 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     and the panel elimination works on a copy.  An all-zero input returns
     as soon as it is seen to have no nonzero row.  Otherwise the nonzero
     rows, on the nonzero columns, go through Faugere-Lachartre rounds
-    (_pivot_round) until no row is left, or until a round would take too
-    few pivots; the panel elimination then reduces what is left, and one
-    more product clears its pivot columns from the pivot rows found before.
-    A column that becomes a pivot column is dropped from the working
-    arrays, since it is a unit vector in the result.  The rounds work in
-    float64 on residues of absolute value below p when (columns + 1) *
-    (p-1)^2 < 2^52, and in int64 on residues in [0, p) through _mul_arrays
-    otherwise (_Residues).  Matrices of at most _SMALL_CELLS cells are
-    reduced over Python ints instead.  The cell budget is checked before
-    the output and the copies of a nonzero input are allocated.
+    (_pivot_round) when (columns + 1) * (p-1)^2 < 2^52, so that the
+    rounds' float64 products are exact (_reduce), and when the first round
+    would take at least _FL_MIN_PIVOTS pivots (or every row); else the
+    panel elimination takes them whole.  Rounds run until no row is left,
+    or until a round would take too few pivots; the panel elimination then
+    reduces what is left (_panel_round).  A column that becomes a pivot
+    column is dropped from the working arrays, since it is a unit vector
+    in the result.  Matrices of at most _SMALL_CELLS cells are reduced
+    over Python ints instead.  The cell budget is checked before the
+    output and the copies of a nonzero input are allocated.
     """
     if arr.size <= _SMALL_CELLS:
         return _small_echelon(arr, p)
@@ -369,25 +369,28 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         A, nz = A[rows], nz[rows]
     if cols.size < R.shape[1]:
         A, nz = A[:, cols], nz[:, cols]
-    first, u = _distinct_leads(nz)
-    if u.size < min(_FL_MIN_PIVOTS, A.shape[0]):
-        # no round: the panel elimination takes the whole nonzero block
+    rounds = (cols.size + 1) * (p - 1) ** 2 < _FLOAT_EXACT
+    if rounds:
+        first, u = _distinct_leads(nz)
+        rounds = u.size >= min(_FL_MIN_PIVOTS, A.shape[0])
+    if not rounds:
         if A is R:
             return _panel_echelon(R.copy(order="K"), p)
         Q, local = _panel_echelon(A, p)           # A is a gathered copy
         out = np.zeros(R.shape, dtype=np.int64)
         out[:len(local), cols] = Q[:len(local)]
         return out, cols[local].tolist()
-    ops = _Residues(p, cols.size)
-    A = ops.enter(A)
+    # the working arrays replace A and nz, so that a large input's copies
+    # are freed as the rounds go
+    A = A.astype(np.float64)
     # P: the pivot rows found so far, reduced, on the columns in cols, the
     # columns that are not pivot columns yet; piv: their pivot columns
     P, piv = A[:0], []
     while True:
         if u.size < min(_FL_MIN_PIVOTS, A.shape[0]):
-            local, keep, P, A = _panel_round(A, P, ops)
+            local, keep, P, A = _panel_round(A, P, p)
         else:
-            local, keep, P, A = _pivot_round(A, first, u, P, ops)
+            local, keep, P, A = _pivot_round(A, first, u, P, p)
         piv.append(cols[local])
         cols = cols[keep]
         nz = A != 0
@@ -403,93 +406,72 @@ def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     out = np.zeros(R.shape, dtype=np.int64)
     out[np.arange(piv.size), piv] = 1
     if cols.size:
-        out[:piv.size, cols] = ops.leave(P[order])
+        out[:piv.size, cols] = _residues(P[order], p)
     return out, piv.tolist()
 
 
-class _Residues:
-    """The arithmetic of _echelon's rounds mod p, on one of two kinds of
-    array, chosen per matrix from p and its column count n.
+# The rounds' arithmetic.  Every working entry is a float64 integer of
+# absolute value below p that represents its residue, and a matrix reduced
+# by rounds has n columns with (n + 1) * (p-1)^2 < 2^52, so a product of
+# inner dimension at most n, plus one more such entry, is a sum of integers
+# below that bound in absolute value and is computed exactly.  _reduce
+# brings it back by subtracting p times the nearest integer to the computed
+# x / p, which lies within 1/p of the true quotient, so the result, an
+# exact integer congruent to x, is at most p/2 + 1 in absolute value:
+# below p for p >= 3, and for p = 2 the quotient is computed exactly.  This
+# avoids numpy's float and int64 `%`, which cost several times a product on
+# the small matrices reduced here.  A value is zero mod p exactly when it
+# is 0, so nonzero masks read the same.
 
-    float64, when (n + 1) * (p-1)^2 < 2^52: every entry is an integer of
-    absolute value below p that represents its residue, so a product with
-    inner dimension at most n, plus one more such entry, is a sum of
-    integers below (n + 1) * (p-1)^2 in absolute value and is computed
-    exactly.  It is brought back by subtracting p times the nearest integer
-    to the computed x / p, which lies within 1/p of the true quotient, so
-    the result, an exact integer congruent to x, is at most p/2 + 1 in
-    absolute value: below p for p >= 3, and for p = 2 the quotient is
-    computed exactly.  This avoids numpy's float and int64 `%`, which cost
-    several times a product on the small matrices reduced here.  A value
-    is zero mod p exactly when it is 0, so nonzero masks read the same.
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x, a fresh float64 array of exact sums, brought below p in absolute
+    value in place."""
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
+    q *= p
+    x -= q
+    return x
 
-    int64 otherwise: entries in [0, p), products by _mul_arrays, which is
-    exact for every p < 2^31, and sums reduced by `%`."""
 
-    __slots__ = ("p", "exact_float")
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """A float64 working array as a new int64 array in [0, p)."""
+    return np.remainder(a.astype(np.int64), p)
 
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.exact_float = (n + 1) * (p - 1) ** 2 < _FLOAT_EXACT
 
-    def enter(self, a: np.ndarray) -> np.ndarray:
-        """An int64 array in [0, p) as a working array."""
-        return a.astype(np.float64) if self.exact_float else a
+def _product(X: np.ndarray, Q: np.ndarray, p: int) -> np.ndarray:
+    return _reduce(X @ Q, p)
 
-    def leave(self, a: np.ndarray) -> np.ndarray:
-        """A working array as a new int64 array in [0, p)."""
-        if self.exact_float:
-            return np.remainder(a.astype(np.int64), self.p)
-        return a.copy()
 
-    def reduce(self, x: np.ndarray) -> np.ndarray:
-        """x, a fresh array of exact sums, brought back in place."""
-        if self.exact_float:
-            q = x * (1.0 / self.p)
-            np.rint(q, out=q)
-            q *= self.p
-            x -= q
-            return x
-        return np.remainder(x, self.p, out=x)
+def _add_product(C: np.ndarray, X: np.ndarray, Q: np.ndarray, sign: int,
+                 p: int) -> np.ndarray:
+    """C + sign * X @ Q, sign +1 or -1."""
+    out = X @ Q
+    if sign > 0:
+        np.add(C, out, out=out)
+    else:
+        np.subtract(C, out, out=out)
+    return _reduce(out, p)
 
-    def product(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        if self.exact_float:
-            return self.reduce(X @ Q)
-        return _mul_arrays(X, Q, self.p)
 
-    def add_product(self, C: np.ndarray, X: np.ndarray, Q: np.ndarray,
-                    sign: int) -> np.ndarray:
-        """C + sign * X @ Q, sign +1 or -1, with C's entries of the same
-        kind."""
-        out = X @ Q if self.exact_float else _mul_arrays(X, Q, self.p)
-        if sign > 0:
-            np.add(C, out, out=out)
-        else:
-            np.subtract(C, out, out=out)
-        return self.reduce(out)
-
-    def scale(self, B: np.ndarray, lead: np.ndarray) -> np.ndarray:
-        """B, a fresh working array, with row i divided by its nonzero
-        entry lead[i], in place.  A residue of +-1 is its own inverse, and
-        negating a row keeps every absolute value, so when every row is led
-        by +-1 the rows led by -1 are negated and nothing is reduced; else
-        each leading entry is inverted by Python's pow."""
-        one = lead == 1
-        if one.all():
-            return B
-        if self.exact_float:
-            minus = (lead == -1) | (lead == self.p - 1)
-            if (one | minus).all():
-                return np.negative(B, out=B, where=minus[:, None])
-        p = self.p
-        vals = np.remainder(lead.astype(np.int64), p).tolist()
-        inv = self.enter(np.array([pow(v, p - 2, p) for v in vals], dtype=np.int64))
-        B *= inv[:, None]
-        return self.reduce(B)
+def _scale(B: np.ndarray, lead: np.ndarray, p: int) -> np.ndarray:
+    """B, a fresh working array, with row i divided by its nonzero entry
+    lead[i], in place.  A residue of +-1 is its own inverse, and negating a
+    row keeps every absolute value, so when every row is led by +-1 the rows
+    led by -1 are negated and nothing is reduced; else each leading entry is
+    inverted by Python's pow."""
+    one = lead == 1
+    if one.all():
+        return B
+    minus = (lead == -1) | (lead == p - 1)
+    if (one | minus).all():
+        return np.negative(B, out=B, where=minus[:, None])
+    vals = np.remainder(lead.astype(np.int64), p).tolist()
+    B *= np.array([pow(v, p - 2, p) for v in vals], dtype=np.float64)[:, None]
+    return _reduce(B, p)
 
 
 def _eliminate(C: np.ndarray, u: np.ndarray, keep: np.ndarray, Q: np.ndarray,
-               ops: _Residues) -> np.ndarray:
+               p: int) -> np.ndarray:
     """C with its columns u cleared by the rows of a reduced block whose row
     j has a 1 at column u[j] and 0 at the rest of u, Q being that block on
     the columns `keep` (the complement of u): C[:, keep] - C[:, u] @ Q, one
@@ -497,7 +479,7 @@ def _eliminate(C: np.ndarray, u: np.ndarray, keep: np.ndarray, Q: np.ndarray,
     X = C[:, u]
     if not X.any():
         return C[:, keep]
-    return ops.add_product(C[:, keep], X, Q, -1)
+    return _add_product(C[:, keep], X, Q, -1, p)
 
 
 def _distinct_leads(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +496,7 @@ def _distinct_leads(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pivot_round(A: np.ndarray, first: np.ndarray, u: np.ndarray, P: np.ndarray,
-                 ops: _Residues):
+                 p: int):
     """One Faugere-Lachartre round on A, a working array with no zero row,
     against the reduced pivot rows P found so far on the same columns;
     u are the distinct leading columns of A's rows and first the first row
@@ -537,7 +519,7 @@ def _pivot_round(A: np.ndarray, first: np.ndarray, u: np.ndarray, P: np.ndarray,
     k = u.size
     B = A[first]
     diag = np.arange(k)
-    B = ops.scale(B, B[diag, u])
+    B = _scale(B, B[diag, u], p)
     keep = np.ones(A.shape[1], dtype=bool)
     keep[u] = False
     T = B[:, u]
@@ -547,8 +529,8 @@ def _pivot_round(A: np.ndarray, first: np.ndarray, u: np.ndarray, P: np.ndarray,
         Nk[diag, diag] = 0
         sign = -1
         while True:
-            Bk = ops.add_product(Bk, Nk, Bk, sign)
-            Nk = ops.product(Nk, Nk)
+            Bk = _add_product(Bk, Nk, Bk, sign, p)
+            Nk = _product(Nk, Nk, p)
             if not Nk.any():
                 break
             sign = 1
@@ -557,21 +539,21 @@ def _pivot_round(A: np.ndarray, first: np.ndarray, u: np.ndarray, P: np.ndarray,
     else:
         others = np.ones(A.shape[0], dtype=bool)
         others[first] = False
-        S = _eliminate(A[others], u, keep, Bk, ops)
-    return u, keep, np.concatenate([_eliminate(P, u, keep, Bk, ops), Bk]), S
+        S = _eliminate(A[others], u, keep, Bk, p)
+    return u, keep, np.concatenate([_eliminate(P, u, keep, Bk, p), Bk]), S
 
 
-def _panel_round(A: np.ndarray, P: np.ndarray, ops: _Residues):
+def _panel_round(A: np.ndarray, P: np.ndarray, p: int):
     """The panel elimination of A, the Schur complement a round left,
     merged like a round (_pivot_round): its pivot rows are already
     reduced, so one product clears their pivot columns from P.  Returns
     (local pivot columns, keep, P', an empty Schur complement)."""
-    Q, local = _panel_echelon(ops.leave(A), ops.p)
+    Q, local = _panel_echelon(_residues(A, p), p)
     local = np.asarray(local, dtype=np.int64)
     keep = np.ones(A.shape[1], dtype=bool)
     keep[local] = False
-    Q = ops.enter(Q[:local.size, keep])
-    return local, keep, np.concatenate([_eliminate(P, local, keep, Q, ops), Q]), A[:0, keep]
+    Q = Q[:local.size, keep].astype(np.float64)
+    return local, keep, np.concatenate([_eliminate(P, local, keep, Q, p), Q]), A[:0, keep]
 
 
 def _small_echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -352,7 +352,7 @@ sys.exit(code)
 def test_full_depth_r4_in_a_child_process():
     """All eleven criteria with R4 at degree 4 and bound 5, the full depth
     of the other rings, in a child process whose peak RSS is its own:
-    every criterion passes and the peak stays under 1 GB (about 0.42 GB
+    every criterion passes and the peak stays under 1 GB (about 416 MiB
     on a 2-vCPU Linux host with numpy 2; the module's own tables keep R4
     at degree 2 and bound 2 in this process)."""
     assert DEGREES["R4"] == BOUNDS["R4"] == 2

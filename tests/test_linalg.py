@@ -320,32 +320,24 @@ def _reduction_steps(data, p, monkeypatch):
     """_echelon(data, p), with the steps it took and the products it made.
 
     Steps, in order: ('round', pivots, products) for each pivot round, its
-    products being those of the round's arithmetic (_Residues.product and
-    add_product, which serve both kinds of working array), and ('panel',
-    shape) for each panel elimination.  The total counts every product,
-    the merges after a panel elimination and every _mul_arrays call
-    included."""
+    products being those of the rounds' arithmetic (_product and
+    _add_product), and ('panel', shape) for each panel elimination.  The
+    total counts every product, the merges after a panel elimination and
+    every _mul_arrays call included."""
     steps = []
-    count = [0, 0, 0]     # products this round, all products, open product calls
+    count = [0, 0]        # products this round, all products
     real_round, real_panel = linalg._pivot_round, linalg._panel_echelon
-    real_product, real_add = linalg._Residues.product, linalg._Residues.add_product
-    real_mul = linalg._mul_arrays
 
     def counting(real):
         def counted(*args):
-            if not count[2]:                  # an int64 round product calls _mul_arrays
-                count[0] += 1
-                count[1] += 1
-            count[2] += 1
-            try:
-                return real(*args)
-            finally:
-                count[2] -= 1
+            count[0] += 1
+            count[1] += 1
+            return real(*args)
         return counted
 
-    def pivot_round(A, first, u, P, ops):
+    def pivot_round(A, first, u, P, q):
         count[0] = 0
-        got = real_round(A, first, u, P, ops)
+        got = real_round(A, first, u, P, q)
         steps.append(("round", int(u.size), count[0]))
         return got
 
@@ -356,11 +348,22 @@ def _reduction_steps(data, p, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(linalg, "_pivot_round", pivot_round)
         patched.setattr(linalg, "_panel_echelon", panel)
-        patched.setattr(linalg._Residues, "product", counting(real_product))
-        patched.setattr(linalg._Residues, "add_product", counting(real_add))
-        patched.setattr(linalg, "_mul_arrays", counting(real_mul))
+        for name in ("_product", "_add_product", "_mul_arrays"):
+            patched.setattr(linalg, name, counting(getattr(linalg, name)))
         R, piv = _echelon(data, p)
     return R, piv, steps, count[1]
+
+
+def _rounds_run(p: int, data) -> bool:
+    """Whether _echelon may reduce data by pivot rounds at p: their float64
+    sums are exact for (nonzero columns + 1) * (p-1)^2 < 2^52, so at
+    p = 2^31 - 1 the panel elimination always takes the nonzero block."""
+    return (_nonzero_shape(data)[1] + 1) * (p - 1) ** 2 < 2 ** 52
+
+
+def _nonzero_shape(data) -> tuple:
+    nz = np.asarray(data) != 0
+    return (int(nz.any(axis=1).sum()), int(nz.any(axis=0).sum()))
 
 
 def _structured_sparse(p: int, rng, n_private: int, n_coupled: int) -> np.ndarray:
@@ -409,17 +412,22 @@ def test_private_row_split_matches_naive_and_panel(p, monkeypatch):
     pivot rounds, and matrices under _SMALL_CELLS through the Python-int
     echelon: the RREF against the pure-Python oracle, and every echelon
     consumer against the panel elimination alone.  A matrix of private
-    rows only is reduced by one round with no product."""
+    rows only is reduced by one round with no product, except at
+    p = 2^31 - 1, where the panel elimination takes every matrix."""
     f = Field(p)
     rng = np.random.default_rng(p % 1009)
     mixed = [_structured_sparse(p, rng, n_private, n_coupled)
              for n_private, n_coupled in [(12, 10), (30, 3), (5, 30)]]
     for data in mixed:
         _, _, steps, _ = _reduction_steps(data, p, monkeypatch)
-        assert steps[0][0] == "round" and data.size > _SMALL_CELLS
+        assert data.size > _SMALL_CELLS
+        assert steps[0][0] == ("round" if _rounds_run(p, data) else "panel")
     only_private = _structured_sparse(p, rng, 20, 0)
     _, _, steps, products = _reduction_steps(only_private, p, monkeypatch)
-    assert steps == [("round", 20, 0)] and products == 0
+    if _rounds_run(p, only_private):
+        assert steps == [("round", 20, 0)] and products == 0
+    else:
+        assert steps == [("panel", _nonzero_shape(only_private))]
     one_row = np.zeros((1, 300), dtype=np.int64)
     one_row[0, 7::11] = rng.integers(1, p, size=one_row[0, 7::11].size)
     one_col = np.zeros((300, 1), dtype=np.int64)
@@ -724,6 +732,11 @@ def _round_cases(p, rng):
     for gens, rels in [(2, 3), (2, 4), (1, 2)]:
         coker = _cokernel_rows(p, rng, gens, rels)
         cases.append((f"cokernel {coker.shape}", coker, lambda s, n: s[0][0] == "round"))
+    if p == 2 ** 31 - 1:
+        # no float64 round is exact here: one panel elimination of the
+        # nonzero block, whatever the input
+        cases = [(name, data, lambda s, n, shape=_nonzero_shape(data): s == [("panel", shape)])
+                 for name, data, _ in cases]
     return cases
 
 
@@ -749,14 +762,14 @@ def test_pivot_rounds_match_naive_and_panel(p, monkeypatch):
 
 
 def test_float_rounds_are_exact_up_to_their_bound(monkeypatch):
-    """The rounds work in float64 exactly when (columns + 1) * (p-1)^2 <
-    2^52.  At p = 2^24 - 3 that allows 15 columns; with entries p - 1 and a
-    deep chain, the sums of every product reach the bound's order, and the
-    RREF still equals the oracle's, on 15 columns (float64) and on 16
-    (int64)."""
+    """The rounds run in float64 only when (columns + 1) * (p-1)^2 < 2^52.
+    At p = 2^24 - 3 that allows 15 columns; with entries p - 1 and a deep
+    chain, the sums of every product reach the bound's order, and the RREF
+    still equals the oracle's on 15 columns (rounds); on 16 the panel
+    elimination takes the matrix whole."""
     p = 2 ** 24 - 3
     assert linalg._is_prime(p)
-    assert linalg._Residues(p, 15).exact_float and not linalg._Residues(p, 16).exact_float
+    assert 16 * (p - 1) ** 2 < 2 ** 52 <= 17 * (p - 1) ** 2
     rng = np.random.default_rng(5)
     for cols in (15, 16):
         data = _lead_block(p, rng, np.arange(cols), cols, cross=True)
@@ -765,7 +778,10 @@ def test_float_rounds_are_exact_up_to_their_bound(monkeypatch):
         data = data[rng.permutation(data.shape[0])]
         assert data.size > _SMALL_CELLS
         R, piv, steps, products = _reduction_steps(data, p, monkeypatch)
-        assert steps[0][0] == "round" and products
+        if cols == 15:
+            assert steps[0][0] == "round" and products
+        else:
+            assert steps == [("panel", data.shape)]
         want, want_piv = naive_rref(data.tolist(), p)
         assert piv == want_piv and R.tolist() == want
 
