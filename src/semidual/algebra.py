@@ -251,7 +251,8 @@ class MonomialData:
     divisors[i, v] is the basis index of e_i / x_v, or -1 when x_v does not
     divide e_i.  variable_columns holds, as identity columns, the variables
     that are nonzero in the quotient: they generate the maximal ideal.
-    Both arrays are read-only.
+    products[i, c] is the basis index of e_i * e_c, or -1 when the product
+    lies in the ideal.  All three arrays are read-only.
     """
 
     variables: list[str]
@@ -260,6 +261,7 @@ class MonomialData:
     index: dict
     divisors: np.ndarray
     variable_columns: np.ndarray
+    products: np.ndarray
 
     def reduce_monomial(self, exps: tuple[int, ...]) -> int | None:
         """Basis index of the monomial, or None if it lies in the ideal.
@@ -332,17 +334,18 @@ def algebra_from_monomial_quotient(field: Field, variables: list[str],
     index = {e: i for i, e in enumerate(standard)}
     d = len(standard)
     divisors, variable_columns = _divisor_tables(standard, bounds)
+    # a product outside the ideal lies in the exponent box, so it is standard
+    products = np.array([[index.get(tuple(a + b for a, b in zip(ei, ej)), -1)
+                          for ej in standard] for ei in standard], dtype=np.int64)
+    products.setflags(write=False)
     structure = np.zeros((d, d, d), dtype=np.int64)
-    for i, ei in enumerate(standard):
-        for j, ej in enumerate(standard):
-            prod = tuple(a + b for a, b in zip(ei, ej))
-            if not any(_divides(r, prod) for r in rel_exps):
-                structure[i, j, index[prod]] = 1
+    i, j = np.nonzero(products >= 0)
+    structure[i, j, products[i, j]] = 1
     unit = np.zeros(d, dtype=np.int64)
     unit[index[tuple([0] * nvars)]] = 1
     labels = [_monomial_label(variables, e) for e in standard]
     data = MonomialData(list(variables), rel_exps, standard, index,
-                        divisors, variable_columns)
+                        divisors, variable_columns, products)
     return Algebra(field, structure, unit, labels, monomial_data=data, name=name)
 
 

@@ -33,21 +33,27 @@ injective modules of resolutions are such powers.  A module that is not a
 power keeps the contraction: most are small carriers acted on once, where
 reading the record would cost more than it saves.
 
-Hom and tensor are both read off one cached presentation R^a -> R^g -> M of
-the source (left factor) M: its g minimal generators, a relations among
-them that generate the relation module over R, and a k-linear section of
-the cover R^g -> M.  With the relation coefficients acting on N,
+Hom and tensor are both read off one presentation R^a -> R^g -> M of the
+source (left factor) M: its g minimal generators, a relations among them
+that generate the relation module over R, and a k-linear section of the
+cover R^g -> M.  With the relation coefficients acting on N,
 Hom(M, N) is the kernel of N^g -> N^a and M (x) N the cokernel of
 N^a -> N^g; a map M -> N is stored as its values on the generators.  A
 free module has no relations, so Hom(R, N) and R (x) N are N itself.
 Powers are routed around: Hom(W^b, N), Hom(M, V^b), W^b (x) N and
 M (x) V^b are b copies of the small answer, and M (x) R^b is M^b in M's
-own coordinates.
+own coordinates.  Over a monomial quotient R, k and every cokernel whose
+entries lie in m keep the presentation they were built from (its
+generators are the Nakayama picks; presentation_to_module gives the
+proof); any other module computes one (_computed_presentation), cached.
 
 The relations are R-generators, not a k-basis.  Their images span the same
 row space (Hom) and column space (tensor) as a k-basis of the relation
-module would, so the carriers are the same whichever generators are kept.
-Over a monomial quotient they are the staircase of the kernel basis.
+module would, and the reductions depend only on that span; mats_of gives
+the same map for any section, and the pure tensors of two sections differ
+by relations, which the quotient kills.  So the carriers are bit-identical
+whichever presentation is read: a recorded cokernel's relations are its
+entries, a computed presentation's the staircase of the kernel basis.
 Positions (s, mu) of R^g are ordered copy-major in the ring's monomial
 order, which is multiplicative, and the kernel basis has one column K_f per
 free position f, with its 1 at f and its other entries at pivots before f.
@@ -104,7 +110,7 @@ class Module:
     then made read-only).
     """
 
-    __slots__ = ("ring", "dim", "label", "_action", "_block", "_fp", "_perm")
+    __slots__ = ("ring", "dim", "label", "_action", "_block", "_fp", "_perm", "_pres")
 
     def __init__(self, ring: Algebra, action, label: str = "M", check: bool = True):
         arr = np.asarray(action, dtype=np.int64)
@@ -120,6 +126,7 @@ class Module:
         self._block = None
         self._fp = None
         self._perm = None
+        self._pres = None
         if check:
             self.validate()
 
@@ -133,6 +140,7 @@ class Module:
         self._block = (base, copies)
         self._fp = None
         self._perm = None
+        self._pres = None
         return self
 
     @property
@@ -160,8 +168,9 @@ class Module:
         every action matrix is a 0/1 partial permutation matrix (at most one
         1 in each row and each column, zeros elsewhere), else None.  The
         entries are listed by ring index i ascending.  Read off the action
-        once and kept.  Not defined on a power, whose action is its
-        base's."""
+        once and kept, unless set at construction (R over a monomial
+        quotient, from its product table; D from R's).  Not defined on a
+        power, whose action is its base's."""
         assert self._block is None, "a power acts through its base"
         if self._perm is None:
             act = self._action
@@ -232,6 +241,7 @@ class Module:
 
     @property
     def fingerprint(self) -> bytes:
+        # entries lie in [0, p): the smallest dtype holding p - 1 is injective
         if self._fp is None:
             h = hashlib.sha256()
             h.update(self.ring.fingerprint)
@@ -242,7 +252,7 @@ class Module:
                 h.update(str(b).encode())
             else:
                 h.update(str(self.dim).encode())
-                h.update(self._action.tobytes())
+                h.update(self._action.astype(np.min_scalar_type(self.ring.field.p - 1)).tobytes())
             self._fp = h.digest()
         return self._fp
 
@@ -365,8 +375,19 @@ def identity_hom(m: Module) -> ModuleHom:
 
 @memo
 def regular_module(R: Algebra) -> Module:
-    """R as a module over itself."""
-    return Module(R, R.left_mult, label=R.name, check=False)
+    """R as a module over itself.  Over a monomial quotient its partial
+    permutation and its presentation (generator 1, no relations) are set
+    from the ring's monomial data."""
+    reg = Module(R, R.left_mult, label=R.name, check=False)
+    data = R.monomial_data
+    if data is not None:
+        # the 1 of e_i's matrix in column c sits in row e_i * e_c; the basis
+        # order is multiplicative, so for each i the rows ascend with c
+        i, c = np.nonzero(data.products >= 0)
+        reg._perm = (i, data.products[i, c], c)
+        d = R.dim
+        reg._pres = (_frozen(np.eye(d, 1)), _frozen(np.zeros((d, 0))), _frozen(np.eye(d)))
+    return reg
 
 
 def zero_module(R: Algebra) -> Module:
@@ -410,9 +431,16 @@ def direct_sum(parts: list[Module], label: str | None = None) -> Module:
 
 @memo
 def residue_field_module(R: Algebra) -> Module:
-    """R / rad(R) as a module; one-dimensional when R is local."""
+    """R / rad(R) as a module; one-dimensional when R is local.  Over a
+    monomial quotient its presentation (generator 1, the variables as
+    relations) is set with it."""
     from .algebra import radical
-    return _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
+    k = _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
+    data = R.monomial_data
+    if data is not None:
+        k._pres = (_frozen(np.ones((1, 1))), data.variable_columns,
+                   _frozen(np.eye(R.dim, 1)))
+    return k
 
 
 @memo
@@ -602,7 +630,10 @@ def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray
 @memo
 def minimal_generators(M: Module) -> np.ndarray:
     """Columns forming a minimal generating set (Nakayama): standard basis
-    vectors whose classes give a basis of M / rad M.  Deterministic."""
+    vectors whose classes give a basis of M / rad M.  Deterministic.  A
+    recorded presentation's generators are these columns."""
+    if M._pres is not None:
+        return M._pres[0]
     return _frozen(nakayama_generators(M))
 
 
@@ -617,6 +648,14 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
 
 @memo
 def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0: the one
+    recorded when M was built, else _computed_presentation(M)."""
+    if M._pres is not None:
+        return M._pres
+    return _computed_presentation(M)
+
+
+def _computed_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0.
 
     gens (M.dim x g) are the minimal generators, rel ((g*d) x a) generators
@@ -703,6 +742,14 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
     of the matrix R^m -> R^n is the multiplication matrix of entry (s, t);
     all n*m blocks come from one contraction against the ring's left_mult.
     Returns the module together with the projection from R^n.
+
+    Over a monomial quotient, when every entry lies in m (no unit term),
+    the module keeps this presentation.  Its generators, the images of the
+    free generators, are the Nakayama picks: the relations lie in m * R^n,
+    so no position (s, 1) is a pivot and each is kept, an identity column
+    in order, while every other kept position lies in m * M.  The relations
+    are the nonzero entry columns; the cover is the projection, so the
+    quotient's section is a section of it.
     """
     if n < 0 or m < 0:
         raise InputError("negative presentation size")
@@ -715,13 +762,18 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
         for t in range(m):
             e = rows[s][t]
             coeffs[s * m + t] = R.element_from_string(e) if isinstance(e, str) else e
-    blocks = _mul_arrays(coeffs % p, R.left_mult.reshape(d, d * d), p)
+    coeffs %= p
+    blocks = _mul_arrays(coeffs, R.left_mult.reshape(d, d * d), p)
     mat = blocks.reshape(n, m, d, d).transpose(0, 2, 1, 3).reshape(n * d, m * d)
     dst = free_module(R, n)
     f = ModuleHom(free_module(R, m), dst, mat, check=False)
     if not mat.any():
         return dst, identity_hom(dst)
     sq = cokernel(f, label=f"coker({n}x{m})")
+    if R.monomial_data is not None and not coeffs[:, 0].any():
+        rel = mat[:, ::d]
+        sq.carrier._pres = (_frozen(sq.map.mat[:, ::d]), _frozen(rel[:, rel.any(axis=0)]),
+                            sq.section)
     return sq.carrier, sq.map
 
 

@@ -4,10 +4,12 @@
 at small and word-size primes, across several panels, with zero rows and
 columns, and on the cokernel matrices of the benchmark's T27 session
 modules.  Sections of kernel bases are a row selection; they are checked
-bit for bit against `expressor`.  `presentation` reads its section and its
-kernel basis off one echelon; it is checked against the route that solved
-for the section and reduced the cover again.  The call counts pin one
-reduction per presentation, kernel and Hom build.
+bit for bit against `expressor`.  The computed presentation
+(`_computed_presentation`, for modules built without one) reads its section
+and its kernel basis off one echelon; it is checked against the route that
+solved for the section and reduced the cover again.  The call counts pin
+one reduction per computed presentation, kernel and Hom build, and none for
+a session cokernel, which keeps the presentation it was built from.
 """
 
 import importlib.util
@@ -184,7 +186,7 @@ def test_presentation_matches_the_two_reduction_route(monkeypatch):
     T27, t27_mods, _ = _t27_cokernels(monkeypatch)
     cases += t27_mods + [mo.residue_field_module(T27), mo.radical_submodule(T27)]
     for M in cases:
-        got = mo.presentation(M)
+        got = mo._computed_presentation(M)
         want = _two_reduction_presentation(M)
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b), M.label
@@ -214,8 +216,19 @@ def test_one_reduction_per_presentation(monkeypatch):
     M, _ = _corpus_module()
     mo.minimal_generators(M)              # the Nakayama step reduces on its own
     calls = _count_echelons(monkeypatch)
-    mo.presentation(M)
+    mo._computed_presentation(M)
     assert len(calls) == 1
+
+
+def test_no_reduction_for_a_recorded_presentation(monkeypatch):
+    M, k = _corpus_module()
+    R = mo.regular_module(M.ring)
+    calls = _count_echelons(monkeypatch)
+    for X in (M, k, R):
+        assert X._pres is not None, X.label
+        assert mo.presentation(X) is X._pres
+        assert mo.minimal_generators(X) is X._pres[0]
+    assert calls == []
 
 
 def test_one_reduction_per_kernel(monkeypatch):

@@ -1,8 +1,9 @@
 """Presentations by generators: staircase relations, variable-generated
 Nakayama and the monomial radical.
 
-Over a monomial quotient `presentation` keeps only the kernel columns at
-minimal free positions, `radical_span` and `nakayama_generators` use the
+Over a monomial quotient the computed presentation (`_computed_presentation`,
+the route of every module built without a recorded one) keeps only the
+kernel columns at minimal free positions, `radical_span` and `nakayama_generators` use the
 variables instead of a basis of the radical, and `radical` reads the maximal
 ideal off the monomials.  Each is checked here against the full-basis route
 it replaces: the same R-span, the same RREF, and bit-identical Hom and
@@ -131,7 +132,7 @@ def test_variables_generate_fewer_columns():
 
 def test_staircase_relations_generate_the_whole_kernel():
     for name, M in _modules():
-        gens, rel, _ = mo.presentation(M)
+        gens, rel, _ = mo._computed_presentation(M)
         _, full, _ = _full_presentation(M)
         g, field = gens.shape[1], M.ring.field
         # the kept columns are some of the kernel basis columns, in order
@@ -162,7 +163,7 @@ def test_structure_constant_algebra_keeps_every_kernel_column(p):
     for ring in (R, S):
         mo.clear_caches()
         M = mo.presentation_to_module(ring, 2, 1, entries)[0]
-        gens, rel, sec = mo.presentation(M)
+        gens, rel, sec = mo._computed_presentation(M)
         _, full, full_sec = _full_presentation(M)
         if ring is S:
             assert np.array_equal(rel, full)
