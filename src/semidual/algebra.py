@@ -17,7 +17,8 @@ generated by the variables (radical_generators), so m * N = sum_v x_v * N
 for every submodule N.  The same construction also tabulates, for each
 standard monomial and variable, the basis index of the quotient by that
 variable (MonomialData.divisors), which modules.presentation uses to keep
-only the relations at minimal positions.
+only the relations at minimal positions, and the division table
+(MonomialData.quotients) that modules.presentation_to_module reads.
 
 For an algebra given by structure constants alone the radical is computed
 as the kernel of an iterated Frobenius map: in characteristic p the map
@@ -140,6 +141,9 @@ class Algebra:
             h.update(str(self.field.p).encode())
             h.update(self.structure.tobytes())
             h.update(self.unit.tobytes())
+            # a structure-constant copy is not its monomial quotient
+            if self.monomial_data is None:
+                h.update(b"structure constants")
             self._fingerprint = h.digest()
         return self._fingerprint
 
@@ -252,7 +256,9 @@ class MonomialData:
     divide e_i.  variable_columns holds, as identity columns, the variables
     that are nonzero in the quotient: they generate the maximal ideal.
     products[i, c] is the basis index of e_i * e_c, or -1 when the product
-    lies in the ideal.  All three arrays are read-only.
+    lies in the ideal.  quotients[r, c] is the basis index of e_r / e_c, or
+    -1 when e_c does not divide e_r: the one monomial that sends e_c to e_r.
+    All four arrays are read-only.
     """
 
     variables: list[str]
@@ -262,6 +268,7 @@ class MonomialData:
     divisors: np.ndarray
     variable_columns: np.ndarray
     products: np.ndarray
+    quotients: np.ndarray
 
     def reduce_monomial(self, exps: tuple[int, ...]) -> int | None:
         """Basis index of the monomial, or None if it lies in the ideal.
@@ -333,7 +340,7 @@ def algebra_from_monomial_quotient(field: Field, variables: list[str],
     standard.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     index = {e: i for i, e in enumerate(standard)}
     d = len(standard)
-    divisors, variable_columns = _divisor_tables(standard, bounds)
+    divisors, variable_columns, quotients = _divisor_tables(standard, bounds)
     # a product outside the ideal lies in the exponent box, so it is standard
     products = np.array([[index.get(tuple(a + b for a, b in zip(ei, ej)), -1)
                           for ej in standard] for ei in standard], dtype=np.int64)
@@ -345,14 +352,15 @@ def algebra_from_monomial_quotient(field: Field, variables: list[str],
     unit[index[tuple([0] * nvars)]] = 1
     labels = [_monomial_label(variables, e) for e in standard]
     data = MonomialData(list(variables), rel_exps, standard, index,
-                        divisors, variable_columns, products)
+                        divisors, variable_columns, products, quotients)
     return Algebra(field, structure, unit, labels, monomial_data=data, name=name)
 
 
 def _divisor_tables(standard: list[tuple[int, ...]], bounds: list[int]):
-    """(divisors, variable_columns) of MonomialData, by one lookup per
-    variable: every exponent tuple in the box is coded in mixed radix, and
-    a table over the box maps codes of standard monomials to their index."""
+    """(divisors, variable_columns, quotients) of MonomialData by lookups:
+    exponent tuples in the box are coded in mixed radix, linearly, and a
+    table over the box maps codes of standard monomials to their index.
+    divisors is the columns of quotients at the variables."""
     d, nvars = len(standard), len(bounds)
     exps = np.array(standard, dtype=np.int64).reshape(d, nvars)
     strides = np.ones(nvars, dtype=np.int64)
@@ -361,17 +369,19 @@ def _divisor_tables(standard: list[tuple[int, ...]], bounds: list[int]):
     codes = exps @ strides
     lookup = np.full(int(np.prod(bounds, dtype=np.int64)), -1, dtype=np.int64)
     lookup[codes] = np.arange(d)
-    divisors = np.full((d, nvars), -1, dtype=np.int64)
-    for v in range(nvars):
-        has = exps[:, v] > 0
-        divisors[has, v] = lookup[codes[has] - strides[v]]
+    r, c = np.nonzero((exps[:, None, :] >= exps[None, :, :]).all(axis=2))
+    quotients = np.full((d, d), -1, dtype=np.int64)
+    quotients[r, c] = lookup[codes[r] - codes[c]]
     # x_v is standard unless x_v itself is a relation, when its bound is 1
-    present = [int(lookup[strides[v]]) for v in range(nvars) if bounds[v] > 1]
+    present = [v for v in range(nvars) if bounds[v] > 1]
+    at = lookup[strides[present]]
     variable_columns = np.zeros((d, len(present)), dtype=np.int64)
-    variable_columns[present, np.arange(len(present))] = 1
-    divisors.setflags(write=False)
-    variable_columns.setflags(write=False)
-    return divisors, variable_columns
+    variable_columns[at, np.arange(len(present))] = 1
+    divisors = np.full((d, nvars), -1, dtype=np.int64)
+    divisors[:, present] = quotients[:, at]
+    for table in (divisors, variable_columns, quotients):
+        table.setflags(write=False)
+    return divisors, variable_columns, quotients
 
 
 def algebra_from_structure_constants(field: Field, structure, unit,

@@ -18,20 +18,21 @@ act_all applies every basis element of R to a set of columns, a (d, dim, k)
 stack; a power applies its base's action.  Covers (cover_matrix, the stack
 laid out by generator), submodule and quotient structures, and the action
 matrices of ring elements (element_matrices) are each read off one such
-stack rather than a loop over the d basis elements.  The stack is one
-contraction, unless the module is a power whose base acts by partial
-permutations: every action matrix is 0/1 with at most one 1 in each row
-and each column.  Over a monomial quotient R, k and the dual D of R do,
-since a monomial sends each monomial to one monomial or to 0.  The base
-records this once (partial_permutation), with the positions of the 1s;
-then row r of e_i * X is row c of X when entry (r, c) of e_i's matrix is 1
-and zero otherwise, so act_all on the power is one scatter of rows of X
-into copy-major blocks.  Entries of X are moved, never multiplied or
-added, so the scatter is exact and equals the contraction mod p.  act_all
-is the one code that moves columns through the record; the free and
-injective modules of resolutions are such powers.  A module that is not a
-power keeps the contraction: most are small carriers acted on once, where
-reading the record would cost more than it saves.
+stack rather than a loop over the d basis elements.  Over a monomial
+quotient R, k and the dual D of R act by partial permutations: every
+action matrix is 0/1 with at most one 1 in each row and each column, since
+a monomial sends each monomial to one monomial or to 0.  They carry this
+record (partial_permutation, the positions of the 1s) from construction,
+and other modules read it on demand.  Three readers move entries through
+it, never multiplying or adding them, so each is exact and equals the
+contraction mod p: act_all on a power of such a base scatters rows into
+copy-major blocks (the free and injective modules of resolutions are such
+powers); _quotient_by_columns over R, k, D or a power of one gathers the
+quotient's action Q A_i sigma from the columns of Q, as A_i sends each
+kept position to one position or to 0 (below _mul_arrays' int64 tier it
+keeps the product, which is cheaper there); and minimal_generators and
+_record_presentation present D with no echelon.  Any other module keeps
+the contraction: most are small carriers acted on once.
 
 Hom and tensor are both read off one presentation R^a -> R^g -> M of the
 source (left factor) M: its g minimal generators, a relations among them
@@ -45,7 +46,8 @@ M (x) V^b are b copies of the small answer, and M (x) R^b is M^b in M's
 own coordinates.  Over a monomial quotient R, k and every cokernel whose
 entries lie in m keep the presentation they were built from (its
 generators are the Nakayama picks; presentation_to_module gives the
-proof); any other module computes one (_computed_presentation), cached.
+proof), and D reads its own off its record; any other module computes
+one (_computed_presentation), cached.
 
 The relations are R-generators, not a k-basis.  Their images span the same
 row space (Hom) and column space (tensor) as a k-basis of the relation
@@ -88,8 +90,8 @@ import numpy as np
 
 from .algebra import Algebra
 from .errors import InputError, TheoremViolationError
-from .linalg import (Mat, _check_cells, _kernel_of_echelon, _mul_arrays, expressor, extend_basis,
-                     kernel_basis, rank, rref, solve)
+from .linalg import (_INT64_MAX_MACS, Mat, _check_cells, _kernel_of_echelon, _mul_arrays,
+                     expressor, extend_basis, kernel_basis, rank, rref, solve)
 # _caches and clear_caches are also reached through this module
 from .memo import _caches, clear_caches, memo
 
@@ -432,14 +434,16 @@ def direct_sum(parts: list[Module], label: str | None = None) -> Module:
 @memo
 def residue_field_module(R: Algebra) -> Module:
     """R / rad(R) as a module; one-dimensional when R is local.  Over a
-    monomial quotient its presentation (generator 1, the variables as
-    relations) is set with it."""
-    from .algebra import radical
-    k = _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
+    monomial quotient its action is the unit vector (1 acts by 1, every
+    monomial in m by 0), set with its record (the 1 at the unit) and its
+    presentation (generator 1, the variables as relations)."""
     data = R.monomial_data
-    if data is not None:
-        k._pres = (_frozen(np.ones((1, 1))), data.variable_columns,
-                   _frozen(np.eye(R.dim, 1)))
+    if data is None:
+        from .algebra import radical
+        return _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
+    k = Module(R, R.unit.reshape(R.dim, 1, 1), label="k", check=False)
+    k._perm = (np.flatnonzero(R.unit),) + (np.zeros(1, dtype=np.int64),) * 2
+    k._pres = (_frozen(np.ones((1, 1))), data.variable_columns, _frozen(np.eye(R.dim, 1)))
     return k
 
 
@@ -548,9 +552,24 @@ def image(f: ModuleHom, label: str | None = None) -> Subquotient:
     return _submodule_from_columns(f.dst, cols, label, "image")
 
 
+def _record_images(M: Module) -> np.ndarray | None:
+    """(d, dim) table of the position e_i sends each basis vector to, -1
+    for 0, read off M's record (set or already read) or its base's on a
+    power (read as act_all does); None without one."""
+    base, b = M.block or (M, 1)
+    perm = base.partial_permutation() if M.block is not None else M._perm or None
+    if perm is None:
+        return None
+    i, r, c = perm
+    img = np.full((M.ring.dim, b, base.dim), -1, dtype=np.int64)
+    img[i, :, c] = r[:, None] + base.dim * np.arange(b)
+    return img.reshape(M.ring.dim, b * base.dim)
+
+
 def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subquotient:
     """Quotient of the ambient module by the span of the given columns
-    (which must be action-stable)."""
+    (which must be action-stable).  e_i acts by Q A_i sigma, gathered from
+    the columns of Q when the ambient has a record (module docstring)."""
     p = ambient.ring.field.p
     n = ambient.dim
     red, piv = rref(Mat._wrap(ambient.ring.field, cols.T))
@@ -564,7 +583,12 @@ def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subqu
     Q[:, piv] = (-E[:, keep].T) % p
     sigma = np.zeros((n, q), dtype=np.int64)
     sigma[keep, np.arange(q)] = 1
-    act = _mul_arrays(Q, ambient.act_all(sigma), p)
+    img = _record_images(ambient) if q * q * ambient.ring.dim * n > _INT64_MAX_MACS else None
+    if img is None:
+        act = _mul_arrays(Q, ambient.act_all(sigma), p)
+    else:
+        # index -1 (sent to 0) reads the zero column appended to Q
+        act = np.hstack([Q, np.zeros((q, 1), dtype=np.int64)])[:, img[:, keep]].transpose(1, 0, 2)
     carrier = Module(ambient.ring, act, label=label, check=False)
     proj = ModuleHom(ambient, carrier, Q, check=False)
     return Subquotient(carrier, proj, sigma, "quotient")
@@ -631,9 +655,16 @@ def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray
 def minimal_generators(M: Module) -> np.ndarray:
     """Columns forming a minimal generating set (Nakayama): standard basis
     vectors whose classes give a basis of M / rad M.  Deterministic.  A
-    recorded presentation's generators are these columns."""
+    recorded presentation's generators are these columns.  With a record
+    over a monomial quotient, m * M is spanned by the positions a monomial
+    other than 1 reaches: the picks are the identity columns at the others."""
     if M._pres is not None:
         return M._pres[0]
+    if _reads_record(M):
+        img = _record_images(M)
+        reached = np.zeros(M.dim + 1, dtype=bool)       # -1 (sent to 0) marks the spare
+        reached[img[M.ring.unit == 0]] = True
+        return _frozen(np.eye(M.dim, dtype=np.int64)[:, ~reached[:-1]])
     return _frozen(nakayama_generators(M))
 
 
@@ -649,10 +680,50 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
 @memo
 def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0: the one
-    recorded when M was built, else _computed_presentation(M)."""
+    recorded when M was built, else the one read off its partial
+    permutation record over a monomial quotient (D, k^v), else
+    _computed_presentation(M), which gives the same arrays."""
     if M._pres is not None:
         return M._pres
+    if _reads_record(M):
+        return _record_presentation(M)
     return _computed_presentation(M)
+
+
+def _reads_record(M: Module) -> bool:
+    return M.block is None and bool(M._perm) and M.ring.monomial_data is not None
+
+
+def _record_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_computed_presentation(M) over a monomial quotient, read off M's
+    record with no echelon.  Each cover column on the generators
+    (minimal_generators) is a unit vector e_r or 0, and the RREF of the
+    cover has row r pivot on the first column reaching r and 1s at the
+    others: the section sends e_r to that column, and the kernel basis has
+    e_f - e_first(r) for every other column f reaching r, e_f for one
+    reaching nothing."""
+    d, n, p = M.ring.dim, M.dim, M.ring.field.p
+    gens = minimal_generators(M)
+    tops = np.flatnonzero(gens.any(axis=1))
+    g = tops.size
+    img = _record_images(M)
+    rows = img[:, tops].T.ravel()        # the row cover column s*d + mu reaches
+    order = np.argsort(rows, kind="stable")
+    srt = rows[order]
+    new = srt >= 0
+    new[1:] &= srt[1:] != srt[:-1]
+    first = order[new]                   # ascending rows, so first[r] reaches r
+    assert first.size == n, "minimal cover is not surjective"
+    sec = np.zeros((g * d, n), dtype=np.int64)
+    sec[first, np.arange(n)] = 1
+    free = np.flatnonzero(~sec.any(axis=1))
+    _check_cells((g * d, free.size), "kernel basis")
+    K = np.zeros((g * d, free.size), dtype=np.int64)
+    K[free, np.arange(free.size)] = 1
+    to = rows[free]
+    back = np.flatnonzero(to >= 0)
+    K[first[to[back]], back] = p - 1
+    return gens, _staircase(M.ring, K), sec
 
 
 def _computed_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -739,9 +810,11 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
     """Cokernel of the R-matrix map R^m -> R^n with the given n x m entries.
 
     Entries may be polynomial strings or coordinate vectors.  Block (s, t)
-    of the matrix R^m -> R^n is the multiplication matrix of entry (s, t);
-    all n*m blocks come from one contraction against the ring's left_mult.
-    Returns the module together with the projection from R^n.
+    of the matrix R^m -> R^n is the multiplication matrix of entry (s, t),
+    whose entry (r, c) is the coefficient of e_r / e_c (MonomialData.
+    quotients), the one monomial sending e_c to e_r, or 0; other algebras
+    contract the entries against left_mult.  Returns the module together
+    with the projection from R^n.
 
     Over a monomial quotient, when every entry lies in m (no unit term),
     the module keeps this presentation.  Its generators, the images of the
@@ -763,14 +836,18 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
             e = rows[s][t]
             coeffs[s * m + t] = R.element_from_string(e) if isinstance(e, str) else e
     coeffs %= p
-    blocks = _mul_arrays(coeffs, R.left_mult.reshape(d, d * d), p)
+    data = R.monomial_data
+    if data is None:
+        blocks = _mul_arrays(coeffs, R.left_mult.reshape(d, d * d), p)
+    else:
+        blocks = np.where(data.quotients >= 0, coeffs[:, data.quotients], 0)
     mat = blocks.reshape(n, m, d, d).transpose(0, 2, 1, 3).reshape(n * d, m * d)
     dst = free_module(R, n)
     f = ModuleHom(free_module(R, m), dst, mat, check=False)
     if not mat.any():
         return dst, identity_hom(dst)
     sq = cokernel(f, label=f"coker({n}x{m})")
-    if R.monomial_data is not None and not coeffs[:, 0].any():
+    if data is not None and not coeffs[:, 0].any():
         rel = mat[:, ::d]
         sq.carrier._pres = (_frozen(sq.map.mat[:, ::d]), _frozen(rel[:, rel.any(axis=0)]),
                             sq.section)

@@ -39,10 +39,14 @@ import numpy as np
 from .algebra import Algebra, algebra_from_monomial_quotient, parse_polynomial
 from .errors import InputError, ParseError
 from .linalg import Field
+from .memo import cache
 from .modules import (Module, dualizing_module, free_module,
                       presentation_to_module, residue_field_module)
 
 MODULE_KINDS = ("free", "cokernel", "dualizing", "residue_field")
+
+# (id(session), id(ring), name) -> (session, ring, module)
+_module_cache = cache()
 
 # keys each section may carry; kind-specific restrictions checked separately
 _RING_KEYS = {"name", "field", "variables", "relations"}
@@ -91,10 +95,16 @@ class SessionFile:
         return self._ring
 
     def module(self, name: str, ring: Algebra | None = None) -> Module:
+        """The named module over the session's ring (or `ring`), built once
+        until clear_caches(); the entry holds both, so no reused id hits."""
         if name not in self.modules:
             known = ", ".join(self.modules) or "none"
             raise InputError(f"unknown module name '{name}' (declared: {known})")
         R = ring if ring is not None else self.ring()
+        key = (id(self), id(R), name)
+        got = _module_cache.get(key)
+        if got is not None and got[0] is self and got[1] is R:
+            return got[2]
         spec = self.modules[name]
         if spec.kind == "free":
             mod = free_module(R, spec.rank)
@@ -104,7 +114,9 @@ class SessionFile:
             mod = dualizing_module(R)
         else:
             mod, _ = presentation_to_module(R, spec.rows, spec.cols, spec.vectors)
-        return mod.relabelled(name)
+        mod = mod.relabelled(name)
+        _module_cache[key] = (self, R, mod)
+        return mod
 
 
 def _is_identifier(s: str) -> bool:

@@ -5,8 +5,11 @@ and the action matrices written in the smallest unsigned dtype that holds
 p - 1 (uint8 up to p = 256, uint16 up to 65,536, uint32 above).  Entries lie
 in [0, p), so the encoding is injective and equal fingerprints still mean
 equal structure.  A power hashes its base's fingerprint and the number of
-copies.  The ring fingerprint is unchanged: the random module pools are
-seeded from it.
+copies.  The ring fingerprint of a monomial quotient is unchanged: the
+random module pools are seeded from it.  An algebra given by structure
+constants alone folds a tag into its fingerprint, so the memo caches never
+serve a module built over a monomial quotient for its structure-constant
+copy, or the other way round.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from semidual import modules as mo
-from semidual.algebra import algebra_from_monomial_quotient
+from semidual.algebra import algebra_from_monomial_quotient, algebra_from_structure_constants
 from semidual.corpus import corpus_rings, corpus_sessions, random_module_pool
 from semidual.linalg import Field
 
@@ -116,3 +119,17 @@ def test_ring_fingerprints_are_unchanged():
         assert session.ring().fingerprint.hex() == RING_FINGERPRINTS[name]
         pool = random_module_pool(session.ring(), 6, max_dim=10)
         assert [M.dim for M in pool] == POOL_DIMS[name]
+
+
+def test_a_structure_constant_copy_is_another_ring():
+    R = algebra_from_monomial_quotient(Field(5), ["x", "y"], ["x^2", "y^3"], name="R")
+    S = algebra_from_structure_constants(R.field, R.structure, R.unit, name="S")
+    assert R.fingerprint != S.fingerprint
+    # no clear_caches() between the two: each call gets a module over its own ring
+    for first, second in ((S, R), (R, S)):
+        mo.clear_caches()
+        for ring in (first, second):
+            for M in (mo.regular_module(ring), mo.free_module(ring, 2),
+                      mo.residue_field_module(ring), mo.dualizing_module(ring)):
+                assert M.ring is ring, (ring.name, M.label)
+            assert (mo.regular_module(ring)._pres is None) == (ring is S)

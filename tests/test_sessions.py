@@ -4,7 +4,9 @@ import pytest
 
 from semidual.corpus import corpus_rings, corpus_sessions
 from semidual.errors import InputError, ParseError
-from semidual.modules import (dualizing_module, regular_module,
+from semidual.algebra import algebra_from_monomial_quotient
+from semidual.linalg import Field
+from semidual.modules import (clear_caches, dualizing_module, regular_module,
                               residue_field_module)
 from semidual.sessions import (ModuleSpec, SessionFile, parse_session,
                                parse_session_text, render)
@@ -84,6 +86,30 @@ class TestParseValid:
         s = parse_session_text(GOOD)
         with pytest.raises(InputError, match="unknown module name 'Q'"):
             s.module("Q")
+
+    def test_modules_are_built_once_per_cache_lifetime(self):
+        s = parse_session_text(GOOD)
+        clear_caches()
+        built = {name: s.module(name) for name in s.modules}
+        for name, mod in built.items():
+            assert s.module(name) is mod, name
+            assert s.module(name, s.ring()) is mod, name
+        # a cleared cache builds afresh, with an equal module
+        clear_caches()
+        for name, mod in built.items():
+            again = s.module(name)
+            assert again is not mod and again.fingerprint == mod.fingerprint, name
+        # another session or another ring object shares no entry
+        other = parse_session_text(GOOD)
+        ring = algebra_from_monomial_quotient(Field(2), ["x", "y"], ["x^2", "x*y", "y^2"],
+                                              name="R1")
+        for name in s.modules:
+            mine = s.module(name)
+            for theirs in (other.module(name), s.module(name, ring)):
+                assert theirs is not mine and theirs.fingerprint == mine.fingerprint, name
+        with pytest.raises(InputError, match="unknown module name 'Q'"):
+            s.module("Q")
+        clear_caches()
 
     def test_name_defaults(self):
         s = parse_session_text("[ring]\nfield = 2\nvariables = [\"x\"]\n"
