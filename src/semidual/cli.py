@@ -26,8 +26,8 @@ from .algebra import Algebra, ring_report
 from .complexes import (DimensionValue, bass_numbers, betti_numbers, exactness_profile,
                         ext_dims, id_exact, pd_exact, tor_dims)
 from .errors import CheckError, InputError
-from .modules import (dualizing_module, free_module, hom_space,
-                      power_module, residue_field_module, tensor_space)
+from .modules import (dualizing_module, free_module, power_module, residue_field_module,
+                      tensor_space)
 from .semidualizing import (absolute_comparison_check,
                             absolute_comparison_check_ic,
                             auslander_membership, bass_membership,
@@ -269,6 +269,9 @@ def _cmd_resolve(session, ring, opt) -> tuple:
 
 def _cmd_verify_all(session, ring, opt) -> tuple:
     from .corpus import random_module_pool
+    for flag in ("pairs", "max_dim"):
+        if opt[flag] < 1:
+            raise InputError(f"--{flag.replace('_', '-')} must be at least 1, got {opt[flag]}")
     B = opt["bound"]
     pool = random_module_pool(ring, opt["pairs"], max_dim=opt["max_dim"])
     k = residue_field_module(ring)
@@ -439,8 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("session", help="session file describing the ring and modules")
         p.add_argument("--json", action="store_true",
                        help="emit one JSON document instead of text")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help=f"vanishing-check bound (default {DEFAULT_BOUND})")
+        p.add_argument("--bound", type=int, default=_DEFAULTS["bound"],
+                       help=f"vanishing-check bound (default {_DEFAULTS['bound']})")
         if "module" in flags:
             p.add_argument("--module", required=True, help="module name")
         if "c" in flags:
@@ -452,28 +455,31 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--to", dest="dst", required=True,
                            help="target module name")
         if "i" in flags:
-            p.add_argument("--i", type=int, default=None, help="degree")
+            p.add_argument("--i", type=int, default=_DEFAULTS["i"], help="degree")
         if "i-req" in flags:
             p.add_argument("--i", type=int, required=True, help="degree")
         if "via" in flags:
             p.add_argument("--via", choices=("proper", "formula", "both"),
-                           default="both", help="computation route (default both)")
+                           default=_DEFAULTS["via"],
+                           help=f"computation route (default {_DEFAULTS['via']})")
         if "direction" in flags:
             p.add_argument("--direction", choices=("tensor", "hom"),
                            required=True, help="Foxby transport direction")
         if "kind" in flags:
             p.add_argument("--kind",
                            choices=("free", "injective", "proper-pc", "proper-ic"),
-                           default="free", help="resolution kind (default free)")
-            p.add_argument("--c", default=None,
+                           default=_DEFAULTS["kind"],
+                           help=f"resolution kind (default {_DEFAULTS['kind']})")
+            p.add_argument("--c", default=_DEFAULTS["c"],
                            help="semidualizing module (proper kinds only)")
-            p.add_argument("--length", type=int, default=4,
-                           help="resolution length (default 4)")
+            p.add_argument("--length", type=int, default=_DEFAULTS["length"],
+                           help=f"resolution length (default {_DEFAULTS['length']})")
         if "battery" in flags:
-            p.add_argument("--pairs", type=int, default=4,
-                           help="random modules in the sample pool (default 4)")
-            p.add_argument("--max-dim", dest="max_dim", type=int, default=6,
-                           help="max k-dimension of sampled modules (default 6)")
+            p.add_argument("--pairs", type=int, default=_DEFAULTS["pairs"],
+                           help=f"random modules in the sample pool (default {_DEFAULTS['pairs']})")
+            p.add_argument("--max-dim", dest="max_dim", type=int, default=_DEFAULTS["max_dim"],
+                           help=f"max k-dimension of sampled modules "
+                                f"(default {_DEFAULTS['max_dim']})")
         return p
 
     cmd("check-ring", "report local/socle/Gorenstein data for the ring")

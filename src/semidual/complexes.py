@@ -12,13 +12,17 @@ differentials, stored as coordinates (RingEntries: row, column, ring index,
 scalar; no dense array of the entries is kept), and every complex built
 from one is an InducedComplex: those entries realised through the action
 of a module N on powers of N, since Hom(R^b, N) and R^b (x) N are N^b.  The
-resolution itself is its entries realised through R; a minimal injective
-resolution is the free resolution of the dual realised through D, the dual
-of R (Matlis duality); the Hom and tensor complexes behind Ext, Tor and the
-proper resolutions realise them through N, C or Hom(C, D).  A differential
-is realised on first use and then kept, so nothing builds the matrix of a
-differential that no one reads: Ext and Tor dimensions rank the entries
-directly (_homology_dims).
+resolution itself is its entries realised through R (cover_matrix); a
+minimal injective resolution is the free resolution of the dual realised
+through D, the dual of R (Matlis duality); the Hom and tensor complexes
+behind Ext, Tor and the proper resolutions realise them through N, C or
+Hom(C, D).  All but the first are realised by modules.realise, the one
+realiser of a matrix over R, from the entries scattered into coefficient
+rows (RingEntries.coefficients).  A differential is realised on first use
+and then kept, so nothing builds the matrix of a differential that no one
+reads: Ext and Tor dimensions rank the entries directly (_homology_dims),
+from the coordinates that modules._entries_coords lists when N acts by
+partial permutations; this file never reads a partial-permutation record.
 
 Dimension verdicts over an Artinian local ring are exact: finite projective
 (resp. injective) dimension forces dimension zero, so pd and id are decided
@@ -36,10 +40,10 @@ from .algebra import Algebra, radical, require_local, ring_report
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
-from .modules import (Module, ModuleHom, _quotient_by_columns,
+from .modules import (Module, ModuleHom, _entries_coords, _quotient_by_columns,
                       _submodule_from_columns, cover_matrix,
                       is_free, is_injective, matlis_dual, minimal_generators,
-                      nakayama_generators, power_module, regular_module,
+                      nakayama_generators, power_module, realise, regular_module,
                       zero_module)
 
 # -- dimension verdicts --------------------------------------------------------
@@ -309,6 +313,14 @@ class RingEntries:
         return cls((b_prev, b_prev * e, d), s, s * e + np.tile(c, b_prev),
                    np.tile(i, b_prev), np.tile(basis[i, c], b_prev))
 
+    def coefficients(self) -> np.ndarray:
+        """The (b_{j-1}, b_j, d) array of the entries' ring coordinates,
+        which modules.realise takes."""
+        _check_cells((self.shape[0] * self.shape[1], self.shape[2]), "ring entries")
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.s, self.t, self.i] = self.v
+        return out
+
     def generators(self) -> np.ndarray:
         """The (b_{j-1} * d, b_j) matrix whose column t is the image of
         generator t (the inverse of from_generators)."""
@@ -375,7 +387,8 @@ class InducedComplex(AugmentedComplex):
     def _realise(self, k: int) -> np.ndarray:
         """Matrix of the differential with entries[k]: X_k -> X_{k-1}
         (covariant) or X^{k-1} -> X^k (contravariant)."""
-        return _entries_matrix(self.N, self.entries[k], self.contravariant)
+        return realise(self.N.action, self.entries[k].coefficients(), self.contravariant,
+                       self.ring.field.p)
 
     def _arrow_rank(self, k: int) -> int:
         """Rank of the k-th arrow.  A realised arrow keeps its
@@ -487,95 +500,17 @@ def bass_numbers(M: Module, length: int) -> list[int]:
 # -- induced differentials, Ext, Tor --------------------------------------------------
 
 
-def block_matrix_from_entries(act: np.ndarray, ent: RingEntries,
-                              contravariant: bool, p: int) -> np.ndarray:
-    """Expand ring entries ent of shape (b_prev, b_next, d) into a block
-    matrix using act[k] as the matrix realising the k-th basis element.
-
-    Covariant layout: (b_prev*n, b_next*n), block (s, t) realises entry
-    (s, t).  Contravariant layout: (b_next*n, b_prev*n), block (t, s)
-    realises entry (s, t).
-    """
-    b_prev, b_next, d = ent.shape
-    n = act.shape[1]
-    shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)
-    _check_cells(shape, "induced differential")
-    if n == 0 or b_prev == 0 or b_next == 0:
-        return np.zeros(shape, dtype=np.int64)
-    _check_cells((b_prev * b_next, d), "ring entries")
-    elems = np.zeros((b_prev * b_next, d), dtype=np.int64)
-    elems[ent.s * b_next + ent.t, ent.i] = ent.v
-    blocks = _mul_arrays(elems, act.reshape(d, n * n), p).reshape(b_prev, b_next, n, n)
-    if contravariant:
-        out = blocks.transpose(1, 2, 0, 3).reshape(b_next * n, b_prev * n)
-    else:
-        out = blocks.transpose(0, 2, 1, 3).reshape(b_prev * n, b_next * n)
-    return np.ascontiguousarray(out)
-
-
-def _entries_matrix(N: Module, ent: RingEntries, contravariant: bool) -> np.ndarray:
-    """Matrix of the induced map on powers of N for a differential with
-    ring entries ent, realised through N's action matrices."""
-    return block_matrix_from_entries(N.action, ent, contravariant, N.ring.field.p)
-
-
-def _entries_coords(N: Module, ent: RingEntries,
-                    contravariant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Coordinates (rows, cols, vals) of _entries_matrix(N, ent,
-    contravariant), values at a repeated position to be added, when N, or
-    the base W of the power N = W^a, acts by partial permutations; None
-    otherwise.
-
-    Block (s, t) realises entry (s, t) = sum_e v[e] e_{i[e]} over the
-    coordinates e of ent at (s, t), and e_i acts on W with a 1 at each
-    (r, c) of W's record with ring index i, so every coordinate e meets
-    every record entry of index i[e]: in copy q of W it puts v[e] at
-    (q*w + r, q*w + c) of the block.  The join
-    lists these terms and builds nothing of the block matrix's shape.  The
-    record is listed by ring index, so the entries of index i are one run
-    of it."""
-    base, a = N.block or (N, 1)
-    perm = base.partial_permutation()
-    if perm is None:
-        return None
-    i, r, c = perm
-    s, t, k = ent.s, ent.t, ent.i
-    cnt = np.bincount(i, minlength=ent.shape[2])
-    rep = cnt[k]                      # record entries that entry e meets
-    total = int(rep.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    _check_cells((total, a), "coordinates of an induced differential")
-    e = np.repeat(np.arange(k.size), rep)
-    # the record entry each term takes: run start of index k[e], plus its
-    # place within the run
-    ends = np.cumsum(rep)
-    rec = np.repeat(np.cumsum(cnt)[k] - ends, rep) + np.arange(total)
-    w = base.dim
-    n = a * w
-    blk_row, blk_col = (t[e], s[e]) if contravariant else (s[e], t[e])
-    rows = blk_row * n + r[rec]
-    cols = blk_col * n + c[rec]
-    vals = ent.v[e]
-    if a > 1:
-        copies = np.arange(a) * w
-        rows = (rows[:, None] + copies).ravel()
-        cols = (cols[:, None] + copies).ravel()
-        vals = np.repeat(vals, a)
-    return rows, cols, vals
-
-
 def _differential_rank(N: Module, ent: RingEntries, contravariant: bool) -> int:
     """Rank of the induced differential with ring entries ent on powers
-    of N, the matrix _entries_matrix(N, ent, contravariant).  When N or its
-    base has a partial-permutation record the rank is read off coordinates
-    (_entries_coords, linalg._sparse_rank), and only the rows that are not
-    private are densified; otherwise the matrix is built and ranked."""
+    of N.  When N or its base has a partial-permutation record the rank is
+    read off coordinates (modules._entries_coords, linalg._sparse_rank),
+    and only the rows that are not private are densified; otherwise the
+    matrix is realised and ranked."""
     field = N.ring.field
     coords = _entries_coords(N, ent, contravariant)
     if coords is None:
-        return rank(Mat._wrap(field, _entries_matrix(N, ent, contravariant)))
+        return rank(Mat._wrap(field, realise(N.action, ent.coefficients(), contravariant,
+                                             field.p)))
     b_prev, b_next, _ = ent.shape
     n = N.dim
     shape = (b_next * n, b_prev * n) if contravariant else (b_prev * n, b_next * n)

@@ -15,6 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .algebra import Algebra, algebra_from_monomial_quotient
+from .errors import InputError
 from .linalg import Field
 from .modules import Module, presentation_to_module
 from .sessions import SessionFile, parse_session_text
@@ -80,7 +81,8 @@ def random_module_pool(ring: Algebra, count: int, max_dim: int,
             out.append(mod)
         seed += 1
         if seed - start_seed > 200 * count:
-            raise RuntimeError("random module pool did not fill; bounds too tight")
+            raise InputError(f"random module pool did not fill: fewer than {count} nonzero "
+                             f"modules of dimension <= {max_dim} in {200 * count} seeds")
     return out
 
 

@@ -67,10 +67,11 @@ monomial quotients are ranked this way (complexes._differential_rank).
 
 The surface is what the library uses: `Field`, `Mat` and the six
 reductions `rref`, `rank`, `kernel_basis`, `solve`, `expressor` and
-`extend_basis`, which take `Mat` arguments; the library also imports the
-private helpers `_mul_arrays`, for products of bare arrays, and
-`_sparse_rank`.  Transposes, stacks and sums are taken on the arrays with
-numpy.  The reductions keep their `Mat` arguments because
+`extend_basis`, which take `Mat` arguments.  The library also imports
+private names: `_mul_arrays`, for products of bare arrays; `_check_cells`
+(complexes, modules); `_sparse_rank` (complexes); and `_INT64_MAX_MACS`
+and `_kernel_of_echelon` (modules).  Transposes, stacks and sums are taken
+on the arrays with numpy.  The reductions keep their `Mat` arguments because
 `bench/tracer.py` wraps them by name and counts cells from the arguments'
 `rows` and `cols`; `_sparse_rank` passes its dense remainder through
 `rank`, so every dense reduction is still counted there.
@@ -125,8 +126,8 @@ _SMALL_CELLS = 256
 # 1.6-1.8x faster; 12 changes nothing there and loses on small-rings.
 _FL_MIN_PIVOTS = 8
 # The cell budget: the most int64 cells one matrix or stack may have when it
-# is built by radical_span, cover_matrix, block_matrix_from_entries, the
-# ring entries or the coordinate arrays of a differential, a product
+# is built by radical_span, cover_matrix, modules.realise, the ring
+# entries or the coordinate arrays of a differential, a product
 # (_mul_arrays) or a kernel basis, or reduced by _echelon.  2^27 cells are
 # 1 GiB.  A larger array is refused by _check_cells with an InputError that
 # names its shape (the CLI exits 2) before numpy is asked for it.  Over R4

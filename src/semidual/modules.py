@@ -22,22 +22,35 @@ stack rather than a loop over the d basis elements.  Over a monomial
 quotient R, k and the dual D of R act by partial permutations: every
 action matrix is 0/1 with at most one 1 in each row and each column, since
 a monomial sends each monomial to one monomial or to 0.  They carry this
-record (partial_permutation, the positions of the 1s) from construction,
-and other modules read it on demand.  Three readers move entries through
-it, never multiplying or adding them, so each is exact and equals the
-contraction mod p: act_all on a power of such a base scatters rows into
-copy-major blocks (the free and injective modules of resolutions are such
-powers); _quotient_by_columns over R, k, D or a power of one gathers the
-quotient's action Q A_i sigma from the columns of Q, as A_i sends each
-kept position to one position or to 0 (below _mul_arrays' int64 tier it
-keeps the product, which is cheaper there); and minimal_generators and
-_record_presentation present D with no echelon.  Any other module keeps
-the contraction: most are small carriers acted on once.
+record (partial_permutation, the positions of the 1s, listed by ring
+index) from construction, and other modules read it on demand, so the
+route a module takes depends on the module alone, not on what read its
+record before.  No other file reads the record.  Three functions move
+entries through it, never multiplying or adding them, so each is exact and
+equals the contraction mod p: act_all on a power of such a base scatters
+rows into copy-major blocks (the free and injective modules of
+resolutions are such powers); _quotient_by_columns over R, k, D or a power
+of one gathers the quotient's action Q A_i sigma from the columns of Q, as
+A_i sends each kept position to one position or to 0 (below _mul_arrays'
+int64 tier it keeps the product, which is cheaper there); and
+minimal_generators and _record_presentation present D (and any module
+with a record, such as Hom(D, k) over R1) with no echelon.  A fourth,
+_entries_coords, lists the coordinates of an induced differential on a
+power of such a base, which complexes ranks without building it.  Any
+other module keeps the contraction: most are small carriers acted on once.
+
+A matrix over R acts on powers of a module N through N's action, and one
+function realises it: realise contracts the entries' coefficient rows
+with the action matrices.  Its inputs are a presentation's relations
+(reshaped) for Hom and tensor, and a resolution's ring entries
+(complexes.RingEntries, scattered) for the induced differentials.
+ModuleHom.validate compares A_i(dst) mat with mat A_i(src) for all i in
+one stacked product a side.
 
 Hom and tensor are both read off one presentation R^a -> R^g -> M of the
 source (left factor) M: its g minimal generators, a relations among them
 that generate the relation module over R, and a k-linear section of the
-cover R^g -> M.  With the relation coefficients acting on N,
+cover R^g -> M.  With the relation coefficients acting on N (realise),
 Hom(M, N) is the kernel of N^g -> N^a and M (x) N the cokernel of
 N^a -> N^g; a map M -> N is stored as its values on the generators.  A
 free module has no relations, so Hom(R, N) and R (x) N are N itself.
@@ -46,8 +59,8 @@ M (x) V^b are b copies of the small answer, and M (x) R^b is M^b in M's
 own coordinates.  Over a monomial quotient R, k and every cokernel whose
 entries lie in m keep the presentation they were built from (its
 generators are the Nakayama picks; presentation_to_module gives the
-proof), and D reads its own off its record; any other module computes
-one (_computed_presentation), cached.
+proof), and D, like any module with a record, reads its own off the
+record; any other module computes one (_computed_presentation), cached.
 
 The relations are R-generators, not a k-basis.  Their images span the same
 row space (Hom) and column space (tensor) as a k-basis of the relation
@@ -269,6 +282,74 @@ class Module:
         return f"Module({self.label}, dim={self.dim})"
 
 
+def realise(act: np.ndarray, coeffs: np.ndarray, contravariant: bool, p: int) -> np.ndarray:
+    """Matrix on powers of a module N with action act of the b x c matrix
+    over R whose entry (s, t) has the coordinates coeffs[s, t], a (b, c, d)
+    array; one contraction of its b*c coefficient rows with the d action
+    matrices.  Covariant: N^c -> N^b, (b*n, c*n), block (s, t) the action
+    of entry (s, t): the map F (x) N of a free map F, a tensor product's
+    relation matrix.  Contravariant: N^b -> N^c, (c*n, b*n), block (t, s)
+    the action of entry (s, t): Hom(F, N), a Hom space's kernel system.
+    A presentation's relations enter by a reshape, a resolution's ring
+    entries by a scatter (complexes.RingEntries.coefficients)."""
+    b, c, d = coeffs.shape
+    n = act.shape[1]
+    shape = (c * n, b * n) if contravariant else (b * n, c * n)
+    _check_cells(shape, "realised matrix")
+    if n == 0 or b == 0 or c == 0:
+        return np.zeros(shape, dtype=np.int64)
+    blocks = _mul_arrays(coeffs.reshape(b * c, d), act.reshape(d, n * n), p)
+    order = (1, 2, 0, 3) if contravariant else (0, 2, 1, 3)
+    return np.ascontiguousarray(blocks.reshape(b, c, n, n).transpose(order).reshape(shape))
+
+
+def _entries_coords(N: Module, ent,
+                    contravariant: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Coordinates (rows, cols, vals) of realise(N.action,
+    ent.coefficients(), contravariant, p) for ring entries ent (a
+    complexes.RingEntries), values at a repeated position to be added,
+    when N, or the base W of the power N = W^a, acts by partial
+    permutations; None otherwise.
+
+    Block (s, t) realises entry (s, t) = sum_e v[e] e_{i[e]} over the
+    coordinates e of ent at (s, t), and e_i acts on W with a 1 at each
+    (r, c) of W's record with ring index i, so every coordinate e meets
+    every record entry of index i[e]: in copy q of W it puts v[e] at
+    (q*w + r, q*w + c) of the block.  The join lists these terms and builds
+    nothing of the block matrix's shape.  The record is listed by ring
+    index, so the entries of index i are one run of it."""
+    base, a = N.block or (N, 1)
+    perm = base.partial_permutation()
+    if perm is None:
+        return None
+    i, r, c = perm
+    s, t, k = ent.s, ent.t, ent.i
+    cnt = np.bincount(i, minlength=ent.shape[2])
+    rep = cnt[k]                      # record entries that entry e meets
+    total = int(rep.sum())
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    _check_cells((total, a), "coordinates of an induced differential")
+    e = np.repeat(np.arange(k.size), rep)
+    # the record entry each term takes: run start of index k[e], plus its
+    # place within the run
+    ends = np.cumsum(rep)
+    rec = np.repeat(np.cumsum(cnt)[k] - ends, rep) + np.arange(total)
+    w = base.dim
+    n = a * w
+    blk_row, blk_col = (t[e], s[e]) if contravariant else (s[e], t[e])
+    rows = blk_row * n + r[rec]
+    cols = blk_col * n + c[rec]
+    vals = ent.v[e]
+    if a > 1:
+        copies = np.arange(a) * w
+        rows = (rows[:, None] + copies).ravel()
+        cols = (cols[:, None] + copies).ravel()
+        vals = np.repeat(vals, a)
+    return rows, cols, vals
+
+
 class ModuleHom:
     """R-linear map between modules, stored as a dst.dim x src.dim matrix.
 
@@ -298,13 +379,16 @@ class ModuleHom:
             self.validate()
 
     def validate(self) -> None:
-        for i in range(self.src.ring.dim):
-            lhs = self.dst.act(i, self.mat)
-            rhs = _right_act(self.src, i, self.mat)
-            if not np.array_equal(lhs, rhs):
-                raise InputError(
-                    f"map {self.src.label} -> {self.dst.label} is not R-linear "
-                    f"(fails on basis element {i})")
+        """A_i(dst) mat = mat A_i(src) for every basis element e_i, each
+        side one stacked product over all d of them."""
+        p = self.src.ring.field.p
+        lhs = self.dst.act_all(self.mat)
+        rhs = _mul_arrays(self.mat, self.src.act_all(np.eye(self.src.dim, dtype=np.int64)), p)
+        bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if bad.size:
+            raise InputError(
+                f"map {self.src.label} -> {self.dst.label} is not R-linear "
+                f"(fails on basis element {bad[0]})")
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         return _mul_arrays(self.mat, np.asarray(vec).reshape(-1, 1),
@@ -349,24 +433,6 @@ def _block_apply(small: np.ndarray, b: int, cols: np.ndarray, p: int) -> np.ndar
     k = cols.shape[1] if cols.ndim == 2 else 1
     out = _mul_arrays(small, cols.reshape(b, small.shape[1], k), p)
     return out.reshape(b * small.shape[0], k)
-
-
-def _block_apply_right(rows: np.ndarray, small: np.ndarray, b: int, p: int) -> np.ndarray:
-    """rows @ (I_b kron small), exactly, without building the big matrix:
-    the b column blocks of every row are rows of rows.reshape(-1, w), all
-    multiplied by small in one product."""
-    w, v = small.shape
-    out = _mul_arrays(np.ascontiguousarray(rows).reshape(rows.shape[0] * b, w), small, p)
-    return out.reshape(rows.shape[0], b * v)
-
-
-def _right_act(module: Module, i: int, rows: np.ndarray) -> np.ndarray:
-    """rows @ A_i(module) without materialising block actions."""
-    p = module.ring.field.p
-    if module.block is None:
-        return _mul_arrays(rows, module.action[i], p)
-    base, b = module.block
-    return _block_apply_right(rows, base.action[i], b, p)
 
 
 def identity_hom(m: Module) -> ModuleHom:
@@ -554,10 +620,10 @@ def image(f: ModuleHom, label: str | None = None) -> Subquotient:
 
 def _record_images(M: Module) -> np.ndarray | None:
     """(d, dim) table of the position e_i sends each basis vector to, -1
-    for 0, read off M's record (set or already read) or its base's on a
-    power (read as act_all does); None without one."""
+    for 0, read off M's record, or its base's on a power (read as act_all
+    does); None without one."""
     base, b = M.block or (M, 1)
-    perm = base.partial_permutation() if M.block is not None else M._perm or None
+    perm = base.partial_permutation()
     if perm is None:
         return None
     i, r, c = perm
@@ -691,7 +757,8 @@ def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _reads_record(M: Module) -> bool:
-    return M.block is None and bool(M._perm) and M.ring.monomial_data is not None
+    return (M.block is None and M.ring.monomial_data is not None
+            and M.partial_permutation() is not None)
 
 
 def _record_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -890,17 +957,6 @@ class HomSpace:
         return self.mats_of(np.eye(self.dim, dtype=np.int64))
 
 
-def _relation_blocks(rel: np.ndarray, N: Module) -> np.ndarray:
-    """(g, n, a, n) array whose block [s, :, t, :] is the action on N of
-    rel_st, the coefficient of generator s in relation t."""
-    d, n, p = N.ring.dim, N.dim, N.ring.field.p
-    g, a = rel.shape[0] // d, rel.shape[1]
-    coeffs = rel.reshape(g, d, a).transpose(1, 0, 2).reshape(d, g * a)
-    acts = N.action.reshape(d, n * n).T
-    blocks = _mul_arrays(np.ascontiguousarray(acts), np.ascontiguousarray(coeffs), p)
-    return blocks.reshape(n, n, g, a).transpose(2, 0, 3, 1)
-
-
 class _PresentedHom(HomSpace):
     """Hom(M, N) = ker(N^g -> N^a), read off M's presentation.
 
@@ -917,7 +973,8 @@ class _PresentedHom(HomSpace):
         if a == 0 or n == 0:
             self.module = power_module(N, g, label=label)
             return
-        system = _relation_blocks(rel, N).transpose(2, 1, 0, 3).reshape(a * n, g * n)
+        coeffs = rel.reshape(g, -1, a).transpose(0, 2, 1)
+        system = realise(N.action, coeffs, True, self.ring.field.p)
         self._K = kernel_basis(Mat._wrap(self.ring.field, system)).data
         sq = _submodule_from_columns(power_module(N, g), self._K, label, "kernel")
         self.module = sq.carrier
@@ -1152,7 +1209,8 @@ class _PresentedTensor(TensorSpace):
         if a == 0 or n == 0:
             self.module = power_module(N, g, label=label)
             return
-        rel_mat = _relation_blocks(rel, N).reshape(g * n, a * n)
+        coeffs = rel.reshape(g, -1, a).transpose(0, 2, 1)
+        rel_mat = realise(N.action, coeffs, False, self.ring.field.p)
         sq = _quotient_by_columns(power_module(N, g), rel_mat, label)
         self.module = sq.carrier
         self._Q = sq.map.mat

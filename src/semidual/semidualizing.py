@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (AugmentedComplex, DimensionValue, InducedComplex,
+from .complexes import (AugmentedComplex, DimensionValue, InducedComplex, RingEntries,
                         exactness_profile, ext_dims, homology_data, id_exact,
                         minimal_free_resolution, minimal_injective_resolution,
                         pd_exact, syzygy, tor_dims)
@@ -37,10 +37,9 @@ from .errors import InputError, NotSemidualizingError, TheoremViolationError
 from .linalg import _mul_arrays
 from .memo import cache, memo
 from .modules import (HomSpace, Module, ModuleHom, _block_apply, adjunction_iso,
-                      coevaluation_mu, direct_sum, dualizing_module,
-                      evaluation_nu, hom_functor_map, hom_space, homothety_chi,
-                      is_free, is_injective, kernel, matlis_dual,
-                      minimal_generators, power_module, tensor_functor_map, tensor_space)
+                      coevaluation_mu, dualizing_module, evaluation_nu, hom_functor_map,
+                      hom_space, homothety_chi, is_free, is_injective, kernel, matlis_dual,
+                      minimal_generators, tensor_functor_map, tensor_space)
 
 
 # -- semidualizing certificates ------------------------------------------------
@@ -687,44 +686,37 @@ def two_of_three_check(C: Module, f: ModuleHom, g: ModuleHom,
 
 
 def _padded_resolution(C: Module, X: InducedComplex,
-                       pad_spec: tuple[tuple[int, int], ...]) -> AugmentedComplex:
-    """Direct-sum split complexes 0 -> C^j -> C^j -> 0 into the degrees
-    (t, t-1) named by pad_spec; the result is still a proper resolution."""
-    c = C.dim
-    placements: list[list[int]] = [[] for _ in range(X.top + 1)]
-    for pid, (t, _) in enumerate(pad_spec):
+                       pad_spec: tuple[tuple[int, int], ...]) -> InducedComplex:
+    """X plus split complexes 0 -> C^j -> C^j -> 0 in the degrees (t, t-1)
+    named by pad_spec; the result is still a proper resolution.  It is
+    induced through C like X: X's ring entries, and the unit of R from each
+    pad generator in degree t to its copy in degree t-1, the pads following
+    X's generators in the order of pad_spec.  Validated before it is
+    returned."""
+    R = X.ring
+    d = R.dim
+    betti = list(X.betti)
+    units: list[list[tuple[int, int]]] = [[] for _ in betti]   # t -> (row, column) in d_t
+    for t, j in pad_spec:
         if not 1 <= t <= X.top:
             raise InputError(f"pad degree {t} outside resolution range")
-        placements[t].append(pid)
-        placements[t - 1].append(pid)
-    modules = []
-    offset: dict[tuple[int, int], int] = {}   # (degree, pad id) -> column
-    for i in range(X.top + 1):
-        parts = [X.modules[i]]
-        pos = X.modules[i].dim
-        for pid in placements[i]:
-            offset[(i, pid)] = pos
-            parts.append(power_module(C, pad_spec[pid][1]))
-            pos += pad_spec[pid][1] * c
-        modules.append(direct_sum(parts, label=f"Xpad_{i}")
-                       if len(parts) > 1 else X.modules[i])
-    arrows = []
-    for i in range(1, X.top + 1):
-        mat = np.zeros((modules[i - 1].dim, modules[i].dim), dtype=np.int64)
-        base = X.arrows[i - 1].mat
-        mat[: base.shape[0], : base.shape[1]] = base
-        for pid, (t, j) in enumerate(pad_spec):
-            if t == i and j > 0:
-                r0 = offset[(i - 1, pid)]
-                c0 = offset[(i, pid)]
-                mat[r0: r0 + j * c, c0: c0 + j * c] = np.eye(j * c,
-                                                             dtype=np.int64)
-        arrows.append(ModuleHom(modules[i], modules[i - 1], mat, check=False))
-    aug = np.zeros((X.augmentation.dim, modules[0].dim), dtype=np.int64)
+        units[t] += [(betti[t - 1] + q, betti[t] + q) for q in range(j)]
+        betti[t - 1] += j
+        betti[t] += j
+    entries = [None]
+    for t in range(1, X.top + 1):
+        gens = np.zeros((betti[t - 1] * d, betti[t]), dtype=np.int64)
+        own = X.entries[t].generators()
+        gens[: own.shape[0], : own.shape[1]] = own
+        for row, col in units[t]:
+            gens[row * d: (row + 1) * d, col] = R.unit
+        entries.append(RingEntries.from_generators(gens, betti[t - 1], d))
+    aug = np.zeros((X.augmentation.dim, betti[0] * C.dim), dtype=np.int64)
     aug[:, : X.modules[0].dim] = X.aug_map.mat
-    aug_map = ModuleHom(modules[0], X.augmentation, aug, check=False)
-    return AugmentedComplex(X.ring, modules, arrows, "homological",
-                            X.augmentation, aug_map, check=True)
+    Xp = InducedComplex(C, betti, entries, False, augmentation=X.augmentation, aug=aug,
+                        label="Xpad")
+    Xp.validate()
+    return Xp
 
 
 def syzygy_projectivity_invariance(C: Module, M: Module, n: int,

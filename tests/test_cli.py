@@ -9,8 +9,10 @@ import json
 
 import pytest
 
+from semidual import cli
 from semidual.cli import Report, main, run_command
-from semidual.corpus import corpus_sessions, data_path, data_text, golden_cases
+from semidual.corpus import (corpus_rings, corpus_sessions, data_path, data_text, golden_cases,
+                             random_module_pool)
 from semidual.errors import InputError
 from semidual.modules import clear_caches
 
@@ -154,6 +156,49 @@ class TestExitCodes:
                    "--kind", "proper-pc"])
         assert rc == 2
         assert "--c is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--pairs", "0"], ["--pairs", "-1"], ["--max-dim", "0"]])
+    def test_empty_sample_pool_exits_2(self, flags, capsys):
+        rc = main(["verify-all", data_path("R1.session"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and f"{flags[0]} must be at least 1" in err
+
+
+def test_an_unfillable_pool_is_an_input_error():
+    with pytest.raises(InputError, match="random module pool did not fill"):
+        random_module_pool(corpus_rings()["R1"], 1, max_dim=0)
+
+
+# the required flags of each command; every other option is left to its default
+_REQUIRED = {
+    "check-ring": [], "verify-all": [],
+    "check-semidualizing": ["--module", "k"], "pd": ["--module", "k"],
+    "id": ["--module", "k"], "resolve": ["--module", "k"],
+    "ext": ["--from", "k", "--to", "k"], "tor": ["--from", "k", "--to", "k"],
+    "relext": ["--c", "D", "--from", "k", "--to", "k", "--i", "0"],
+    "relext-ic": ["--c", "D", "--from", "k", "--to", "k", "--i", "0"],
+    "cpd": ["--c", "D", "--module", "k"], "cid": ["--c", "D", "--module", "k"],
+    "classify": ["--c", "D", "--module", "k"],
+    "foxby": ["--c", "D", "--module", "k", "--direction", "hom"],
+}
+
+
+def test_parser_defaults_are_the_run_defaults():
+    """Each command parsed with only its required flags carries the values
+    of cli._DEFAULTS for every option it has."""
+    assert set(_REQUIRED) == set(cli._HANDLERS)
+    parser = cli._build_parser()
+    seen = set()
+    for command, required in _REQUIRED.items():
+        ns = parser.parse_args([command, data_path("R1.session"), *required])
+        given = set(required[::2])
+        for key, want in cli._DEFAULTS.items():
+            flag = _FLAGS.get(key, f"--{key}")
+            if hasattr(ns, key) and flag not in given:
+                assert getattr(ns, key) == want, (command, key)
+                seen.add(key)
+    assert {"bound", "i", "via", "kind", "c", "length", "pairs", "max_dim"} <= seen
 
 
 def test_large_prime_copy_of_r1_verifies(tmp_path, capsys):

@@ -10,8 +10,7 @@ from semidual import complexes
 from semidual.algebra import (algebra_from_monomial_quotient,
                               algebra_from_structure_constants, ring_report)
 from semidual.complexes import (AugmentedComplex, DimensionValue, InducedComplex, RingEntries,
-                                _entries_matrix, betti_numbers, bass_numbers,
-                                block_matrix_from_entries, ext_abs, ext_dims,
+                                betti_numbers, bass_numbers, ext_abs, ext_dims,
                                 exactness_profile, homology, minimal_free_resolution,
                                 minimal_injective_resolution, pd_exact, id_exact,
                                 syzygy, tor_abs, tor_dims)
@@ -23,7 +22,7 @@ from semidual.errors import InvalidComplexError
 from semidual.linalg import Field, Mat, expressor, kernel_basis, rank
 from semidual.modules import (ModuleHom, clear_caches, dualizing_module, free_module,
                               hom_functor_map, hom_space, matlis_dual,
-                              power_module, radical_span, regular_module,
+                              power_module, radical_span, realise, regular_module,
                               residue_field_module, tensor_space, zero_module)
 
 
@@ -415,7 +414,8 @@ def test_resolutions_match_their_dense_definitions(name):
         clear_caches()
         res = minimal_free_resolution(M, 3)
         for j in range(1, 4):
-            assert np.array_equal(res.arrow(j).mat, _entries_matrix(R, res.entries[j], False))
+            want = realise(R.action, res.entries[j].coefficients(), False, ring.field.p)
+            assert np.array_equal(res.arrow(j).mat, want)
         ires = minimal_injective_resolution(M, 3)
         dual = minimal_free_resolution(matlis_dual(M), 3)
         assert ires.betti == dual.betti
@@ -620,8 +620,8 @@ def test_block_matrix_from_entries_matches_per_block_oracle(p, contravariant,
     ent = rng.integers(0, p, size=(b_prev, b_next, d), dtype=np.int64)
     act = rng.integers(0, p, size=(d, n, n), dtype=np.int64)
     gens = ent.transpose(0, 2, 1).reshape(b_prev * d, b_next)
-    got = block_matrix_from_entries(act, RingEntries.from_generators(gens, b_prev, d),
-                                    contravariant, p)
+    got = realise(act, RingEntries.from_generators(gens, b_prev, d).coefficients(),
+                  contravariant, p)
     want = _naive_block_matrix(act, ent, contravariant, p)
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want)

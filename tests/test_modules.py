@@ -124,6 +124,32 @@ def test_hom_validation_rejects_nonlinear(R1):
     ModuleHom(k, reg, good)
 
 
+def test_hom_validation_names_the_first_failing_basis_element(rings):
+    """validate compares all d actions in one stacked product per side; it
+    accepts a map exactly when every A_i(dst) f = f A_i(src), and names the
+    first i where they differ, here found one basis element at a time."""
+    rng = np.random.default_rng(23)
+    for ring in rings:
+        p = ring.field.p
+        R, k, D = regular_module(ring), residue_field_module(ring), dualizing_module(ring)
+        M = random_module_pool(ring, 1, max_dim=4)[0]
+        mods = [R, k, D, M, power_module(D, 2), free_module(ring, 2)]
+        for src in mods:
+            for dst in mods:
+                good = hom_space(src, dst).basis_mats()
+                maps = list(good[:2]) + [rng.integers(0, p, (dst.dim, src.dim))
+                                         for _ in range(3)]
+                for f in maps:
+                    wrong = [i for i in range(ring.dim)
+                             if not np.array_equal(dst.act(i, f),
+                                                   _mul_arrays(f, src.action[i], p))]
+                    if not wrong:
+                        ModuleHom(src, dst, f)
+                        continue
+                    with pytest.raises(InputError, match=f"basis element {wrong[0]}\\)"):
+                        ModuleHom(src, dst, f)
+
+
 def test_rank_is_computed_once_per_map(R1, monkeypatch):
     import semidual.modules as modules
     D = dualizing_module(R1)

@@ -277,7 +277,9 @@ def test_no_echelon_for_k_or_for_the_presentation_of_d(monkeypatch):
 def test_index_presentation_is_the_computed_presentation(monkeypatch):
     for R in _rings():
         k = mo.residue_field_module(R)
-        for M in (mo.regular_module(R), k, mo.dualizing_module(R), mo.matlis_dual(k)):
+        D = mo.dualizing_module(R)
+        carrier = mo.hom_space(D, k).module          # its record is read on demand
+        for M in (mo.regular_module(R), k, D, mo.matlis_dual(k), carrier):
             assert mo._reads_record(M), (R.name, M.label)
             mo.clear_caches()
             got = [mo._record_presentation(M), mo.presentation(M)]
@@ -290,3 +292,22 @@ def test_index_presentation_is_the_computed_presentation(monkeypatch):
             for pres in got:
                 for a, b in zip(pres, want):
                     assert _same(a, b), (R.name, M.label)
+
+
+def test_the_route_follows_the_module_not_the_call_history(monkeypatch):
+    """Over R1 and R4, Hom(D, k) acts by a partial permutation.  Built from
+    fresh caches its record has not been read, and it is still presented
+    from the record: the computed route is never taken."""
+    def computed(M):
+        raise AssertionError(f"{M.label} took the computed presentation")
+
+    rings = {R.name: R for R in _rings()}
+    for name in ("R1", "R4"):
+        mo.clear_caches()
+        R = rings[name]
+        M = mo.hom_space(mo.dualizing_module(R), mo.residue_field_module(R)).module
+        assert M._perm is None and M._pres is None, name
+        with monkeypatch.context() as m:
+            m.setattr(mo, "_computed_presentation", computed)
+            gens, rel, sec = mo.presentation(M)
+        assert gens.shape == (M.dim, mo.minimal_generators(M).shape[1]), name

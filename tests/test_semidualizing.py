@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semidual.algebra import radical
-from semidual.complexes import (DimensionValue, _entries_matrix, betti_numbers,
+from semidual.complexes import (DimensionValue, betti_numbers,
                                 exactness_profile, ext_dims, id_exact,
                                 minimal_free_resolution, minimal_injective_resolution,
                                 pd_exact, syzygy, tor_dims)
@@ -15,7 +15,7 @@ from semidual.errors import (InputError, NotSemidualizingError,
                              TheoremViolationError)
 from semidual.modules import (Module, ModuleHom, clear_caches, direct_sum, dualizing_module,
                               free_module, hom_space, homothety_chi, power_module,
-                              radical_submodule, regular_module,
+                              radical_submodule, realise, regular_module,
                               residue_field_module, tensor_space)
 import semidual.semidualizing as sd
 
@@ -261,7 +261,8 @@ def test_proper_resolutions_match_their_dense_definitions(rings, name):
             assert [m.label for m in X.modules] == [
                 power_module(C, res.betti[j], label=f"X_{j}").label for j in range(3)]
             for j in range(1, 3):
-                assert np.array_equal(X.arrow(j).mat, _entries_matrix(C, res.entries[j], False))
+                want = realise(C.action, res.entries[j].coefficients(), False, ring.field.p)
+                assert np.array_equal(X.arrow(j).mat, want)
             assert X.aug_map.src is X.modules[0]
             X.validate()
             Y = sd.proper_ic_resolution(C, M, 2)
@@ -269,7 +270,8 @@ def test_proper_resolutions_match_their_dense_definitions(rings, name):
             assert [m.label for m in Y.modules] == [
                 power_module(W, ires.betti[j], label=f"Y_{j}").label for j in range(3)]
             for j in range(1, 3):
-                assert np.array_equal(Y.arrow(j - 1).mat, _entries_matrix(W, ires.entries[j], True))
+                want = realise(W.action, ires.entries[j].coefficients(), True, ring.field.p)
+                assert np.array_equal(Y.arrow(j - 1).mat, want)
             assert Y.aug_map.dst is Y.modules[0]
             Y.validate()
 
@@ -644,6 +646,53 @@ def test_padded_resolution_is_still_proper(r1_mods):
     assert sd.is_proper_pc(D, Xp)
     # same homology as the unpadded resolution
     assert exactness_profile(Xp) == exactness_profile(X)
+
+
+def _padded_reference(C, X, pad_spec):
+    """The padded arrows and augmentation as a dense block assembly: each
+    d_i in the top-left corner, an identity block from a pad's copy of C^j
+    in degree t to its copy in degree t-1, the pads after X's summands in
+    the order of pad_spec, and X's augmentation followed by zeros."""
+    c = C.dim
+    dims = [m.dim for m in X.modules]
+    offset = {}
+    for pid, (t, j) in enumerate(pad_spec):
+        for deg in (t, t - 1):
+            offset[(deg, pid)] = dims[deg]
+            dims[deg] += j * c
+    arrows = []
+    for i in range(1, X.top + 1):
+        mat = np.zeros((dims[i - 1], dims[i]), dtype=np.int64)
+        d_i = X.arrow(i).mat
+        mat[: d_i.shape[0], : d_i.shape[1]] = d_i
+        for pid, (t, j) in enumerate(pad_spec):
+            if t == i:
+                r0, c0 = offset[(i - 1, pid)], offset[(i, pid)]
+                mat[r0: r0 + j * c, c0: c0 + j * c] = np.eye(j * c, dtype=np.int64)
+        arrows.append(mat)
+    aug = np.zeros((X.augmentation.dim, dims[0]), dtype=np.int64)
+    aug[:, : X.modules[0].dim] = X.aug_map.mat
+    return arrows, aug
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4"])
+def test_padded_resolution_is_the_block_assembly(rings, name):
+    """Oracle for _padded_resolution, induced through C from X's ring
+    entries and the unit of R on the pads: every arrow is the block
+    assembly [[d_i, 0], [0, I]], and the augmentation is X's padded with
+    zeros."""
+    ring = rings[name]
+    pad_spec = ((1, 1), (3, 2))
+    for C in (regular_module(ring), dualizing_module(ring)):
+        for M in [residue_field_module(ring)] + random_module_pool(ring, 1, max_dim=4):
+            X = sd.proper_pc_resolution(C, M, 3)
+            Xp = sd._padded_resolution(C, X, pad_spec)
+            arrows, aug = _padded_reference(C, X, pad_spec)
+            assert Xp.top == X.top == len(arrows)
+            for i, want in enumerate(arrows, 1):
+                assert np.array_equal(Xp.arrow(i).mat, want), (name, C.label, M.label, i)
+            assert Xp.augmentation is X.augmentation
+            assert np.array_equal(Xp.aug_map.mat, aug), (name, C.label, M.label)
 
 
 def test_absolute_comparison_bass(r1_mods):

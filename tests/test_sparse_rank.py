@@ -20,8 +20,7 @@ from semidual import complexes, linalg
 from semidual import modules as mo
 from semidual.algebra import algebra_from_monomial_quotient
 from semidual.cli import main
-from semidual.complexes import (_differential_rank, _entries_coords, _entries_matrix,
-                                block_matrix_from_entries, ext_dims, minimal_free_resolution,
+from semidual.complexes import (_differential_rank, ext_dims, minimal_free_resolution,
                                 tor_dims)
 from semidual.corpus import corpus_rings, data_path, random_module_pool, ring_type_three
 from semidual.errors import InputError
@@ -170,10 +169,10 @@ def test_differential_coordinates_match_the_dense_block_matrix(name):
             for j in range(1, depth + 1):
                 ent = res.entries[j]
                 for contravariant in (True, False):
-                    dense = _entries_matrix(N, ent, contravariant)
+                    dense = mo.realise(N.action, ent.coefficients(), contravariant, p)
                     want = rank(Mat._wrap(ring.field, dense))
                     assert _differential_rank(N, ent, contravariant) == want
-                    coords = _entries_coords(N, ent, contravariant)
+                    coords = mo._entries_coords(N, ent, contravariant)
                     if N is other:
                         assert coords is None
                         continue
@@ -189,7 +188,7 @@ def test_m_killed_targets_give_no_coordinates():
     res = minimal_free_resolution(k, 4)
     for j in range(1, 5):
         for contravariant in (True, False):
-            rows, cols, vals = _entries_coords(k, res.entries[j], contravariant)
+            rows, cols, vals = mo._entries_coords(k, res.entries[j], contravariant)
             assert rows.size == cols.size == vals.size == 0
     assert ext_dims(k, k, 3) == tor_dims(k, k, 3) == [1, 3, 9, 27]
 
@@ -199,7 +198,7 @@ def test_homology_dims_rank_unrealised_differentials_from_coordinates(name, monk
     """homology_dim, and so exactness_profile, ranks each unrealised
     differential of an InducedComplex by _differential_rank and keeps the
     rank: over a partial-permutation N no block matrix is built and no
-    arrow is realised (a guard on block_matrix_from_entries raises), and
+    arrow is realised (a guard on the realiser raises), and
     the homology dimensions equal those read off the realised, densely
     ranked arrows, with or without an augmentation.  An arrow realised
     after it was ranked takes the kept rank."""
@@ -208,7 +207,7 @@ def test_homology_dims_rank_unrealised_differentials_from_coordinates(name, monk
     D = mo.dualizing_module(ring)
     R = mo.regular_module(ring)
     other = _non_permutation_module(ring)
-    real = complexes.block_matrix_from_entries
+    real = complexes.realise
     for M in [k, D] + random_module_pool(ring, 2, max_dim=6):
         res = minimal_free_resolution(M, 3)
         # the resolution itself (entries realised through R by cover_matrix)
@@ -227,7 +226,7 @@ def test_homology_dims_rank_unrealised_differentials_from_coordinates(name, monk
                     return real(*args)
 
                 with monkeypatch.context() as patched:
-                    patched.setattr(complexes, "block_matrix_from_entries", built)
+                    patched.setattr(complexes, "realise", built)
                     cx = complexes.InducedComplex(N, res.betti, res.entries, contravariant)
                     got = [cx.homology_dim(n) for n in range(-1, cx.top + 2)]
                     assert complexes.exactness_profile(cx) == [n for n in range(cx.top)
@@ -244,7 +243,7 @@ def test_homology_dims_rank_unrealised_differentials_from_coordinates(name, monk
     for M in (k, R):
         ires = complexes.minimal_injective_resolution(M, 3)
         with monkeypatch.context() as patched:
-            patched.setattr(complexes, "block_matrix_from_entries",
+            patched.setattr(complexes, "realise",
                             lambda *args: pytest.fail("realised a differential over D"))
             assert complexes.exactness_profile(ires) == []
         assert ires._arrows == [None] * ires.top
@@ -259,12 +258,14 @@ def test_every_builder_refuses_arrays_past_the_budget(monkeypatch):
     F = mo.free_module(R4, 3)
     res = minimal_free_resolution(mo.residue_field_module(R4), 2)
     ent = res.entries[2]
+    coeffs = ent.coefficients()
     monkeypatch.setattr(linalg, "_MAX_CELLS", 20)
     calls = [
         ("radical span", lambda: mo.radical_span(F)),
         ("cover matrix", lambda: mo.cover_matrix(F, np.eye(12, dtype=np.int64))),
-        ("induced differential", lambda: block_matrix_from_entries(D.action, ent, True, 5)),
-        ("coordinates", lambda: _entries_coords(mo.power_module(D, 9), ent, True)),
+        ("ring entries", lambda: ent.coefficients()),
+        ("realised matrix", lambda: mo.realise(D.action, coeffs, True, 5)),
+        ("coordinates", lambda: mo._entries_coords(mo.power_module(D, 9), ent, True)),
         ("matrix to reduce", lambda: _echelon(np.ones((30, 30), dtype=np.int64), 5)),
         ("coupled part", lambda: _sparse_rank(Field(5), (6, 6), np.repeat(np.arange(6), 6),
                                              np.tile(np.arange(6), 6),
@@ -319,8 +320,9 @@ def test_store_ranks_through_the_coordinate_path(monkeypatch):
     k = mo.residue_field_module(R4)
     D = mo.dualizing_module(R4)
     built = []
-    real = complexes._entries_matrix
-    monkeypatch.setattr(complexes, "_entries_matrix",
-                        lambda N, ent, c: built.append(ent.shape) or real(N, ent, c))
+    real = complexes.realise
+    monkeypatch.setattr(complexes, "realise",
+                        lambda act, coeffs, c, p: built.append(coeffs.shape)
+                        or real(act, coeffs, c, p))
     assert ext_dims(k, D, 4) == [1, 0, 0, 0, 0]
     assert built == []

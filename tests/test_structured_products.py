@@ -15,7 +15,7 @@ import pytest
 
 from semidual import modules as mo, semidualizing as sd
 from semidual.algebra import algebra_from_monomial_quotient, radical_generators
-from semidual.complexes import block_matrix_from_entries, minimal_free_resolution
+from semidual.complexes import minimal_free_resolution
 from semidual.corpus import corpus_rings
 from semidual.errors import TheoremViolationError
 from semidual.linalg import Field
@@ -33,6 +33,11 @@ def mm(a, b, p):
 
 def kron_eye(b, small):
     return np.kron(np.eye(b, dtype=np.int64), small)
+
+
+def block_apply_right(rows, small, b, p):
+    """rows @ (I_b kron small), by _block_apply on the transposes."""
+    return mo._block_apply(small.T, b, rows.T, p).T
 
 
 @pytest.fixture(autouse=True)
@@ -56,7 +61,7 @@ def test_block_products_equal_the_kron_products(p, b, n, k):
     cols = rng.integers(0, p, (b * n, k))
     rows = rng.integers(0, p, (k, b * n))
     assert np.array_equal(mo._block_apply(alpha, b, cols, p), mm(kron_eye(b, alpha), cols, p))
-    assert np.array_equal(mo._block_apply_right(rows, alpha, b, p),
+    assert np.array_equal(block_apply_right(rows, alpha, b, p),
                           mm(rows, kron_eye(b, alpha), p))
 
 
@@ -67,7 +72,7 @@ def test_block_products_of_rectangular_blocks(p):
     cols = rng.integers(0, p, (15, 4))
     assert np.array_equal(mo._block_apply(small, 3, cols, p), mm(kron_eye(3, small), cols, p))
     rows = rng.integers(0, p, (4, 6))
-    assert np.array_equal(mo._block_apply_right(rows, small, 3, p),
+    assert np.array_equal(block_apply_right(rows, small, 3, p),
                           mm(rows, kron_eye(3, small), p))
 
 
@@ -92,9 +97,9 @@ def _adjunction_squares(C, M, N, top, W_V=None):
     W_V = W_V if W_V is not None else sd._proper_ic_carrier(C, M)
     res = minimal_free_resolution(mo.matlis_dual(mo.tensor_space(C, N).module), top)
     p = C.ring.field.p
-    T = [block_matrix_from_entries(transport.action, res.entries[j], True, p)
+    T = [mo.realise(transport.action, res.entries[j].coefficients(), True, p)
          for j in range(1, top + 1)]
-    P = [block_matrix_from_entries(W_V.action, res.entries[j], True, p)
+    P = [mo.realise(W_V.action, res.entries[j].coefficients(), True, p)
          for j in range(1, top + 1)]
     return alpha, res.betti, T, P
 
@@ -109,7 +114,7 @@ def test_adjunction_squares_are_the_kron_squares():
         p = C.ring.field.p
         for j in range(3):
             lhs = mo._block_apply(alpha, bass[j + 1], T[j], p)
-            rhs = mo._block_apply_right(P[j], alpha, bass[j], p)
+            rhs = block_apply_right(P[j], alpha, bass[j], p)
             assert np.array_equal(lhs, mm(kron_eye(bass[j + 1], alpha), T[j], p)), (name, j)
             assert np.array_equal(rhs, mm(P[j], kron_eye(bass[j], alpha), p)), (name, j)
             assert np.array_equal(lhs, rhs), (name, j)
@@ -129,7 +134,7 @@ def test_adjunction_check_is_stronger_than_the_squares(monkeypatch):
             bad = mo.Module(C.ring, V, label=W_V.label, check=False)
             alpha, bass, T, P = _adjunction_squares(C, M, N, 2, bad)
             broken = [not np.array_equal(mo._block_apply(alpha, bass[j + 1], T[j], p),
-                                         mo._block_apply_right(P[j], alpha, bass[j], p))
+                                         block_apply_right(P[j], alpha, bass[j], p))
                       for j in range(2)]
             assert any(broken) == (mu != 0), (name, mu)
             monkeypatch.setattr(sd, "_proper_ic_carrier", lambda C, M, bad=bad: bad)
