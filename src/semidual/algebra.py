@@ -403,7 +403,7 @@ def radical(R: Algebra) -> Mat:
     p = R.field.p
     d = R.dim
     if R.monomial_data is not None:
-        return Mat(R.field, np.eye(d, dtype=np.int64)[:, R.unit == 0])
+        return Mat._wrap(R.field, np.eye(d, dtype=np.int64)[:, R.unit == 0])
     t = 0
     power = 1
     while power < d:
@@ -478,25 +478,32 @@ def ring_report(R: Algebra) -> RingReport:
     rad = radical(R)
     r = rad.cols
     is_local = (r == d - 1)
-    if r == 0:
-        socle_dim = d
+    data = R.monomial_data
+    if data is not None:
+        # no product or echelon: a variable sends distinct monomials to
+        # distinct monomials or to 0, so the socle (the variables' common
+        # kernel) is spanned by the monomials they all send to -1, and m^t
+        # by those of degree >= t, zero past the top degree
+        at = np.flatnonzero(data.variable_columns.any(axis=1))
+        socle_dim = int((data.products[at] < 0).all(axis=0).sum())
+        loewy = max(map(sum, data.basis_exponents)) + 1
+    elif r == 0:
+        socle_dim, loewy = d, 1
     else:
         stacked = np.vstack([R.mult_matrix(rad.data[:, j]) for j in range(r)])
         socle_dim = kernel_basis(Mat(R.field, stacked)).cols
+        # Loewy length: least t with rad^t = 0
+        loewy = 1
+        span = rad.data
+        while True:
+            cols = [_mul_arrays(R.mult_matrix(rad.data[:, j]), span, p) for j in range(r)]
+            span, piv = _col_space(np.hstack(cols), R.field)
+            loewy += 1
+            if not piv:
+                break
+            if loewy > d + 1:
+                raise AssertionError("radical is not nilpotent; not a nilradical?")
     is_gorenstein = bool(is_local and socle_dim == 1)
-    # Loewy length: least t with rad^t = 0
-    loewy = 1
-    span = rad.data
-    while span.shape[1] > 0:
-        cols = [_mul_arrays(R.mult_matrix(rad.data[:, j]), span, p) for j in range(r)]
-        nxt = np.hstack(cols) if cols else np.zeros((d, 0), dtype=np.int64)
-        nxt_mat, piv = _col_space(nxt, R.field)
-        loewy += 1
-        if not piv:
-            break
-        span = nxt_mat
-        if loewy > d + 1:
-            raise AssertionError("radical is not nilpotent; not a nilradical?")
     return RingReport(d, is_local, r, socle_dim, is_gorenstein, loewy, rad)
 
 

@@ -22,7 +22,10 @@ rows (RingEntries.coefficients).  A differential is realised on first use
 and then kept, so nothing builds the matrix of a differential that no one
 reads: Ext and Tor dimensions rank the entries directly (_homology_dims),
 from the coordinates that modules._entries_coords lists when N acts by
-partial permutations; this file never reads a partial-permutation record.
+partial permutations (this file never reads the record), and one whose
+entries all act by zero on N (m * N = 0) is known to be zero
+(_known_zero).  Homology modules (homology_data) are read off kernel_basis
+forms by selecting rows and columns, and skip the known-zero arrows.
 
 Dimension verdicts over an Artinian local ring are exact: finite projective
 (resp. injective) dimension forces dimension zero, so pd and id are decided
@@ -40,9 +43,8 @@ from .algebra import Algebra, radical, require_local, ring_report
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
-from .modules import (Module, ModuleHom, _entries_coords, _quotient_by_columns,
-                      _submodule_from_columns, cover_matrix,
-                      is_free, is_injective, matlis_dual, minimal_generators,
+from .modules import (Module, ModuleHom, _entries_coords, _free_rows, _quotient_projection,
+                      cover_matrix, is_free, is_injective, matlis_dual, minimal_generators,
                       nakayama_generators, power_module, realise, regular_module,
                       zero_module)
 
@@ -175,11 +177,17 @@ class AugmentedComplex:
     # -- dimension bookkeeping via ranks only
 
     def _in_out(self, n: int) -> tuple[ModuleHom | None, ModuleHom | None]:
-        """(arrow into degree n, arrow out of degree n), either may be None.
-        Augmented positions count: degree -1 holds the augmentation module."""
-        if self.orientation == "homological":
-            return self.arrow(n + 1), self.arrow(n)
-        return self.arrow(n - 1), self.arrow(n)
+        """(arrow into degree n, arrow out of degree n), None where there is
+        none or it is _known_zero (then not realised).  Augmented positions
+        count: degree -1 holds the augmentation module."""
+        shift = 1 if self.orientation == "homological" else 0   # arrow(i) is arrow i - shift
+        into = n + 1 if shift else n - 1
+        return tuple(None if 0 <= i - shift < self.top and self._known_zero(i - shift)
+                     else self.arrow(i) for i in (into, n))
+
+    def _known_zero(self, k: int) -> bool:
+        """True when the k-th arrow is known to be zero unread (sufficient only)."""
+        return False
 
     def _arrow_rank(self, k: int) -> int:
         """Rank of the k-th arrow."""
@@ -206,31 +214,39 @@ def homology_data(X: AugmentedComplex, n: int, label: str | None = None):
     """Subquotient presentation of H_n: (carrier, represent, reduce) where
     represent lifts carrier coordinates to cycles in X_n and reduce sends a
     cycle to its class.  The carrier is labelled H_n unless a label is
-    given."""
+    given.
+
+    By selection: K, the kernel_basis of the arrow out (I without one), has
+    its 1 in column j at free row f_j and its other entries above it, so
+    Z_n's section selects the rows f (modules._submodule_from_columns).  Z_n
+    acts by (A K)[f], closure asserted; the boundaries are into[f] in it,
+    and their quotient keeps the coordinates keep by Q
+    (modules._quotient_projection).  So represent = K[:, keep], reduce is Q
+    at the columns f, and H acts by Q (A K)[f][:, :, keep].  An arrow known
+    to be zero (_known_zero) is not realised and counts as absent: no
+    echelon out, no quotient in, and with both H is X_n's action as a plain
+    Module and represent = reduce = I.  The results equal those built with
+    _submodule_from_columns and _quotient_by_columns."""
     p = X.ring.field.p
     into, out = X._in_out(n)
     amb = X.module(n)
-    # K is in kernel_basis form (the identity is the kernel basis of the
-    # zero map), so the section of Z_n is a row selection, not an echelon
-    if out is not None:
-        K = kernel_basis(out.matrix()).data
+    label = f"H_{n}" if label is None else label
+    if into is None and out is None:
+        return (Module(X.ring, amb.action, label, check=False),
+                np.eye(amb.dim, dtype=np.int64), np.eye(amb.dim, dtype=np.int64))
+    K = np.eye(amb.dim, dtype=np.int64) if out is None else kernel_basis(out.matrix()).data
+    free = _free_rows(K)
+    moved = amb.act_all(K)
+    act = moved[:, free]
+    assert np.array_equal(_mul_arrays(K, act, p), moved), "columns do not span a submodule"
+    if into is None:
+        Q, keep = np.eye(free.size, dtype=np.int64), np.arange(free.size)
     else:
-        K = np.eye(amb.dim, dtype=np.int64)
-    sub = _submodule_from_columns(amb, K, f"Z_{n}", "kernel")
-    if label is None:
-        label = f"H_{n}"
-    if into is not None and K.shape[1]:
-        coords = _mul_arrays(sub.section, into.mat, p)
-    else:
-        coords = np.zeros((K.shape[1], 0), dtype=np.int64)
-    quot = _quotient_by_columns(sub.carrier, coords, label)
-    if K.shape[1]:
-        represent = _mul_arrays(K, quot.section, p)
-        reduce_ = _mul_arrays(quot.map.mat, sub.section, p)
-    else:
-        represent = np.zeros((amb.dim, 0), dtype=np.int64)
-        reduce_ = np.zeros((0, amb.dim), dtype=np.int64)
-    return quot.carrier, represent, reduce_
+        Q, keep = _quotient_projection(X.ring.field, into.mat[free])
+    reduce_ = np.zeros((keep.size, amb.dim), dtype=np.int64)
+    reduce_[:, free] = Q
+    return (Module(X.ring, _mul_arrays(Q, act[:, :, keep], p), label, check=False),
+            K[:, keep], reduce_)
 
 
 def homology(X: AugmentedComplex, n: int, label: str | None = None) -> Module:
@@ -389,6 +405,14 @@ class InducedComplex(AugmentedComplex):
         (covariant) or X^{k-1} -> X^k (contravariant)."""
         return realise(self.N.action, self.entries[k].coefficients(), self.contravariant,
                        self.ring.field.p)
+
+    def _known_zero(self, k: int) -> bool:
+        """True when every ring index in the k-th arrow's entries acts by
+        zero on N's base: a minimal resolution's entries lie in m, which
+        kills N = k or Hom(D, k)."""
+        base = (self.N.block or (self.N, 1))[0]
+        acts = base.action.reshape(self.ring.dim, -1).any(axis=1)
+        return not acts[self.entries[k + 1].i].any()
 
     def _arrow_rank(self, k: int) -> int:
         """Rank of the k-th arrow.  A realised arrow keeps its

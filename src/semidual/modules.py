@@ -632,21 +632,29 @@ def _record_images(M: Module) -> np.ndarray | None:
     return img.reshape(M.ring.dim, b * base.dim)
 
 
+def _quotient_projection(field, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, keep) of k^n / span(cols): keep, the non-pivot columns of the
+    RREF of cols.T, is selected by the section and Q projects onto it."""
+    n = cols.shape[0]
+    red, piv = rref(Mat._wrap(field, cols.T))
+    E = red.data[: len(piv)]          # echelon basis of the subspace, as rows
+    is_kept = np.ones(n, dtype=bool)
+    is_kept[piv] = False
+    keep = np.flatnonzero(is_kept)
+    Q = np.zeros((keep.size, n), dtype=np.int64)
+    Q[np.arange(keep.size), keep] = 1
+    Q[:, piv] = (-E[:, keep].T) % field.p
+    return Q, keep
+
+
 def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subquotient:
     """Quotient of the ambient module by the span of the given columns
     (which must be action-stable).  e_i acts by Q A_i sigma, gathered from
     the columns of Q when the ambient has a record (module docstring)."""
     p = ambient.ring.field.p
     n = ambient.dim
-    red, piv = rref(Mat._wrap(ambient.ring.field, cols.T))
-    E = red.data[: len(piv)]          # echelon basis of the subspace, as rows
-    is_kept = np.ones(n, dtype=bool)
-    is_kept[piv] = False
-    keep = np.flatnonzero(is_kept)
+    Q, keep = _quotient_projection(ambient.ring.field, cols)
     q = keep.size
-    Q = np.zeros((q, n), dtype=np.int64)
-    Q[np.arange(q), keep] = 1
-    Q[:, piv] = (-E[:, keep].T) % p
     sigma = np.zeros((n, q), dtype=np.int64)
     sigma[keep, np.arange(q)] = 1
     img = _record_images(ambient) if q * q * ambient.ring.dim * n > _INT64_MAX_MACS else None

@@ -261,12 +261,12 @@ def _check_degree_and_mode(i: int, mode: str) -> None:
 
 def _comparison_on_homology(F_of: Module, src: Module, dst: Module,
                             alpha: np.ndarray | None, i: int) -> ModuleHom | None:
-    """The comparison H^i Hom(F, src) -> H^i Hom(F, dst) induced by
-    I_b kron alpha, for F the minimal free resolution of F_of and alpha an
-    isomorphism src -> dst (None: dst is src and alpha the identity).
-    Materialized on the window of degrees i-1..i+1 only when each of those
-    chain groups has at most 600 dimensions (else None), and asserted
-    bijective.  I_b kron alpha is applied block by block, never built."""
+    """The comparison H^i Hom(F, src) -> H^i Hom(F, dst), reduce . (I_b kron
+    alpha) . represent, for F the minimal free resolution of F_of and alpha
+    an isomorphism src -> dst (None: dst is src, alpha the identity), with
+    I_b kron alpha applied block by block.  Only on windows i-1..i+1 of at
+    most 600 dimensions per chain group (else None); asserted bijective.
+    homology_data realises no differential that m * src = 0 makes zero."""
     res = minimal_free_resolution(F_of, i + 1)
     lo = max(i - 1, 0)
     if max(res.betti[lo:i + 2]) * max(src.dim, dst.dim) > 600:

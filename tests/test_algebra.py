@@ -16,7 +16,7 @@ from semidual.errors import (
     ParseError,
     UnsupportedRingError,
 )
-from semidual.linalg import Field, Mat, _mul_arrays, kernel_basis
+from semidual.linalg import Field, Mat, _mul_arrays, kernel_basis, rref
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -393,3 +393,65 @@ def test_ring_report_memoised_frozen_and_cleared():
 def test_fingerprint_distinguishes():
     assert ring_r1().fingerprint == ring_r1().fingerprint
     assert ring_r1().fingerprint != ring_r3().fingerprint
+
+
+# -- ring_report of a monomial quotient, read off the monomial data ---------------
+
+
+def _computed_socle_loewy(R):
+    """(socle dim, Loewy length) by products with the radical basis, as
+    ring_report computes them for a ring given by structure constants: the
+    reference for the monomial route."""
+    p, d = R.field.p, R.dim
+    rad = radical(R).data
+    r = rad.shape[1]
+    if r == 0:
+        return d, 1
+    stacked = np.vstack([R.mult_matrix(rad[:, j]) for j in range(r)])
+    socle = kernel_basis(Mat(R.field, stacked)).cols
+    loewy, span = 1, rad                 # least t with rad^t = 0
+    while True:
+        nxt = np.hstack([_mul_arrays(R.mult_matrix(rad[:, j]), span, p) for j in range(r)])
+        red, piv = rref(Mat(R.field, nxt.T))
+        loewy += 1
+        if not piv:
+            return socle, loewy
+        span = red.data[: len(piv)].T
+
+
+def _report_rings():
+    t27 = algebra_from_monomial_quotient(GF3, ["x", "y", "z"], ["x^3", "y^3", "z^3"],
+                                         name="T27")
+    big = algebra_from_monomial_quotient(Field(2 ** 31 - 1), ["x", "y"],
+                                         ["x^3", "x*y^2", "y^3"], name="Q")
+    field = algebra_from_monomial_quotient(GF5, ["x"], ["x"], name="F5")
+    return [ring_r1(), ring_r2(), ring_r3(), ring_r4(), t27, big, field]
+
+
+def test_monomial_ring_report_equals_computed_route(monkeypatch):
+    """Every RingReport field of a monomial quotient, read off its monomial
+    data, equals the computed route: on a structure-constant copy through
+    ring_report, and on the ring itself through the reference above.  The
+    monomial route makes no product and no echelon; the copy's does."""
+    import semidual.algebra as al
+    import semidual.linalg as la
+    from semidual.memo import clear_caches
+    calls = []
+    real_mul, real_echelon = al._mul_arrays, la._echelon
+    monkeypatch.setattr(al, "_mul_arrays", lambda *a: calls.append("mul") or real_mul(*a))
+    monkeypatch.setattr(la, "_echelon", lambda *a: calls.append("echelon") or real_echelon(*a))
+    for R in _report_rings():
+        copy = algebra_from_structure_constants(R.field, R.structure, R.unit)
+        assert copy.monomial_data is None
+        clear_caches()
+        calls.clear()
+        rep = ring_report(R)
+        assert calls == [], R.name
+        want = ring_report(copy)
+        assert calls, R.name
+        assert rep.to_dict() == want.to_dict(), R.name
+        assert np.array_equal(rep.radical_basis.data, want.radical_basis.data), R.name
+        for S, got in ((R, rep), (copy, want)):
+            assert (got.socle_dim, got.loewy_length) == _computed_socle_loewy(S), R.name
+            assert got.is_local == (got.radical_dim == S.dim - 1)
+    clear_caches()
