@@ -137,27 +137,16 @@ def _cmd_check_semidualizing(session, ring, opt) -> tuple:
     return ("pass" if cert.passed else "fail"), dims, wits
 
 
-def _cmd_ext(session, ring, opt) -> tuple:
+def _cmd_ext_tor(session, ring, opt, dims_of, prefix: str) -> tuple:
+    """ext (ext_dims, "Ext^") and tor (tor_dims, "Tor_"): degree --i, or 0..--bound."""
     M = session.module(opt["src"], ring)
     N = session.module(opt["dst"], ring)
     if opt["i"] is not None:
         i = _degree(opt["i"])
-        dims = {f"Ext^{i}": ext_dims(M, N, i)[i]}
+        dims = {f"{prefix}{i}": dims_of(M, N, i)[i]}
     else:
-        vals = ext_dims(M, N, opt["bound"])
-        dims = {f"Ext^{j}": vals[j] for j in range(opt["bound"] + 1)}
-    return "computed", dims, []
-
-
-def _cmd_tor(session, ring, opt) -> tuple:
-    M = session.module(opt["src"], ring)
-    N = session.module(opt["dst"], ring)
-    if opt["i"] is not None:
-        i = _degree(opt["i"])
-        dims = {f"Tor_{i}": tor_dims(M, N, i)[i]}
-    else:
-        vals = tor_dims(M, N, opt["bound"])
-        dims = {f"Tor_{j}": vals[j] for j in range(opt["bound"] + 1)}
+        vals = dims_of(M, N, opt["bound"])
+        dims = {f"{prefix}{j}": vals[j] for j in range(opt["bound"] + 1)}
     return "computed", dims, []
 
 
@@ -189,28 +178,16 @@ def _cmd_relext(session, ring, opt, dual: bool = False) -> tuple:
     return "computed", dims, wits
 
 
-def _cmd_pd(session, ring, opt) -> tuple:
-    v = pd_exact(session.module(opt["module"], ring))
-    return "computed", {"pd": _dim_value(v)}, ([v.witness] if v.witness else [])
-
-
-def _cmd_id(session, ring, opt) -> tuple:
-    v = id_exact(session.module(opt["module"], ring))
-    return "computed", {"id": _dim_value(v)}, ([v.witness] if v.witness else [])
-
-
-def _cmd_cpd(session, ring, opt) -> tuple:
-    C = session.module(opt["c"], ring)
-    require_semidualizing(C, B=opt["bound"])
-    v = pc_pd(C, session.module(opt["module"], ring))
-    return "computed", {"P_C-pd": _dim_value(v)}, ([v.witness] if v.witness else [])
-
-
-def _cmd_cid(session, ring, opt) -> tuple:
-    C = session.module(opt["c"], ring)
-    require_semidualizing(C, B=opt["bound"])
-    v = ic_id(C, session.module(opt["module"], ring))
-    return "computed", {"I_C-id": _dim_value(v)}, ([v.witness] if v.witness else [])
+def _cmd_dimension(session, ring, opt, key: str, dimension, relative: bool) -> tuple:
+    """pd and id, or with relative the P_C-pd and I_C-id of --module
+    against --c, which must be semidualizing."""
+    args = []
+    if relative:
+        C = session.module(opt["c"], ring)
+        require_semidualizing(C, B=opt["bound"])
+        args.append(C)
+    v = dimension(*args, session.module(opt["module"], ring))
+    return "computed", {key: _dim_value(v)}, ([v.witness] if v.witness else [])
 
 
 def _cmd_classify(session, ring, opt) -> tuple:
@@ -385,14 +362,14 @@ def _cmd_verify_all(session, ring, opt) -> tuple:
 _HANDLERS = {
     "check-ring": _cmd_check_ring,
     "check-semidualizing": _cmd_check_semidualizing,
-    "ext": _cmd_ext,
-    "tor": _cmd_tor,
+    "ext": lambda s, r, o: _cmd_ext_tor(s, r, o, ext_dims, "Ext^"),
+    "tor": lambda s, r, o: _cmd_ext_tor(s, r, o, tor_dims, "Tor_"),
     "relext": _cmd_relext,
     "relext-ic": lambda s, r, o: _cmd_relext(s, r, o, dual=True),
-    "pd": _cmd_pd,
-    "id": _cmd_id,
-    "cpd": _cmd_cpd,
-    "cid": _cmd_cid,
+    "pd": lambda s, r, o: _cmd_dimension(s, r, o, "pd", pd_exact, False),
+    "id": lambda s, r, o: _cmd_dimension(s, r, o, "id", id_exact, False),
+    "cpd": lambda s, r, o: _cmd_dimension(s, r, o, "P_C-pd", pc_pd, True),
+    "cid": lambda s, r, o: _cmd_dimension(s, r, o, "I_C-id", ic_id, True),
     "classify": _cmd_classify,
     "foxby": _cmd_foxby,
     "resolve": _cmd_resolve,

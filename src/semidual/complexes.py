@@ -24,8 +24,9 @@ reads: Ext and Tor dimensions rank the entries directly (_homology_dims),
 from the coordinates that modules._entries_coords lists when N acts by
 partial permutations (this file never reads the record), and one whose
 entries all act by zero on N (m * N = 0) is known to be zero
-(_known_zero).  Homology modules (homology_data) are read off kernel_basis
-forms by selecting rows and columns, and skip the known-zero arrows.
+(_known_zero).  A homology module (homology_data) is the
+modules.subquotient of the kernel_basis of the arrow out by the image of
+the arrow in, and skips the known-zero arrows.
 
 Dimension verdicts over an Artinian local ring are exact: finite projective
 (resp. injective) dimension forces dimension zero, so pd and id are decided
@@ -43,10 +44,9 @@ from .algebra import Algebra, radical, require_local, ring_report
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
-from .modules import (Module, ModuleHom, _entries_coords, _free_rows, _quotient_projection,
-                      cover_matrix, is_free, is_injective, matlis_dual, minimal_generators,
-                      nakayama_generators, power_module, realise, regular_module,
-                      zero_module)
+from .modules import (Module, ModuleHom, Subquotient, _entries_coords, cover_matrix, is_free,
+                      is_injective, matlis_dual, minimal_generators, nakayama_generators,
+                      power_module, realise, regular_module, subquotient, zero_module)
 
 # -- dimension verdicts --------------------------------------------------------
 
@@ -210,43 +210,17 @@ class AugmentedComplex:
         return self.module(n).dim - self._rank_at(into) - self._rank_at(n)
 
 
-def homology_data(X: AugmentedComplex, n: int, label: str | None = None):
-    """Subquotient presentation of H_n: (carrier, represent, reduce) where
-    represent lifts carrier coordinates to cycles in X_n and reduce sends a
-    cycle to its class.  The carrier is labelled H_n unless a label is
-    given.
-
-    By selection: K, the kernel_basis of the arrow out (I without one), has
-    its 1 in column j at free row f_j and its other entries above it, so
-    Z_n's section selects the rows f (modules._submodule_from_columns).  Z_n
-    acts by (A K)[f], closure asserted; the boundaries are into[f] in it,
-    and their quotient keeps the coordinates keep by Q
-    (modules._quotient_projection).  So represent = K[:, keep], reduce is Q
-    at the columns f, and H acts by Q (A K)[f][:, :, keep].  An arrow known
-    to be zero (_known_zero) is not realised and counts as absent: no
-    echelon out, no quotient in, and with both H is X_n's action as a plain
-    Module and represent = reduce = I.  The results equal those built with
-    _submodule_from_columns and _quotient_by_columns."""
-    p = X.ring.field.p
+def homology_data(X: AugmentedComplex, n: int, label: str | None = None) -> Subquotient:
+    """H_n as a modules.subquotient (carrier, represent, reduce): Z_n is the
+    kernel_basis of the arrow out of degree n, B_n the image of the arrow
+    in, represent lifts carrier coordinates to cycles in X_n and reduce
+    sends a cycle to its class.  The carrier is labelled H_n unless a label
+    is given.  An arrow known to be zero (_known_zero) is not realised and
+    counts as absent: no echelon out, no quotient in, and with both H is
+    X_n's action as a plain Module and represent = reduce = I."""
     into, out = X._in_out(n)
-    amb = X.module(n)
-    label = f"H_{n}" if label is None else label
-    if into is None and out is None:
-        return (Module(X.ring, amb.action, label, check=False),
-                np.eye(amb.dim, dtype=np.int64), np.eye(amb.dim, dtype=np.int64))
-    K = np.eye(amb.dim, dtype=np.int64) if out is None else kernel_basis(out.matrix()).data
-    free = _free_rows(K)
-    moved = amb.act_all(K)
-    act = moved[:, free]
-    assert np.array_equal(_mul_arrays(K, act, p), moved), "columns do not span a submodule"
-    if into is None:
-        Q, keep = np.eye(free.size, dtype=np.int64), np.arange(free.size)
-    else:
-        Q, keep = _quotient_projection(X.ring.field, into.mat[free])
-    reduce_ = np.zeros((keep.size, amb.dim), dtype=np.int64)
-    reduce_[:, free] = Q
-    return (Module(X.ring, _mul_arrays(Q, act[:, :, keep], p), label, check=False),
-            K[:, keep], reduce_)
+    return subquotient(X.module(n), None if out is None else kernel_basis(out.matrix()).data,
+                       None if into is None else into.mat, f"H_{n}" if label is None else label)
 
 
 def homology(X: AugmentedComplex, n: int, label: str | None = None) -> Module:

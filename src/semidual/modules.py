@@ -29,8 +29,8 @@ record before.  No other file reads the record.  Three functions move
 entries through it, never multiplying or adding them, so each is exact and
 equals the contraction mod p: act_all on a power of such a base scatters
 rows into copy-major blocks (the free and injective modules of
-resolutions are such powers); _quotient_by_columns over R, k, D or a power
-of one gathers the quotient's action Q A_i sigma from the columns of Q, as
+resolutions are such powers); subquotient, for a quotient of R, k, D or a
+power of one, gathers its action Q A_i sigma from the columns of Q, as
 A_i sends each kept position to one position or to 0 (below _mul_arrays'
 int64 tier it keeps the product, which is cheaper there); and
 minimal_generators and _record_presentation present D (and any module
@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -506,7 +507,7 @@ def residue_field_module(R: Algebra) -> Module:
     data = R.monomial_data
     if data is None:
         from .algebra import radical
-        return _quotient_by_columns(regular_module(R), radical(R).data, "k").carrier
+        return subquotient(regular_module(R), None, radical(R).data, "k").carrier
     k = Module(R, R.unit.reshape(R.dim, 1, 1), label="k", check=False)
     k._perm = (np.flatnonzero(R.unit),) + (np.zeros(1, dtype=np.int64),) * 2
     k._pres = (_frozen(np.ones((1, 1))), data.variable_columns, _frozen(np.eye(R.dim, 1)))
@@ -517,7 +518,7 @@ def residue_field_module(R: Algebra) -> Module:
 def radical_submodule(R: Algebra) -> Module:
     """rad(R) as a module over R (the maximal ideal, for local R)."""
     from .algebra import radical
-    return _submodule_from_columns(regular_module(R), radical(R).data, "m").carrier
+    return subquotient(regular_module(R), radical(R).data, None, "m").carrier
 
 
 @memo
@@ -545,77 +546,103 @@ def dualizing_module(R: Algebra) -> Module:
 # -- subquotients -----------------------------------------------------------
 
 
-class Subquotient:
-    """Carrier module plus the structure map and a k-linear section.
+class Subquotient(NamedTuple):
+    """Z / B as a module.  represent lifts carrier coordinates to
+    representatives in the ambient module, and reduce sends a vector of Z,
+    in ambient coordinates, to its class; both are read-only."""
 
-    kind 'kernel' / 'image': map embeds the carrier into the ambient module,
-    section expresses ambient vectors lying in the subspace in carrier
-    coordinates.  kind 'quotient': map projects the ambient module onto the
-    carrier, section lifts carrier coordinates to representatives.  A
-    kernel's carrier basis is a kernel_basis output, and its section is the
-    selection of that basis's free rows, read off without an echelon (see
-    _submodule_from_columns); any other section comes from `expressor`.
+    carrier: Module
+    represent: np.ndarray
+    reduce: np.ndarray
+
+
+def subquotient(ambient: Module, K: np.ndarray | None, into: np.ndarray | None,
+                label: str) -> Subquotient:
+    """Z / B for Z the span of the columns K (None: the whole ambient) and B
+    the span of the columns into (None: 0), which must lie in Z.  Z must be
+    action-stable; this is asserted.  Kernels, cokernels, the Hom and tensor
+    carriers and homology are all built here.
+
+    K must be shaped like a kernel_basis output: column j has its 1 at free
+    row f_j and its other entries only at earlier pivot rows.  Then Z's
+    section E, with E @ K = I, is the selection of rows f_0 < f_1 < ...,
+    without an echelon, and it is expressor(K): row j of the RREF of
+    [K | I] is (e_j, y) with y @ K = e_j and y zero at the pivot columns of
+    the rows below, which are the non-free rows (the left kernel of K has a
+    vector with first nonzero entry at each non-free row i: 1 at i, and at
+    free rows f > i only).  The row selecting f_j is such a y, since row
+    f_j of K is e_j.  So Z acts by (A K)[f].
+
+    The boundaries are into[f] in Z's coordinates; Z / B keeps the
+    coordinates keep, onto which Q projects (_quotient_projection).  So
+    represent = K[:, keep], reduce is Q placed at the columns f, and Z / B
+    acts by Q (A K)[f][:, :, keep].  With K None this is Q A_i sigma, sigma
+    the selection of keep, gathered from the columns of Q when the ambient
+    has a record and the product is past the int64 tier (module
+    docstring).  With into None, Q is the identity and is not formed; with
+    both None, Z / B is the ambient and represent = reduce = I.
     """
-
-    __slots__ = ("carrier", "map", "section", "kind")
-
-    def __init__(self, carrier: Module, map_: ModuleHom, section: np.ndarray, kind: str):
-        self.carrier = carrier
-        self.map = map_
-        self.section = _frozen(section)
-        self.kind = kind
-
-
-def _submodule_from_columns(ambient: Module, cols: np.ndarray, label: str,
-                            kind: str = "submodule") -> Subquotient:
-    """Module structure on the span of the given independent columns.
-    The span must be closed under the action; this is asserted.
-
-    The section E, with E @ cols = I, is expressor(cols), the last columns
-    of the first k rows of the RREF of [cols | I].  For kind 'kernel' cols
-    must be shaped like a kernel_basis output: column j has its 1 at free
-    row f_j and its other entries only at earlier pivot rows.  Then E is the
-    selection of rows f_0 < f_1 < ..., without an echelon, and it is the
-    same array: row j of that RREF is (e_j, y) with y @ cols = e_j and y
-    zero at the pivot columns of the rows below, which are the non-free
-    rows (the left kernel of cols has a vector with first nonzero entry at
-    each non-free row i: 1 at i, and at free rows f > i only).  The row
-    selecting f_j is such a y, since row f_j of cols is e_j.
-    """
-    p = ambient.ring.field.p
-    k = cols.shape[1]
-    moved = ambient.act_all(cols)
-    if kind == "kernel":
-        free = _free_rows(cols)
-        E = np.zeros((k, ambient.dim), dtype=np.int64)
-        E[np.arange(k), free] = 1
-        act = moved[:, free]
-    else:
-        if k:
-            E = expressor(Mat._wrap(ambient.ring.field, cols)).data
+    p, n = ambient.ring.field.p, ambient.dim
+    if K is None:
+        if into is None:
+            I = _frozen(np.eye(n, dtype=np.int64))
+            return Subquotient(Module(ambient.ring, ambient.action, label=label, check=False), I, I)
+        Q, keep = _quotient_projection(ambient.ring.field, into)
+        q = keep.size
+        represent = np.zeros((n, q), dtype=np.int64)
+        represent[keep, np.arange(q)] = 1
+        img = _record_images(ambient) if q * q * ambient.ring.dim * n > _INT64_MAX_MACS else None
+        if img is None:
+            act = _mul_arrays(Q, ambient.act_all(represent), p)
         else:
-            E = np.zeros((0, ambient.dim), dtype=np.int64)
-        act = _mul_arrays(E, moved, p)
-    assert np.array_equal(_mul_arrays(cols, act, p), moved), \
-        "columns do not span a submodule"
-    carrier = Module(ambient.ring, act, label=label, check=False)
-    inj = ModuleHom(carrier, ambient, cols, check=False)
-    return Subquotient(carrier, inj, E, kind)
+            # index -1 (sent to 0) reads the zero column appended to Q
+            act = np.hstack([Q, np.zeros((q, 1), dtype=np.int64)])[:, img[:, keep]]
+            act = act.transpose(1, 0, 2)
+        return Subquotient(Module(ambient.ring, act, label=label, check=False),
+                           _frozen(represent), _frozen(Q))
+    free = _free_rows(K)
+    moved = ambient.act_all(K)
+    act = moved[:, free]
+    assert np.array_equal(_mul_arrays(K, act, p), moved), "columns do not span a submodule"
+    if into is None:
+        reduce_ = np.zeros((free.size, n), dtype=np.int64)
+        reduce_[np.arange(free.size), free] = 1
+    else:
+        Q, keep = _quotient_projection(ambient.ring.field, into[free])
+        reduce_ = np.zeros((keep.size, n), dtype=np.int64)
+        reduce_[:, free] = Q
+        K, act = K[:, keep], _mul_arrays(Q, act[:, :, keep], p)
+    return Subquotient(Module(ambient.ring, act, label=label, check=False),
+                       _frozen(K), _frozen(reduce_))
 
 
 def kernel(f: ModuleHom, label: str | None = None) -> Subquotient:
-    K = kernel_basis(f.matrix()).data
     if label is None:
         label = f"ker({f.src.label}->{f.dst.label})"
-    return _submodule_from_columns(f.src, K, label, "kernel")
+    return subquotient(f.src, kernel_basis(f.matrix()).data, None, label)
+
+
+def cokernel(f: ModuleHom, label: str | None = None) -> Subquotient:
+    if label is None:
+        label = f"coker({f.src.label}->{f.dst.label})"
+    return subquotient(f.dst, None, f.mat, label)
 
 
 def image(f: ModuleHom, label: str | None = None) -> Subquotient:
+    """The span of the pivot columns of f.mat, with expressor as its
+    section: the one subquotient whose basis is not in kernel form."""
+    p, n = f.dst.ring.field.p, f.dst.dim
     _, piv = rref(f.matrix())
-    cols = f.mat[:, piv] if piv else np.zeros((f.dst.dim, 0), dtype=np.int64)
+    cols = f.mat[:, piv] if piv else np.zeros((n, 0), dtype=np.int64)
+    E = expressor(Mat._wrap(f.dst.ring.field, cols)).data if piv \
+        else np.zeros((0, n), dtype=np.int64)
+    moved = f.dst.act_all(cols)
+    act = _mul_arrays(E, moved, p)
+    assert np.array_equal(_mul_arrays(cols, act, p), moved), "columns do not span a submodule"
     if label is None:
         label = f"im({f.src.label}->{f.dst.label})"
-    return _submodule_from_columns(f.dst, cols, label, "image")
+    return Subquotient(Module(f.dst.ring, act, label=label, check=False),
+                       _frozen(cols), _frozen(E))
 
 
 def _record_images(M: Module) -> np.ndarray | None:
@@ -645,33 +672,6 @@ def _quotient_projection(field, cols: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Q[np.arange(keep.size), keep] = 1
     Q[:, piv] = (-E[:, keep].T) % field.p
     return Q, keep
-
-
-def _quotient_by_columns(ambient: Module, cols: np.ndarray, label: str) -> Subquotient:
-    """Quotient of the ambient module by the span of the given columns
-    (which must be action-stable).  e_i acts by Q A_i sigma, gathered from
-    the columns of Q when the ambient has a record (module docstring)."""
-    p = ambient.ring.field.p
-    n = ambient.dim
-    Q, keep = _quotient_projection(ambient.ring.field, cols)
-    q = keep.size
-    sigma = np.zeros((n, q), dtype=np.int64)
-    sigma[keep, np.arange(q)] = 1
-    img = _record_images(ambient) if q * q * ambient.ring.dim * n > _INT64_MAX_MACS else None
-    if img is None:
-        act = _mul_arrays(Q, ambient.act_all(sigma), p)
-    else:
-        # index -1 (sent to 0) reads the zero column appended to Q
-        act = np.hstack([Q, np.zeros((q, 1), dtype=np.int64)])[:, img[:, keep]].transpose(1, 0, 2)
-    carrier = Module(ambient.ring, act, label=label, check=False)
-    proj = ModuleHom(ambient, carrier, Q, check=False)
-    return Subquotient(carrier, proj, sigma, "quotient")
-
-
-def cokernel(f: ModuleHom, label: str | None = None) -> Subquotient:
-    if label is None:
-        label = f"coker({f.src.label}->{f.dst.label})"
-    return _quotient_by_columns(f.dst, f.mat, label)
 
 
 # -- generators and freeness --------------------------------------------------
@@ -924,9 +924,9 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
     sq = cokernel(f, label=f"coker({n}x{m})")
     if data is not None and not coeffs[:, 0].any():
         rel = mat[:, ::d]
-        sq.carrier._pres = (_frozen(sq.map.mat[:, ::d]), _frozen(rel[:, rel.any(axis=0)]),
-                            sq.section)
-    return sq.carrier, sq.map
+        sq.carrier._pres = (_frozen(sq.reduce[:, ::d]), _frozen(rel[:, rel.any(axis=0)]),
+                            sq.represent)
+    return sq.carrier, ModuleHom(dst, sq.carrier, sq.reduce, check=False)
 
 
 # -- hom spaces ---------------------------------------------------------------
@@ -984,9 +984,7 @@ class _PresentedHom(HomSpace):
         coeffs = rel.reshape(g, -1, a).transpose(0, 2, 1)
         system = realise(N.action, coeffs, True, self.ring.field.p)
         self._K = kernel_basis(Mat._wrap(self.ring.field, system)).data
-        sq = _submodule_from_columns(power_module(N, g), self._K, label, "kernel")
-        self.module = sq.carrier
-        self._E = sq.section
+        self.module, _, self._E = subquotient(power_module(N, g), self._K, None, label)
 
     def mats_of(self, coords):
         p = self.ring.field.p
@@ -1219,9 +1217,7 @@ class _PresentedTensor(TensorSpace):
             return
         coeffs = rel.reshape(g, -1, a).transpose(0, 2, 1)
         rel_mat = realise(N.action, coeffs, False, self.ring.field.p)
-        sq = _quotient_by_columns(power_module(N, g), rel_mat, label)
-        self.module = sq.carrier
-        self._Q = sq.map.mat
+        self.module, _, self._Q = subquotient(power_module(N, g), None, rel_mat, label)
 
     def _pure_matrix(self):
         # e_i = sum_s w_s gens_s for w = sec e_i, so e_i (x) e_j is the class

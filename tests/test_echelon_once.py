@@ -65,15 +65,16 @@ def _t27_cokernels(monkeypatch):
     """The four T27 session modules and the matrix each cokernel reduces."""
     session = _t27_session()
     seen = []
-    real = mo._quotient_by_columns
+    real = mo.subquotient
 
-    def record(ambient, cols, label):
-        seen.append(np.array(cols).T)
-        return real(ambient, cols, label)
+    def record(ambient, K, into, label):
+        assert K is None
+        seen.append(np.array(into).T)
+        return real(ambient, K, into, label)
 
     mods = []
     with monkeypatch.context() as m:
-        m.setattr(mo, "_quotient_by_columns", record)
+        m.setattr(mo, "subquotient", record)
         for name in ("M3", "M9", "M6", "M12"):
             mods.append(session.module(name))
     return session.ring(), mods, seen
@@ -134,9 +135,9 @@ def test_kernel_section_is_the_expressor(p):
         A = Mat(R.field, _random_matrix(rng, p, rows, cols, rank))
         K = kernel_basis(A).data
         ambient = mo.Module(R, np.eye(cols, dtype=np.int64)[None], check=False)
-        sq = mo._submodule_from_columns(ambient, K, "ker", "kernel")
+        sq = mo.subquotient(ambient, K, None, "ker")
         want = expressor(Mat(R.field, K)).data if K.shape[1] else np.zeros((0, cols))
-        assert sq.section.shape == want.shape and np.array_equal(sq.section, want)
+        assert sq.reduce.shape == want.shape and np.array_equal(sq.reduce, want)
         assert np.array_equal(sq.carrier.action,
                               np.eye(K.shape[1], dtype=np.int64)[None])
 
@@ -153,7 +154,7 @@ def test_kernel_and_homology_sections_are_the_expressor():
                 sq = mo.kernel(f)
                 K = kernel_basis(f.matrix()).data
                 if K.shape[1]:
-                    assert np.array_equal(sq.section, expressor(Mat(R.field, K)).data)
+                    assert np.array_equal(sq.reduce, expressor(Mat(R.field, K)).data)
                     compared += 1
             # represent and reduce invert each other on the homology
             carrier, represent, reduce_ = homology_data(X, 1)

@@ -10,9 +10,8 @@ from semidual.corpus import (corpus_rings, corpus_sessions, data_text, random_mo
                              random_module_pool, ring_square_zero_two_vars,
                              ring_truncated_line)
 from semidual.errors import InputError
-from semidual.linalg import Field, Mat, _mul_arrays, expressor, rank, rref
-from semidual.modules import (Module, ModuleHom, _quotient_by_columns,
-                              _submodule_from_columns, adjunction_iso, coevaluation_mu,
+from semidual.linalg import Field, Mat, _mul_arrays, expressor, kernel_basis, rank, rref
+from semidual.modules import (Module, ModuleHom, adjunction_iso, coevaluation_mu,
                               cokernel, cover_matrix, direct_sum, dualizing_module,
                               evaluation_nu, free_module, hom_functor_map,
                               hom_space, homothety_chi, identity_hom,
@@ -20,7 +19,7 @@ from semidual.modules import (Module, ModuleHom, _quotient_by_columns,
                               minimal_generators, power_module,
                               presentation_to_module, radical_span,
                               radical_submodule, regular_module, residue_field_module,
-                              tensor_functor_map, tensor_space, zero_module)
+                              subquotient, tensor_functor_map, tensor_space, zero_module)
 from semidual.linalg import _mul_arrays
 
 
@@ -594,15 +593,15 @@ def test_kernel_cokernel_image_contracts(R1):
     f = ModuleHom(reg, reg, R1.mult_matrix(R1.element_from_string("x")), check=True)
     ker = kernel(f)
     assert ker.carrier.dim == 2  # ann(x) = m
-    assert not ((f.mat @ ker.map.mat) % 2).any()
+    assert not ((f.mat @ ker.represent) % 2).any()
     cok = cokernel(f)
     assert cok.carrier.dim == 2
-    assert cok.map.is_surjective()
-    assert not ((cok.map.mat @ f.mat) % 2).any()
+    assert ModuleHom(reg, cok.carrier, cok.reduce).is_surjective()
+    assert not ((cok.reduce @ f.mat) % 2).any()
     img = image(f)
     assert img.carrier.dim == 1
     # ker(coker projection) = image
-    assert rank(Mat(R1.field, np.hstack([img.map.mat, ker.map.mat]))) == 2
+    assert rank(Mat(R1.field, np.hstack([img.represent, ker.represent]))) == 2
 
 
 def test_kernel_between_free_modules(R1):
@@ -767,16 +766,24 @@ def test_batched_actions_match_per_element_loops(p):
                 red, piv = rref(Mat(ring.field, gen.T))
                 bases.append(red.data[: len(piv)].T)
             for cols in bases:
-                sub = _submodule_from_columns(M, cols, "S")
-                act, inc, sec = _submodule_loop(M, cols)
-                assert np.array_equal(sub.carrier.action, act), label
-                assert np.array_equal(sub.map.mat, inc), label
-                assert np.array_equal(sub.section, sec), label
-                quo = _quotient_by_columns(M, cols, "Q")
+                quo = subquotient(M, None, cols, "Q")
                 act, proj, sec = _quotient_loop(M, cols)
                 assert np.array_equal(quo.carrier.action, act), label
-                assert np.array_equal(quo.map.mat, proj), label
-                assert np.array_equal(quo.section, sec), label
+                assert np.array_equal(quo.reduce, proj), label
+                assert np.array_equal(quo.represent, sec), label
+                # the span of cols as the image of its inclusion, on the
+                # basis cols; and in kernel form (the kernel of the
+                # projection) as a subquotient and as an image
+                K = kernel_basis(Mat(ring.field, proj)).data
+                sub = subquotient(M, K, None, "S")
+                for basis, got in ((cols, None), (K, sub), (K, None)):
+                    act, inc, sec = _submodule_loop(M, basis)
+                    if got is None:
+                        src = Module(ring, act, check=False)
+                        got = image(ModuleHom(src, M, basis, check=False))
+                    assert np.array_equal(got.carrier.action, act), label
+                    assert np.array_equal(got.represent, inc), label
+                    assert np.array_equal(got.reduce, sec), label
 
 
 def test_direct_sum_and_its_freeness(R1):

@@ -165,17 +165,19 @@ def test_a_structure_constant_ring_keeps_the_contraction(monkeypatch):
 
 
 def _quotients(monkeypatch, build):
-    """(ambient, subquotient) of every _quotient_by_columns that build() runs."""
+    """(ambient, subquotient) of every quotient of a whole ambient module
+    (subquotient with K None) that build() runs."""
     seen = []
-    real = mo._quotient_by_columns
+    real = mo.subquotient
 
-    def record(ambient, cols, label):
-        sq = real(ambient, cols, label)
-        seen.append((ambient, sq))
+    def record(ambient, K, into, label):
+        sq = real(ambient, K, into, label)
+        if K is None:
+            seen.append((ambient, sq))
         return sq
 
     with monkeypatch.context() as m:
-        m.setattr(mo, "_quotient_by_columns", record)
+        m.setattr(mo, "subquotient", record)
         build()
     return seen
 
@@ -183,7 +185,7 @@ def _quotients(monkeypatch, build):
 def _check_quotient(ambient, sq):
     """sq's action equals Q @ act_all(sigma); True when it was gathered."""
     R = ambient.ring
-    Q, sigma = sq.map.mat, sq.section
+    Q, sigma = sq.reduce, sq.represent
     want = _mul_arrays(Q, ambient.act_all(sigma), R.field.p)
     assert _same(sq.carrier.action, want), (R.name, ambient.label)
     q, n = Q.shape
@@ -228,7 +230,7 @@ def test_gathered_quotient_action_on_generated_submodules():
             span = mo.radical_span(ambient)
             v = _mul_arrays(span, rng.integers(0, p, (span.shape[1], 1)), p)
             cols = ambient.act_all(v)[:, :, 0].T
-            sq = mo._quotient_by_columns(ambient, cols, "Q")
+            sq = mo.subquotient(ambient, None, cols, "Q")
             if _check_quotient(ambient, sq):
                 gathered.add(ambient.label)
     # every kind of ambient is gathered over T27 at least
@@ -252,7 +254,7 @@ def test_record_images_of_a_power_are_its_action():
 def test_residue_field_from_the_unit_is_the_quotient():
     for R in _rings():
         k = mo.residue_field_module(R)
-        want = mo._quotient_by_columns(mo.regular_module(R), radical(R).data, "k").carrier
+        want = mo.subquotient(mo.regular_module(R), None, radical(R).data, "k").carrier
         assert _same(k.action, want.action), R.name
         assert k.label == want.label and k.fingerprint == want.fingerprint, R.name
         read = mo.Module(R, k.action, check=False).partial_permutation()
