@@ -1,35 +1,23 @@
-"""Finite-dimensional commutative algebras over GF(p).
+"""Artinian monomial quotients GF(p)[x_1..x_r]/(monomials).
 
-An Algebra is given by structure constants c[i,j,k] (e_i * e_j = sum_k
-c[i,j,k] e_k) and a unit vector.  Commutativity, associativity and the unit
-law are checked eagerly at construction; there is no way to hold an invalid
-Algebra.  Elements are coordinate vectors (int64, length dim).
+The ring is given by its monomial data: its basis is the set of standard
+monomials, the monomials outside the ideal, in degree-then-lexicographic
+order, so the unit 1 is e_0; and the products, quotients and divisors of
+basis monomials are index tables (MonomialData).  A monomial quotient is
+commutative, associative and unital by construction, and local: every
+monomial other than 1 is nilpotent, and a unit relation is rejected, so
+the maximal ideal m is the span of e_1..e_(d-1), generated as an ideal by
+the variables (radical_generators), and m * N = sum_v x_v * N for every
+submodule N.  MonomialData.divisors gives, for each standard monomial and
+variable, the basis index of the quotient by that variable, which
+modules.presentation uses to keep only the relations at minimal
+positions, and MonomialData.quotients the division table that
+modules.presentation_to_module reads.  Elements are coordinate vectors
+(int64, length dim).
 
-The main constructor is the monomial quotient GF(p)[x_1..x_r]/(monomials),
-which is where polynomial input makes sense: its basis is the set of
-standard monomials in degree-then-lexicographic order, and each Algebra
-built this way keeps the exponent data so polynomial strings can be parsed
-and reduced.  Raw structure constants are also accepted.
-
-Over a monomial quotient the maximal ideal is read off the monomial data:
-its basis is the standard monomials other than 1, and as an ideal it is
-generated by the variables (radical_generators), so m * N = sum_v x_v * N
-for every submodule N.  The same construction also tabulates, for each
-standard monomial and variable, the basis index of the quotient by that
-variable (MonomialData.divisors), which modules.presentation uses to keep
-only the relations at minimal positions, and the division table
-(MonomialData.quotients) that modules.presentation_to_module reads.
-
-For an algebra given by structure constants alone the radical is computed
-as the kernel of an iterated Frobenius map: in characteristic p the map
-x -> x^p is GF(p)-linear, and an element of a d-dimensional commutative
-algebra is nilpotent iff x^(p^t) = 0 once p^t >= d.  This realises "the
-set of nilpotent elements" as the kernel of an explicit matrix.  The
-Frobenius matrix is computed for all basis elements at once:
-square-and-multiply runs on the d x d array whose rows are the powers of
-e_1..e_d, and each step multiplies all rows in one contraction of their
-Khatri-Rao product with the structure constants.  On a monomial quotient
-that kernel is exactly the identity columns at the non-unit monomials.
+The dense structure constants c[i,j,k] (e_i * e_j = sum_k c[i,j,k] e_k)
+and the left multiplication matrices are made from the product table on
+first use; ring construction builds neither.
 """
 
 from __future__ import annotations
@@ -40,82 +28,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotCofiniteError, ParseError
-from .linalg import Field, Mat, _mul_arrays, kernel_basis, rref
+from .linalg import Field, Mat, _mul_arrays
 from .memo import memo
 
 
 class Algebra:
-    __slots__ = (
-        "field", "dim", "labels", "structure", "unit", "left_mult",
-        "monomial_data", "name", "_fingerprint",
-    )
+    __slots__ = ("field", "dim", "labels", "unit", "monomial_data", "name",
+                 "_structure", "_left_mult", "_fingerprint")
 
-    def __init__(self, field: Field, structure, unit, labels=None,
-                 monomial_data=None, name: str = "R"):
-        p = field.p
-        c = np.asarray(structure, dtype=np.int64) % p
-        if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[1] != c.shape[2]:
-            raise InputError(f"structure constants must be d x d x d, got {c.shape}")
-        d = c.shape[0]
-        if d == 0:
-            raise InputError("zero-dimensional algebra has no unit")
-        u = np.asarray(unit, dtype=np.int64) % p
-        if u.shape != (d,):
-            raise InputError(f"unit must be a vector of length {d}")
-        if not np.array_equal(c, c.transpose(1, 0, 2)):
-            raise InputError("structure constants are not commutative")
-        # prod[i, j, l, m] = coefficient of e_m in (e_i e_j) e_l; by
-        # commutativity e_i (e_j e_l) = (e_j e_l) e_i is prod[j, l, i, m].
-        # The contraction runs through _mul_arrays, which is exact for any p.
-        prod = _mul_arrays(c.reshape(d * d, d), c.reshape(d, d * d), p)
-        prod = prod.reshape(d, d, d, d)
-        if not np.array_equal(prod, prod.transpose(2, 0, 1, 3)):
-            raise InputError("structure constants are not associative")
-        eye = np.eye(d, dtype=np.int64)
-        if not np.array_equal(_mul_arrays(u.reshape(1, d), c.reshape(d, d * d), p)
-                              .reshape(d, d), eye):
-            raise InputError("unit vector does not act as identity")
-        if labels is None:
-            labels = [f"e{i}" for i in range(d)]
-        if len(labels) != d:
-            raise InputError("label count does not match dimension")
-        c.setflags(write=False)
-        u.setflags(write=False)
+    def __init__(self, field: Field, data: MonomialData, name: str = "R"):
+        d = len(data.basis_exponents)
+        unit = np.zeros(d, dtype=np.int64)
+        unit[0] = 1
+        unit.setflags(write=False)
         self.field = field
         self.dim = d
-        self.labels = list(labels)
-        self.structure = c
-        self.unit = u
-        # left_mult[i] = matrix of multiplication by e_i (acts on columns)
-        lm = np.ascontiguousarray(c.transpose(0, 2, 1))
-        lm.setflags(write=False)
-        self.left_mult = lm
-        self.monomial_data = monomial_data
+        self.labels = [_monomial_label(data.variables, e) for e in data.basis_exponents]
+        self.unit = unit
+        self.monomial_data = data
         self.name = name
-        self._fingerprint = None
+        self._structure = self._left_mult = self._fingerprint = None
+
+    @property
+    def structure(self) -> np.ndarray:
+        """c[i, j, k] = 1 when e_i * e_j = e_k, read-only."""
+        if self._structure is None:
+            self._structure = self._dense(transpose=False)
+        return self._structure
+
+    @property
+    def left_mult(self) -> np.ndarray:
+        """left_mult[i] = matrix of multiplication by e_i (acts on columns):
+        structure with its last two axes swapped, read-only."""
+        if self._left_mult is None:
+            self._left_mult = self._dense(transpose=True)
+        return self._left_mult
+
+    def _dense(self, transpose: bool) -> np.ndarray:
+        """The (d, d, d) 0/1 table with a 1 at (i, j, k), or at (i, k, j)
+        when transposed, for every product e_i * e_j = e_k."""
+        products = self.monomial_data.products
+        out = np.zeros((self.dim,) * 3, dtype=np.int64)
+        i, j = np.nonzero(products >= 0)
+        k = products[i, j]
+        out[(i, k, j) if transpose else (i, j, k)] = 1
+        out.setflags(write=False)
+        return out
 
     # -- element arithmetic ------------------------------------------------
 
     def mul(self, u, v) -> np.ndarray:
-        # (u*) applied to v: two reduced contractions, since one three-factor
-        # int64 sum overflows once (p-1)^3 >= 2^63
+        # (u*) applied to v through _mul_arrays, exact for every p
         v = np.asarray(v, dtype=np.int64).reshape(-1, 1) % self.field.p
         return _mul_arrays(self.mult_matrix(u), v, self.field.p)[:, 0]
 
     def mult_matrix(self, u) -> np.ndarray:
-        """Matrix of multiplication by the element u."""
-        p = self.field.p
-        d = self.dim
-        u = np.asarray(u, dtype=np.int64).reshape(1, d) % p
-        return _mul_arrays(u, self.left_mult.reshape(d, d * d), p).reshape(d, d)
+        """Matrix of multiplication by the element u: entry (r, c) is the
+        coefficient of e_r / e_c in u (MonomialData.quotients), or 0."""
+        u = np.asarray(u, dtype=np.int64).reshape(self.dim) % self.field.p
+        q = self.monomial_data.quotients
+        return np.where(q >= 0, u[q], 0)
 
     def one(self) -> np.ndarray:
         return self.unit.copy()
 
     def element_from_string(self, text: str) -> np.ndarray:
-        if self.monomial_data is None:
-            raise InputError("algebra has no polynomial coordinates; "
-                             "element strings need a monomial quotient")
         terms = parse_polynomial(text, self.monomial_data.variables)
         return self.monomial_data.element_from_terms(self.field, terms)
 
@@ -136,14 +113,19 @@ class Algebra:
 
     @property
     def fingerprint(self) -> bytes:
+        # SHA-256 of (p, structure constants, unit) as int64 bytes, the
+        # constants hashed one (d, d) slab c[i] at a time
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(str(self.field.p).encode())
-            h.update(self.structure.tobytes())
+            d, products = self.dim, self.monomial_data.products
+            slab = np.zeros((d, d), dtype=np.int64)
+            for row in products:
+                j = np.flatnonzero(row >= 0)
+                slab[j, row[j]] = 1
+                h.update(slab.data)
+                slab[j, row[j]] = 0
             h.update(self.unit.tobytes())
-            # a structure-constant copy is not its monomial quotient
-            if self.monomial_data is None:
-                h.update(b"structure constants")
             self._fingerprint = h.digest()
         return self._fingerprint
 
@@ -339,21 +321,14 @@ def algebra_from_monomial_quotient(field: Field, variables: list[str],
     standard = [e for e in candidates if not any(_divides(r, e) for r in rel_exps)]
     standard.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     index = {e: i for i, e in enumerate(standard)}
-    d = len(standard)
     divisors, variable_columns, quotients = _divisor_tables(standard, bounds)
     # a product outside the ideal lies in the exponent box, so it is standard
     products = np.array([[index.get(tuple(a + b for a, b in zip(ei, ej)), -1)
                           for ej in standard] for ei in standard], dtype=np.int64)
     products.setflags(write=False)
-    structure = np.zeros((d, d, d), dtype=np.int64)
-    i, j = np.nonzero(products >= 0)
-    structure[i, j, products[i, j]] = 1
-    unit = np.zeros(d, dtype=np.int64)
-    unit[index[tuple([0] * nvars)]] = 1
-    labels = [_monomial_label(variables, e) for e in standard]
     data = MonomialData(list(variables), rel_exps, standard, index,
                         divisors, variable_columns, products, quotients)
-    return Algebra(field, structure, unit, labels, monomial_data=data, name=name)
+    return Algebra(field, data, name=name)
 
 
 def _divisor_tables(standard: list[tuple[int, ...]], bounds: list[int]):
@@ -384,64 +359,20 @@ def _divisor_tables(standard: list[tuple[int, ...]], bounds: list[int]):
     return divisors, variable_columns, quotients
 
 
-def algebra_from_structure_constants(field: Field, structure, unit,
-                                     labels=None, name: str = "R") -> Algebra:
-    return Algebra(field, structure, unit, labels, name=name)
-
-
 # -- invariants ------------------------------------------------------------
 
 
 @memo
 def radical(R: Algebra) -> Mat:
-    """Basis (columns) of the nilradical, memoised per ring fingerprint.
-
-    Over a monomial quotient, the standard monomials other than 1; otherwise
-    the kernel of the t-fold Frobenius where p^t >= dim, see module
-    docstring.  Both give the same columns on a monomial quotient.
-    """
-    p = R.field.p
-    d = R.dim
-    if R.monomial_data is not None:
-        return Mat._wrap(R.field, np.eye(d, dtype=np.int64)[:, R.unit == 0])
-    t = 0
-    power = 1
-    while power < d:
-        power *= p
-        t += 1
-    # left-to-right square-and-multiply on all rows at once: row i of
-    # `power` is e_i^m, m the number formed by the leading bits of p read
-    eye = np.eye(d, dtype=np.int64)
-    power = eye
-    for bit in bin(p)[3:]:
-        power = _rowwise_products(R, power, power)
-        if bit == "1":
-            power = _rowwise_products(R, power, eye)
-    frob = power.T                    # column i is e_i^p
-    total = np.eye(d, dtype=np.int64)
-    for _ in range(t):
-        total = _mul_arrays(frob, total, p)
-    return kernel_basis(Mat(R.field, total))
+    """Basis (columns) of the maximal ideal, memoised per ring fingerprint:
+    the standard monomials other than 1."""
+    return Mat._wrap(R.field, np.eye(R.dim, dtype=np.int64)[:, 1:])
 
 
 def radical_generators(R: Algebra) -> np.ndarray:
-    """Columns generating the radical as an ideal: the nonzero variables of
-    a monomial quotient, every radical basis vector otherwise."""
-    if R.monomial_data is not None:
-        return R.monomial_data.variable_columns
-    return radical(R).data
-
-
-def _rowwise_products(R: Algebra, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row i is the product u_i * v_i, for every row in one contraction.
-
-    Row i of the Khatri-Rao product holds u_ia * v_ib at (a, b); each entry
-    is below p^2 < 2^62, so it is exact in int64 before the reduction, and
-    the structure constants then contract it through _mul_arrays.
-    """
-    p, d = R.field.p, R.dim
-    kr = (U[:, :, None] * V[:, None, :]).reshape(len(U), d * d) % p
-    return _mul_arrays(kr, R.structure.reshape(d * d, d), p)
+    """Columns generating the maximal ideal as an ideal: the variables that
+    are nonzero in the quotient."""
+    return R.monomial_data.variable_columns
 
 
 @dataclass(frozen=True)
@@ -469,55 +400,15 @@ class RingReport:
 def ring_report(R: Algebra) -> RingReport:
     """Local / socle / Gorenstein / Loewy data, memoised per ring fingerprint.
 
-    is_local means local with residue field GF(p) itself, i.e. the radical
-    has codimension 1.  is_gorenstein is local with 1-dimensional socle;
-    for non-local rings it is reported False rather than guessed.
+    A monomial quotient is local with residue field GF(p) itself: its
+    radical is every monomial but 1, of codimension 1.  is_gorenstein is a
+    1-dimensional socle.  No product or echelon: a variable sends distinct
+    monomials to distinct monomials or to 0, so the socle (the variables'
+    common kernel) is spanned by the monomials they all send to -1, and m^t
+    by those of degree >= t, zero past the top degree.
     """
-    p = R.field.p
-    d = R.dim
-    rad = radical(R)
-    r = rad.cols
-    is_local = (r == d - 1)
     data = R.monomial_data
-    if data is not None:
-        # no product or echelon: a variable sends distinct monomials to
-        # distinct monomials or to 0, so the socle (the variables' common
-        # kernel) is spanned by the monomials they all send to -1, and m^t
-        # by those of degree >= t, zero past the top degree
-        at = np.flatnonzero(data.variable_columns.any(axis=1))
-        socle_dim = int((data.products[at] < 0).all(axis=0).sum())
-        loewy = max(map(sum, data.basis_exponents)) + 1
-    elif r == 0:
-        socle_dim, loewy = d, 1
-    else:
-        stacked = np.vstack([R.mult_matrix(rad.data[:, j]) for j in range(r)])
-        socle_dim = kernel_basis(Mat(R.field, stacked)).cols
-        # Loewy length: least t with rad^t = 0
-        loewy = 1
-        span = rad.data
-        while True:
-            cols = [_mul_arrays(R.mult_matrix(rad.data[:, j]), span, p) for j in range(r)]
-            span, piv = _col_space(np.hstack(cols), R.field)
-            loewy += 1
-            if not piv:
-                break
-            if loewy > d + 1:
-                raise AssertionError("radical is not nilpotent; not a nilradical?")
-    is_gorenstein = bool(is_local and socle_dim == 1)
-    return RingReport(d, is_local, r, socle_dim, is_gorenstein, loewy, rad)
-
-
-def _col_space(cols: np.ndarray, field: Field):
-    r, piv = rref(Mat._wrap(field, cols.T))
-    basis = r.data[: len(piv)].T
-    return basis, piv
-
-
-def require_local(R: Algebra) -> RingReport:
-    rep = ring_report(R)
-    if not rep.is_local:
-        from .errors import UnsupportedRingError
-        raise UnsupportedRingError(
-            "ring is not local with prime residue field; radical has "
-            f"dimension {rep.radical_dim}, expected {R.dim - 1}")
-    return rep
+    at = np.flatnonzero(data.variable_columns.any(axis=1))
+    socle_dim = int((data.products[at] < 0).all(axis=0).sum())
+    loewy = max(map(sum, data.basis_exponents)) + 1
+    return RingReport(R.dim, True, R.dim - 1, socle_dim, socle_dim == 1, loewy, radical(R))

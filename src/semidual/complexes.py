@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, radical, require_local, ring_report
+from .algebra import Algebra, radical, ring_report
 from .errors import InputError, InvalidComplexError
 from .linalg import Mat, _check_cells, _mul_arrays, _sparse_rank, kernel_basis, rank
 from .memo import cache
@@ -435,8 +435,7 @@ class MinimalFreeResolution(InducedComplex):
         kron(I_b, B) with B the kernel_basis form of m in R: that form
         depends only on the subspace, and on disjoint coordinate blocks it
         is block diagonal.  radical(R) is B: the unit vectors of the
-        monomials other than 1 over a monomial quotient, a kernel_basis
-        output otherwise.  So no differential is realised and no kernel
+        monomials other than 1.  So no differential is realised and no kernel
         taken, and the entries are those of the kernel path bit for bit."""
         b_prev, d = self.betti[-1], self.ring.dim
         square_zero = ring_report(self.ring).loewy_length <= 2
@@ -458,7 +457,6 @@ _freeres_cache = cache()          # M.fingerprint -> resolution, extended in pla
 
 def minimal_free_resolution(M: Module, length: int) -> MinimalFreeResolution:
     """Minimal free resolution of M out to homological degree `length`."""
-    require_local(M.ring)
     if length < 0:
         raise InputError("resolution length must be >= 0")
     res = _freeres_cache.get(M.fingerprint)
@@ -575,7 +573,6 @@ def pd_exact(M: Module) -> DimensionValue:
     """Projective dimension over the Artinian local ring: the zero module
     sentinel, 0 (free), or infinite.  Finite nonzero pd cannot occur: the
     ring has depth zero, so a finite resolution forces freeness."""
-    require_local(M.ring)
     if M.dim == 0:
         return DimensionValue.zero_sentinel()
     r = is_free(M)
@@ -586,7 +583,6 @@ def pd_exact(M: Module) -> DimensionValue:
 
 def id_exact(M: Module) -> DimensionValue:
     """Injective dimension, decided through the Matlis dual."""
-    require_local(M.ring)
     if M.dim == 0:
         return DimensionValue.zero_sentinel()
     r = is_injective(M)

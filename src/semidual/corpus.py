@@ -102,8 +102,8 @@ def corpus_sessions() -> dict[str, SessionFile]:
     """The four curated rings as parsed session files.
 
     Each declares the same module names: k (residue field), D (dualizing),
-    F (free of rank 1), M (a small cokernel).  The rings agree with
-    corpus_rings() up to structure-constant identity.
+    F (free of rank 1), M (a small cokernel).  The rings are those of
+    corpus_rings(): the same monomial quotients, with the same fingerprints.
     """
     out = {}
     for name in ("R1", "R2", "R3", "R4"):

@@ -24,10 +24,6 @@ class NotCofiniteError(InputError):
         super().__init__(f"quotient is not cofinite: no pure power of '{variable}' among the relations")
 
 
-class UnsupportedRingError(InputError):
-    """Ring is outside the supported class (e.g. not local where required)."""
-
-
 class ParseError(InputError):
     """Session file or polynomial syntax error, with location."""
 

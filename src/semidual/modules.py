@@ -56,11 +56,10 @@ N^a -> N^g; a map M -> N is stored as its values on the generators.  A
 free module has no relations, so Hom(R, N) and R (x) N are N itself.
 Powers are routed around: Hom(W^b, N), Hom(M, V^b), W^b (x) N and
 M (x) V^b are b copies of the small answer, and M (x) R^b is M^b in M's
-own coordinates.  Over a monomial quotient R, k and every cokernel whose
-entries lie in m keep the presentation they were built from (its
-generators are the Nakayama picks; presentation_to_module gives the
-proof), and D, like any module with a record, reads its own off the
-record; any other module computes one (_computed_presentation), cached.
+own coordinates.  R, k and every cokernel whose entries lie in m keep the
+presentation they were built from (its generators are the Nakayama picks;
+presentation_to_module gives the proof), and D, like any module with a
+record, reads its own off the record; any other module computes one (_computed_presentation), cached.
 
 The relations are R-generators, not a k-basis.  Their images span the same
 row space (Hom) and column space (tensor) as a k-basis of the relation
@@ -76,12 +75,11 @@ K_f is dropped when f = (s, x_v * mu') with (s, mu') also free, because
 then x_v * K_(s,mu') - K_f is a kernel vector supported before f, a
 combination of earlier columns; by induction on f the kept columns
 generate.  The test is one vectorised lookup in the ring's
-divide-by-variable table (presentation gives the proof in full).  Other
-algebras keep the whole kernel basis.  Minimal generators come from
-one Nakayama step (nakayama_generators), shared with the free resolutions
-over rings with m^2 != 0, which spans m * N by the generators of m (the
-variables of a monomial quotient, every radical basis vector otherwise)
-and keeps the columns outside that span.
+divide-by-variable table (presentation gives the proof in full).
+Minimal generators come from one Nakayama step (nakayama_generators),
+shared with the free resolutions over rings with m^2 != 0, which spans
+m * N by the generators of m, the variables, and keeps the columns outside
+that span.
 
 Hom spaces and tensor products both come as "space" objects holding the
 carrier Module plus the translation between coordinates and honest matrices
@@ -246,10 +244,12 @@ class Module:
         if not np.array_equal(self.element_matrix(ring.unit),
                               np.eye(self.dim, dtype=np.int64)):
             raise InputError(f"unit does not act as identity on {self.label}")
+        zero = np.zeros((self.dim, self.dim), dtype=np.int64)
         for i in range(d):
             for j in range(i, d):
                 prod = _mul_arrays(act[i], act[j], p)
-                if not np.array_equal(prod, self.element_matrix(ring.structure[i, j])):
+                k = ring.monomial_data.products[i, j]     # e_i * e_j = e_k, or 0
+                if not np.array_equal(prod, act[k] if k >= 0 else zero):
                     raise InputError(
                         f"action matrices violate the ring relations on {self.label}")
                 if i != j and not np.array_equal(prod, _mul_arrays(act[j], act[i], p)):
@@ -444,18 +444,16 @@ def identity_hom(m: Module) -> ModuleHom:
 
 @memo
 def regular_module(R: Algebra) -> Module:
-    """R as a module over itself.  Over a monomial quotient its partial
-    permutation and its presentation (generator 1, no relations) are set
-    from the ring's monomial data."""
+    """R as a module over itself, its action the left multiplications.  Its
+    partial permutation and its presentation (generator 1, no relations)
+    are set from the ring's product table."""
     reg = Module(R, R.left_mult, label=R.name, check=False)
-    data = R.monomial_data
-    if data is not None:
-        # the 1 of e_i's matrix in column c sits in row e_i * e_c; the basis
-        # order is multiplicative, so for each i the rows ascend with c
-        i, c = np.nonzero(data.products >= 0)
-        reg._perm = (i, data.products[i, c], c)
-        d = R.dim
-        reg._pres = (_frozen(np.eye(d, 1)), _frozen(np.zeros((d, 0))), _frozen(np.eye(d)))
+    products, d = R.monomial_data.products, R.dim
+    # the 1 of e_i's matrix in column c sits in row e_i * e_c; the basis
+    # order is multiplicative, so for each i the rows ascend with c
+    i, c = np.nonzero(products >= 0)
+    reg._perm = (i, products[i, c], c)
+    reg._pres = (_frozen(np.eye(d, 1)), _frozen(np.zeros((d, 0))), _frozen(np.eye(d)))
     return reg
 
 
@@ -500,17 +498,13 @@ def direct_sum(parts: list[Module], label: str | None = None) -> Module:
 
 @memo
 def residue_field_module(R: Algebra) -> Module:
-    """R / rad(R) as a module; one-dimensional when R is local.  Over a
-    monomial quotient its action is the unit vector (1 acts by 1, every
-    monomial in m by 0), set with its record (the 1 at the unit) and its
-    presentation (generator 1, the variables as relations)."""
-    data = R.monomial_data
-    if data is None:
-        from .algebra import radical
-        return subquotient(regular_module(R), None, radical(R).data, "k").carrier
+    """R / m as a module, one-dimensional: its action is the unit vector (1
+    acts by 1, every monomial in m by 0), set with its record (the 1 at the
+    unit) and its presentation (generator 1, the variables as relations)."""
     k = Module(R, R.unit.reshape(R.dim, 1, 1), label="k", check=False)
     k._perm = (np.flatnonzero(R.unit),) + (np.zeros(1, dtype=np.int64),) * 2
-    k._pres = (_frozen(np.ones((1, 1))), data.variable_columns, _frozen(np.eye(R.dim, 1)))
+    k._pres = (_frozen(np.ones((1, 1))), R.monomial_data.variable_columns,
+               _frozen(np.eye(R.dim, 1)))
     return k
 
 
@@ -729,9 +723,9 @@ def nakayama_generators(M: Module, cols: np.ndarray | None = None) -> np.ndarray
 def minimal_generators(M: Module) -> np.ndarray:
     """Columns forming a minimal generating set (Nakayama): standard basis
     vectors whose classes give a basis of M / rad M.  Deterministic.  A
-    recorded presentation's generators are these columns.  With a record
-    over a monomial quotient, m * M is spanned by the positions a monomial
-    other than 1 reaches: the picks are the identity columns at the others."""
+    recorded presentation's generators are these columns.  With a record,
+    m * M is spanned by the positions a monomial other than 1 reaches: the
+    picks are the identity columns at the others."""
     if M._pres is not None:
         return M._pres[0]
     if _reads_record(M):
@@ -755,8 +749,8 @@ def cover_matrix(M: Module, gens: np.ndarray) -> np.ndarray:
 def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gens, rel, sec) presenting M as R^a -> R^g -> M -> 0: the one
     recorded when M was built, else the one read off its partial
-    permutation record over a monomial quotient (D, k^v), else
-    _computed_presentation(M), which gives the same arrays."""
+    permutation record (D, k^v), else _computed_presentation(M), which
+    gives the same arrays."""
     if M._pres is not None:
         return M._pres
     if _reads_record(M):
@@ -765,13 +759,12 @@ def presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _reads_record(M: Module) -> bool:
-    return (M.block is None and M.ring.monomial_data is not None
-            and M.partial_permutation() is not None)
+    return M.block is None and M.partial_permutation() is not None
 
 
 def _record_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_computed_presentation(M) over a monomial quotient, read off M's
-    record with no echelon.  Each cover column on the generators
+    """_computed_presentation(M), read off M's record with no echelon.
+    Each cover column on the generators
     (minimal_generators) is a unit vector e_r or 0, and the RREF of the
     cover has row r pivot on the first column reaching r and 1s at the
     others: the section sends e_r to that column, and the kernel basis has
@@ -809,7 +802,7 @@ def _computed_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarra
     ((g*d) x M.dim) a k-linear section of the cover.  Block s of a column of
     rel or sec, rows s*d..(s+1)*d, is the ring coefficient of generator s.
 
-    Over a monomial quotient rel is the staircase of the kernel basis.
+    rel is the staircase of the kernel basis.
     Position (s, mu) of R^g is numbered s*d + mu, mu in the ring's basis
     order (degree, then the reversed exponent tuple), and this order is
     multiplicative: multiplying two positions by the same x_v keeps their
@@ -821,8 +814,7 @@ def _computed_presentation(M: Module) -> tuple[np.ndarray, np.ndarray, np.ndarra
     lie before f, a combination of earlier columns.  By induction on f the
     kept columns generate the kernel.  Nothing is reduced: the free
     positions are the last nonzero rows of the columns, and the test is
-    one lookup in MonomialData.divisors.  Over other algebras rel is the
-    whole kernel basis.
+    one lookup in MonomialData.divisors.
 
     Section and kernel basis come from one rref of [cover | I].  The cover
     is onto, so all M.dim pivots lie in the cover block, and that block of
@@ -852,16 +844,15 @@ def _free_rows(K: np.ndarray) -> np.ndarray:
 
 def _staircase(R: Algebra, K: np.ndarray) -> np.ndarray:
     """The columns of the kernel basis K of a cover R^g -> M at minimal
-    free positions (see presentation); all of K without monomial data."""
-    data = R.monomial_data
-    if data is None or K.shape[1] == 0:
+    free positions (see presentation)."""
+    if K.shape[1] == 0:
         return K
     d, rows = R.dim, K.shape[0]
     free = _free_rows(K)
     is_free = np.zeros(rows, dtype=bool)
     is_free[free] = True
     s, mu = np.divmod(free, d)
-    div = data.divisors[mu]                          # (a, n), -1: no quotient
+    div = R.monomial_data.divisors[mu]              # (a, n), -1: no quotient
     drop = ((div >= 0) & is_free[s[:, None] * d + div]).any(axis=1)
     return K[:, ~drop]
 
@@ -887,17 +878,16 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
     Entries may be polynomial strings or coordinate vectors.  Block (s, t)
     of the matrix R^m -> R^n is the multiplication matrix of entry (s, t),
     whose entry (r, c) is the coefficient of e_r / e_c (MonomialData.
-    quotients), the one monomial sending e_c to e_r, or 0; other algebras
-    contract the entries against left_mult.  Returns the module together
-    with the projection from R^n.
+    quotients), the one monomial sending e_c to e_r, or 0.  Returns the
+    module together with the projection from R^n.
 
-    Over a monomial quotient, when every entry lies in m (no unit term),
-    the module keeps this presentation.  Its generators, the images of the
-    free generators, are the Nakayama picks: the relations lie in m * R^n,
-    so no position (s, 1) is a pivot and each is kept, an identity column
-    in order, while every other kept position lies in m * M.  The relations
-    are the nonzero entry columns; the cover is the projection, so the
-    quotient's section is a section of it.
+    When every entry lies in m (no unit term), the module keeps this
+    presentation.  Its generators, the images of the free generators, are
+    the Nakayama picks: the relations lie in m * R^n, so no position (s, 1)
+    is a pivot and each is kept, an identity column in order, while every
+    other kept position lies in m * M.  The relations are the nonzero entry
+    columns; the cover is the projection, so the quotient's section is a
+    section of it.
     """
     if n < 0 or m < 0:
         raise InputError("negative presentation size")
@@ -911,18 +901,15 @@ def presentation_to_module(R: Algebra, n: int, m: int, entries) -> tuple[Module,
             e = rows[s][t]
             coeffs[s * m + t] = R.element_from_string(e) if isinstance(e, str) else e
     coeffs %= p
-    data = R.monomial_data
-    if data is None:
-        blocks = _mul_arrays(coeffs, R.left_mult.reshape(d, d * d), p)
-    else:
-        blocks = np.where(data.quotients >= 0, coeffs[:, data.quotients], 0)
+    q = R.monomial_data.quotients
+    blocks = np.where(q >= 0, coeffs[:, q], 0)
     mat = blocks.reshape(n, m, d, d).transpose(0, 2, 1, 3).reshape(n * d, m * d)
     dst = free_module(R, n)
     f = ModuleHom(free_module(R, m), dst, mat, check=False)
     if not mat.any():
         return dst, identity_hom(dst)
     sq = cokernel(f, label=f"coker({n}x{m})")
-    if data is not None and not coeffs[:, 0].any():
+    if not coeffs[:, 0].any():
         rel = mat[:, ::d]
         sq.carrier._pres = (_frozen(sq.reduce[:, ::d]), _frozen(rel[:, rel.any(axis=0)]),
                             sq.represent)

@@ -130,3 +130,75 @@ def tensor_dim_quotient(p: int, act_m: list[np.ndarray], act_n: list[np.ndarray]
     if not rels:
         return n1 * n2
     return n1 * n2 - naive_rank(rels, p)
+
+
+# ---------------------------------------------------------------------------
+# ring-level oracles.  A ring is read only through its element arithmetic
+# (R.dim, R.field.p, R.one(), R.mul), with exact Python-int linear algebra.
+
+
+def naive_kernel_basis(rows: list[list[int]], ncols: int, p: int) -> np.ndarray:
+    """Kernel basis of the matrix with these rows, in the reduced form:
+    one column per non-pivot column f of the rref, with a 1 at f and minus
+    the pivot rows' entries in column f at the pivots."""
+    red, piv = naive_rref(rows, p) if rows else ([], [])
+    free = [c for c in range(ncols) if c not in piv]
+    K = np.zeros((ncols, len(free)), dtype=np.int64)
+    for j, f in enumerate(free):
+        K[f, j] = 1
+        for i, c in enumerate(piv):
+            K[c, j] = -red[i][f] % p
+    return K
+
+
+def element_power(R, u: np.ndarray, exp: int) -> np.ndarray:
+    """u^exp by square-and-multiply, one element at a time."""
+    acc = R.one()
+    base = u.copy()
+    while exp:
+        if exp & 1:
+            acc = R.mul(acc, base)
+        base = R.mul(base, base)
+        exp >>= 1
+    return acc
+
+
+def radical_by_elements(R) -> np.ndarray:
+    """The nilradical of a commutative GF(p)-algebra as a kernel basis: the
+    kernel of the t-fold Frobenius, p^t >= dim R.  In characteristic p the
+    map x -> x^p is linear, and an element of a d-dimensional commutative
+    algebra is nilpotent iff x^(p^t) = 0 once p^t >= d.  The Frobenius
+    matrix is built column by column, its power with Python ints."""
+    p, d = R.field.p, R.dim
+    t, power = 0, 1
+    while power < d:
+        power *= p
+        t += 1
+    eye = np.eye(d, dtype=np.int64)
+    frob = [[int(x) for x in element_power(R, eye[i], p)] for i in range(d)]  # row i: e_i^p
+    total = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(t):                   # total: the transpose of the t-fold Frobenius
+        total = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*frob)]
+                 for row in total]
+    return naive_kernel_basis([list(col) for col in zip(*total)], d, p)
+
+
+def socle_and_loewy(R) -> tuple[int, int]:
+    """(socle dimension, Loewy length) of a local GF(p)-algebra, from the
+    radical basis of radical_by_elements: the socle is the common kernel
+    of multiplication by the radical, the Loewy length the least t with
+    rad^t = 0.  Every product is one R.mul."""
+    p, d = R.field.p, R.dim
+    rad = radical_by_elements(R).T
+    if len(rad) == 0:
+        return d, 1
+    eye = np.eye(d, dtype=np.int64)
+    rows = [list(col) for u in rad
+            for col in zip(*[R.mul(u, eye[c]).tolist() for c in range(d)])]
+    socle = d - naive_rank(rows, p)
+    loewy, span = 1, rad                 # span: rows spanning rad^loewy
+    while len(span):
+        red, piv = naive_rref([R.mul(u, v).tolist() for u in rad for v in span], p)
+        span = np.array(red[:len(piv)], dtype=np.int64).reshape(len(piv), d)
+        loewy += 1
+    return socle, loewy

@@ -1,22 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from semidual.algebra import (
-    Algebra,
-    algebra_from_monomial_quotient,
-    algebra_from_structure_constants,
-    parse_polynomial,
-    radical,
-    require_local,
-    ring_report,
-)
-from semidual.errors import (
-    InputError,
-    NotCofiniteError,
-    ParseError,
-    UnsupportedRingError,
-)
-from semidual.linalg import Field, Mat, _mul_arrays, kernel_basis, rref
+from oracles import radical_by_elements, socle_and_loewy
+from semidual.algebra import algebra_from_monomial_quotient, parse_polynomial, radical, ring_report
+from semidual.errors import InputError, NotCofiniteError, ParseError
+from semidual.linalg import Field, Mat
 
 GF2 = Field(2)
 GF3 = Field(3)
@@ -39,6 +29,12 @@ def ring_r4():
     return algebra_from_monomial_quotient(
         GF5, ["x", "y", "z"],
         ["x^2", "y^2", "z^2", "x*y", "x*z", "y*z"], name="R4")
+
+
+def _cube(a):
+    """T(a^3) = GF(3)[x,y,z]/(x^a, y^a, z^a)."""
+    return algebra_from_monomial_quotient(GF3, ["x", "y", "z"], [f"{v}^{a}" for v in "xyz"],
+                                          name=f"T{a ** 3}")
 
 
 def test_r1_basis_and_hand_multiplication():
@@ -85,40 +81,6 @@ def test_monomial_basis_order_is_degree_then_x_before_y():
     assert R4.labels == ["1", "x", "y", "z"]
 
 
-def test_structure_constant_validation():
-    # non-commutative: e1*e2 = e1 but e2*e1 = 0
-    c = np.zeros((2, 2, 2), dtype=np.int64)
-    c[0, 0, 0] = 1
-    c[0, 1, 1] = 1
-    c[1, 0, 1] = 1
-    c[1, 1, 0] = 1
-    unit = [1, 0]
-    algebra_from_structure_constants(GF3, c, unit)  # valid: GF(3)[x]/(x^2-1)
-    bad = c.copy()
-    bad[1, 0, 1] = 0
-    with pytest.raises(InputError, match="commutative"):
-        algebra_from_structure_constants(GF3, bad, unit)
-    # wrong unit
-    with pytest.raises(InputError, match="unit"):
-        algebra_from_structure_constants(GF3, c, [0, 1])
-    # non-associative but commutative: e1*e1 = e0 with e0 acting as zero... build directly
-    c2 = np.zeros((2, 2, 2), dtype=np.int64)
-    c2[0, 0, 0] = 1
-    c2[0, 1, 1] = 1
-    c2[1, 0, 1] = 1
-    c2[1, 1, 1] = 1  # x*x = x, but then (x*x)*x = x vs x*(x*x) = x: associative...
-    algebra_from_structure_constants(GF3, c2, unit)  # fine: idempotent
-    c3 = np.zeros((3, 3, 3), dtype=np.int64)
-    # e0 unit; x*x = y, x*y = e0 (non-associative: (xx)y=y^2=0 vs x(xy)=x)
-    c3[0] = np.eye(3, dtype=np.int64)
-    c3[:, 0] = np.eye(3, dtype=np.int64)
-    c3[1, 1, 2] = 1
-    c3[1, 2, 0] = 1
-    c3[2, 1, 0] = 1
-    with pytest.raises(InputError, match="associative"):
-        algebra_from_structure_constants(GF3, c3, [1, 0, 0])
-
-
 def test_radical_elements_are_nilpotent():
     for R in (ring_r1(), ring_r2(), ring_r3(), ring_r4()):
         rad = radical(R)
@@ -135,62 +97,17 @@ def test_radical_elements_are_nilpotent():
         assert rank(aug) == rad.cols + 1
 
 
-def _element_power(R, u, exp):
-    """u^exp by square-and-multiply, one element at a time."""
-    acc = R.one()
-    base = u.copy()
-    e = exp
-    while e:
-        if e & 1:
-            acc = R.mul(acc, base)
-        base = R.mul(base, base)
-        e >>= 1
-    return acc
-
-
-def _radical_by_elements(R):
-    """Kernel of the t-fold Frobenius, its matrix built column by column."""
-    p, d = R.field.p, R.dim
-    t, power = 0, 1
-    while power < d:
-        power *= p
-        t += 1
-    frob = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        frob[:, i] = _element_power(R, np.eye(d, dtype=np.int64)[i], p)
-    total = np.eye(d, dtype=np.int64)
-    for _ in range(t):
-        total = _mul_arrays(frob, total, p)
-    return kernel_basis(Mat(R.field, total)).data
-
-
-def _square_of_quadratic(a, b, p):
-    """(c0, c1, c2, c3) with x^4 - c3*x^3 - c2*x^2 - c1*x - c0 equal to
-    ((x - a)(x - b))^2 mod p, whose quotient has a 2-dimensional radical."""
-    s, q = a + b, a * b
-    return (-q * q % p, 2 * s * q % p, -(s * s + 2 * q) % p, 2 * s % p)
-
-
 def test_batched_frobenius_radical_matches_per_element_oracle():
     from semidual.modules import clear_caches
 
     big = Field(2 ** 31 - 1)
-    rings = [ring_r1(), ring_r2(), ring_r3(), ring_r4(),
-             algebra_from_monomial_quotient(GF3, ["x", "y", "z"],
-                                            ["x^3", "y^3", "z^3"], name="T27"),
-             algebra_from_monomial_quotient(big, ["x", "y"], ["x^3", "x*y^2", "y^4"]),
-             algebra_from_structure_constants(
-                 big, _quartic_table((2147483145, 2147483132, 2147482763, 2147483627),
-                                     big.p), [1, 0, 0, 0]),
-             algebra_from_structure_constants(
-                 big, _quartic_table(_square_of_quadratic(1234567891, 987654321, big.p),
-                                     big.p), [1, 0, 0, 0])]
+    rings = [ring_r1(), ring_r2(), ring_r3(), ring_r4(), _cube(3),
+             algebra_from_monomial_quotient(big, ["x", "y"], ["x^3", "x*y^2", "y^4"])]
     clear_caches()
     for R in rings:
-        want = _radical_by_elements(R)
+        want = radical_by_elements(R)
         got = radical(R).data
         assert got.shape == want.shape and np.array_equal(got, want), R.name
-    assert radical(rings[-1]).cols == 2
 
 
 def test_reduce_monomial_matches_divisibility_scan():
@@ -237,20 +154,6 @@ def test_field_itself_reports():
     assert rep.socle_dim == 1
 
 
-def test_non_local_ring_detected():
-    # GF(2) x GF(2): idempotents e0, e1; unit = e0 + e1
-    c = np.zeros((2, 2, 2), dtype=np.int64)
-    c[0, 0, 0] = 1
-    c[1, 1, 1] = 1
-    R = algebra_from_structure_constants(GF2, c, [1, 1])
-    rep = ring_report(R)
-    assert rep.radical_dim == 0
-    assert not rep.is_local
-    assert not rep.is_gorenstein
-    with pytest.raises(UnsupportedRingError):
-        require_local(R)
-
-
 def test_element_from_string_reduces():
     R = ring_r1()
     assert np.array_equal(R.element_from_string("x^2 + x"), R.element_from_string("x"))
@@ -289,86 +192,29 @@ def test_mult_matrix_agrees_with_mul():
         assert np.array_equal((R.mult_matrix(u) @ v) % 5, R.mul(u, v))
 
 
-def _poly_product(u, v, p, reduce):
+def _truncated_product(u, v, p):
     """Python-int product of two coefficient vectors (low degree first),
-    with x^k for k >= len(u) rewritten by reduce(k) (None: x^k = 0)."""
+    with x^k = 0 for k >= len(u)."""
     n = len(u)
-    prod = [0] * (2 * n - 1)
+    prod = [0] * n
     for i, a in enumerate(u):
-        for j, b in enumerate(v):
+        for j, b in enumerate(v[:n - i]):
             prod[i + j] += int(a) * int(b)
-    out = prod[:n]
-    for k in range(n, 2 * n - 1):
-        if reduce(k) is not None:
-            out = [o + prod[k] * r for o, r in zip(out, reduce(k))]
-    return [o % p for o in out]
-
-
-def _product_rings(p):
-    """GF(p)[x]/(x^3) as a monomial quotient, and GF(p)[x]/(x^3 - a*x - b)
-    given by full structure constants, each with its Python-int oracle."""
-    mono = algebra_from_monomial_quotient(Field(p), ["x"], ["x^3"])
-    rng = np.random.default_rng(7)
-    a, b = (int(t) for t in rng.integers(0, p, size=2))
-    cubic = {3: [b, a, 0], 4: [0, b, a]}        # x^3 = a*x + b, x^4 = a*x^2 + b*x
-    powers = [[1, 0, 0], [0, 1, 0], [0, 0, 1], cubic[3], cubic[4]]
-    c = np.array([[powers[i + j] for j in range(3)] for i in range(3)], dtype=np.int64)
-    sc = algebra_from_structure_constants(Field(p), c, [1, 0, 0])
-    return [(mono, lambda k: None), (sc, cubic.get)]
+    return [c % p for c in prod]
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521, 2 ** 31 - 1])
 def test_mul_and_mult_matrix_exact_for_every_prime(p):
     rng = np.random.default_rng(p % 997)
-    for R, reduce in _product_rings(p):
-        pairs = [rng.integers(0, p, size=(2, 3)) for _ in range(50)]
-        # at p = 2^31 - 1 over x^3 = 0 this pair is [4, 13, 28]
-        pairs.append(np.array([[p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]]) % p)
-        for u, v in pairs:
-            want = _poly_product(u, v, p, reduce)
-            assert R.mul(u, v).tolist() == want
-            M = R.mult_matrix(u)
-            for j in range(3):
-                assert M[:, j].tolist() == _poly_product(u, np.eye(3, dtype=np.int64)[j], p, reduce)
-
-
-def _quartic_table(coeffs, p):
-    """Structure constants of GF(p)[x]/(x^4 - c3*x^3 - c2*x^2 - c1*x - c0)
-    in the basis 1, x, x^2, x^3, computed with Python ints."""
-    powers = [[int(k == n) for k in range(4)] for n in range(4)]
-    for _ in range(3):
-        top = powers[-1][3]
-        shifted = [0] + powers[-1][:3]
-        powers.append([(s + top * c) % p for s, c in zip(shifted, coeffs)])
-    return np.array([[powers[i + j] for j in range(4)] for i in range(4)],
-                    dtype=np.int64)
-
-
-def _associative_by_python_ints(c, p):
-    d = len(c)
-    t = c.tolist()
-    for i in range(d):
-        for j in range(d):
-            for l in range(d):
-                lhs = [sum(t[i][j][k] * t[k][l][m] for k in range(d)) % p for m in range(d)]
-                rhs = [sum(t[j][l][k] * t[i][k][m] for k in range(d)) % p for m in range(d)]
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def test_structure_constant_checks_exact_at_large_prime():
-    p = 2 ** 31 - 1
-    c = _quartic_table((2147483145, 2147483132, 2147482763, 2147483627), p)
-    assert _associative_by_python_ints(c, p)
-    R = algebra_from_structure_constants(Field(p), c, [1, 0, 0, 0])
-    assert R.dim == 4
-    bad = c.copy()
-    bad[1, 2, 0] = (bad[1, 2, 0] + 1) % p
-    bad[2, 1, 0] = (bad[2, 1, 0] + 1) % p
-    assert not _associative_by_python_ints(bad, p)
-    with pytest.raises(InputError, match="associative"):
-        algebra_from_structure_constants(Field(p), bad, [1, 0, 0, 0])
+    R = algebra_from_monomial_quotient(Field(p), ["x"], ["x^3"])
+    pairs = [rng.integers(0, p, size=(2, 3)) for _ in range(50)]
+    # at p = 2^31 - 1 over x^3 = 0 this pair is [4, 13, 28]
+    pairs.append(np.array([[p - 1, p - 2, p - 3], [p - 4, p - 5, p - 6]]) % p)
+    for u, v in pairs:
+        assert R.mul(u, v).tolist() == _truncated_product(u, v, p)
+        M = R.mult_matrix(u)
+        for j in range(3):
+            assert M[:, j].tolist() == _truncated_product(u, np.eye(3, dtype=np.int64)[j], p)
 
 
 def test_ring_report_memoised_frozen_and_cleared():
@@ -398,30 +244,8 @@ def test_fingerprint_distinguishes():
 # -- ring_report of a monomial quotient, read off the monomial data ---------------
 
 
-def _computed_socle_loewy(R):
-    """(socle dim, Loewy length) by products with the radical basis, as
-    ring_report computes them for a ring given by structure constants: the
-    reference for the monomial route."""
-    p, d = R.field.p, R.dim
-    rad = radical(R).data
-    r = rad.shape[1]
-    if r == 0:
-        return d, 1
-    stacked = np.vstack([R.mult_matrix(rad[:, j]) for j in range(r)])
-    socle = kernel_basis(Mat(R.field, stacked)).cols
-    loewy, span = 1, rad                 # least t with rad^t = 0
-    while True:
-        nxt = np.hstack([_mul_arrays(R.mult_matrix(rad[:, j]), span, p) for j in range(r)])
-        red, piv = rref(Mat(R.field, nxt.T))
-        loewy += 1
-        if not piv:
-            return socle, loewy
-        span = red.data[: len(piv)].T
-
-
 def _report_rings():
-    t27 = algebra_from_monomial_quotient(GF3, ["x", "y", "z"], ["x^3", "y^3", "z^3"],
-                                         name="T27")
+    t27 = _cube(3)
     big = algebra_from_monomial_quotient(Field(2 ** 31 - 1), ["x", "y"],
                                          ["x^3", "x*y^2", "y^3"], name="Q")
     field = algebra_from_monomial_quotient(GF5, ["x"], ["x"], name="F5")
@@ -430,9 +254,9 @@ def _report_rings():
 
 def test_monomial_ring_report_equals_computed_route(monkeypatch):
     """Every RingReport field of a monomial quotient, read off its monomial
-    data, equals the computed route: on a structure-constant copy through
-    ring_report, and on the ring itself through the reference above.  The
-    monomial route makes no product and no echelon; the copy's does."""
+    data with no product and no echelon, equals the computed route of the
+    oracles: the radical basis is the Frobenius kernel, and the socle
+    dimension and Loewy length are those of products with it."""
     import semidual.algebra as al
     import semidual.linalg as la
     from semidual.memo import clear_caches
@@ -441,17 +265,71 @@ def test_monomial_ring_report_equals_computed_route(monkeypatch):
     monkeypatch.setattr(al, "_mul_arrays", lambda *a: calls.append("mul") or real_mul(*a))
     monkeypatch.setattr(la, "_echelon", lambda *a: calls.append("echelon") or real_echelon(*a))
     for R in _report_rings():
-        copy = algebra_from_structure_constants(R.field, R.structure, R.unit)
-        assert copy.monomial_data is None
         clear_caches()
         calls.clear()
         rep = ring_report(R)
         assert calls == [], R.name
-        want = ring_report(copy)
-        assert calls, R.name
-        assert rep.to_dict() == want.to_dict(), R.name
-        assert np.array_equal(rep.radical_basis.data, want.radical_basis.data), R.name
-        for S, got in ((R, rep), (copy, want)):
-            assert (got.socle_dim, got.loewy_length) == _computed_socle_loewy(S), R.name
-            assert got.is_local == (got.radical_dim == S.dim - 1)
+        assert rep.is_local and rep.radical_dim == R.dim - 1, R.name
+        assert np.array_equal(rep.radical_basis.data, radical_by_elements(R)), R.name
+        assert (rep.socle_dim, rep.loewy_length) == socle_and_loewy(R), R.name
+        assert rep.is_gorenstein == (rep.socle_dim == 1), R.name
     clear_caches()
+
+
+# -- what a monomial quotient is by construction ---------------------------------
+
+
+def _construction_rings():
+    return [ring_r1(), ring_r2(), ring_r3(), ring_r4(), _cube(3), _cube(4), _cube(5),
+            algebra_from_monomial_quotient(GF2, ["x", "y"], ["x", "y^3"], name="X"),
+            algebra_from_monomial_quotient(GF5, ["x"], ["x"], name="F5")]
+
+
+@pytest.mark.parametrize("R", _construction_rings(), ids=lambda R: R.name)
+def test_a_monomial_quotient_is_a_local_commutative_ring(R):
+    """The dense tables made from the product table are commutative,
+    associative and unital at e_0, and every e_i, i > 0, is nilpotent, so
+    the ring is local with maximal ideal e_1..e_(d-1).  Associativity is
+    checked by index arithmetic on the products (index d stands for 0), and
+    also by the dense (d^2, d^2) product where that is small."""
+    d, products = R.dim, R.monomial_data.products
+    P = np.full((d + 1, d + 1), d, dtype=np.int64)
+    P[:d, :d] = np.where(products >= 0, products, d)
+    assert np.array_equal(P, P.T)
+    assert np.array_equal(P[0], np.arange(d + 1))
+    for i in range(d):
+        # row j, column l: (e_i e_j) e_l on the left, e_i (e_j e_l) on the right
+        assert np.array_equal(P[P[i, :d], :d], P[i, P[:d, :d]]), (R.name, i)
+    idx, power = np.arange(d), np.arange(d)
+    for _ in range(d):
+        power = P[power, idx]
+    assert power[0] == 0 and (power[1:] == d).all()
+    rep = ring_report(R)
+    assert rep.is_local and rep.radical_dim == d - 1
+    assert np.array_equal(radical(R).data, np.eye(d, dtype=np.int64)[:, 1:])
+
+    c, lm = R.structure, R.left_mult
+    assert not c.flags.writeable and not lm.flags.writeable
+    assert c.shape == (d, d, d) and np.array_equal(lm, c.transpose(0, 2, 1))
+    i, j = np.nonzero(products >= 0)
+    assert c.sum() == i.size and (c[i, j, products[i, j]] == 1).all()
+    assert np.array_equal(c, c.transpose(1, 0, 2))
+    assert np.array_equal(c[0], np.eye(d, dtype=np.int64))
+    assert np.array_equal(np.tensordot(R.unit, c, axes=1), np.eye(d, dtype=np.int64))
+    if d <= 27:
+        # prod[i, j, l, m]: e_m in (e_i e_j) e_l; e_i (e_j e_l) is prod[j, l, i, m]
+        prod = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d, d, d, d)
+        assert np.array_equal(prod, prod.transpose(2, 0, 1, 3))
+
+
+def test_check_ring_of_a_generated_d125_session(tmp_path, capsys):
+    from semidual.cli import main
+
+    path = tmp_path / "T125.session"
+    path.write_text('[ring]\nname = "T125"\nfield = 3\nvariables = ["x", "y", "z"]\n'
+                    'relations = ["x^5", "y^5", "z^5"]\n')
+    assert main(["check-ring", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "pass"
+    assert out["dimensions"] == {"dim": 125, "is_local": True, "radical_dim": 124,
+                                 "socle_dim": 1, "is_gorenstein": True, "loewy_length": 13}

@@ -6,6 +6,9 @@ that produced it.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +105,28 @@ class TestExitCodes:
         rc = main(["pd", data_path("R1.session"), "--module", "Q"])
         assert rc == 2
         assert "unknown module name 'Q'" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2_without_a_traceback(self, tmp_path):
+        """Ext(k, k) over G6 = GF(2)[x,y]/(x,y)^3 to degree 8 peaks at about
+        1.15 GB; in a child capped at 800 MB of address space numpy cannot
+        allocate a product, and the CLI prints one error line and exits 2."""
+        path = tmp_path / "G6.session"
+        path.write_text('[ring]\nname = "G6"\nfield = 2\nvariables = ["x", "y"]\n'
+                        'relations = ["x^3", "x^2*y", "x*y^2", "y^3"]\n'
+                        '[module.k]\nkind = "residue_field"\n', encoding="utf-8")
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (800 * 2 ** 20, 800 * 2 ** 20))\n"
+                 "from semidual.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", child, "ext", str(path), "--from", "k",
+                              "--to", "k", "--bound", "8"], env=env, capture_output=True, text=True)
+        assert run.returncode == 2, run.stderr[-2000:]
+        assert run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory"), run.stderr
+        assert "Traceback" not in run.stderr
 
     def test_missing_file_exits_2(self, capsys):
         rc = main(["check-ring", "/nonexistent/ring.session"])

@@ -5,20 +5,20 @@ and the action matrices written in the smallest unsigned dtype that holds
 p - 1 (uint8 up to p = 256, uint16 up to 65,536, uint32 above).  Entries lie
 in [0, p), so the encoding is injective and equal fingerprints still mean
 equal structure.  A power hashes its base's fingerprint and the number of
-copies.  The ring fingerprint of a monomial quotient is unchanged: the
-random module pools are seeded from it.  An algebra given by structure
-constants alone folds a tag into its fingerprint, so the memo caches never
-serve a module built over a monomial quotient for its structure-constant
-copy, or the other way round.
+copies.  The ring fingerprint is unchanged, because the random module
+pools are seeded from it: SHA-256 of (p, the dense structure constants,
+the unit), hashed one (d, d) slab at a time from the product table, so no
+(d, d, d) array is built.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from semidual import modules as mo
-from semidual.algebra import algebra_from_monomial_quotient, algebra_from_structure_constants
+from semidual.algebra import algebra_from_monomial_quotient
 from semidual.corpus import corpus_rings, corpus_sessions, random_module_pool
 from semidual.linalg import Field
 
@@ -121,15 +121,26 @@ def test_ring_fingerprints_are_unchanged():
         assert [M.dim for M in pool] == POOL_DIMS[name]
 
 
-def test_a_structure_constant_copy_is_another_ring():
-    R = algebra_from_monomial_quotient(Field(5), ["x", "y"], ["x^2", "y^3"], name="R")
-    S = algebra_from_structure_constants(R.field, R.structure, R.unit, name="S")
-    assert R.fingerprint != S.fingerprint
-    # no clear_caches() between the two: each call gets a module over its own ring
-    for first, second in ((S, R), (R, S)):
-        mo.clear_caches()
-        for ring in (first, second):
-            for M in (mo.regular_module(ring), mo.free_module(ring, 2),
-                      mo.residue_field_module(ring), mo.dualizing_module(ring)):
-                assert M.ring is ring, (ring.name, M.label)
-            assert (mo.regular_module(ring)._pres is None) == (ring is S)
+def test_ring_fingerprint_hashes_the_dense_structure_constants():
+    rings = list(corpus_rings().values()) + [
+        algebra_from_monomial_quotient(Field(p), ["x", "y", "z"], [f"{v}^4" for v in "xyz"])
+        for p in (3, 2 ** 31 - 1)]
+    for R in rings:
+        h = hashlib.sha256()
+        h.update(str(R.field.p).encode())
+        h.update(R.structure.tobytes())
+        h.update(R.unit.tobytes())
+        assert R.fingerprint == h.digest(), R.name
+
+
+def test_ring_fingerprint_builds_no_cube():
+    R = algebra_from_monomial_quotient(Field(3), ["x", "y", "z"], [f"{v}^5" for v in "xyz"])
+    d = R.dim
+    tracemalloc.start()
+    try:
+        R.fingerprint
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (d, d) int64 slab is 125 kB; the (d, d, d) constants would be 15.6 MB
+    assert d == 125 and peak < 4 * d * d * 8

@@ -23,8 +23,7 @@ import pytest
 
 from semidual import linalg
 from semidual import modules as mo
-from semidual.algebra import (algebra_from_monomial_quotient, algebra_from_structure_constants,
-                              radical)
+from semidual.algebra import algebra_from_monomial_quotient, radical
 from semidual.corpus import corpus_sessions
 from semidual.linalg import Field, _mul_arrays
 from semidual.sessions import parse_session_text
@@ -137,28 +136,6 @@ def test_division_table_relation_matrix_is_the_contraction(monkeypatch):
         assert len(got) == 1 and _same(got[0], want), (R.name, n, m)
         compared += 1
     assert compared > 20
-
-
-def test_a_structure_constant_ring_keeps_the_contraction(monkeypatch):
-    R = algebra_from_monomial_quotient(Field(5), ["x", "y"], ["x^2", "y^3"])
-    S = algebra_from_structure_constants(R.field, R.structure, R.unit, name="S")
-    entries = [[R.element_from_string("1 + x + y^2")], [R.element_from_string("y")]]
-    products = []
-    real = mo._mul_arrays
-
-    def record(a, b, p):
-        products.append(b.base is ring.left_mult)
-        return real(a, b, p)
-
-    for ring in (R, S):
-        products.clear()
-        with monkeypatch.context() as m:
-            m.setattr(mo, "_mul_arrays", record)
-            got = _relation_matrices(monkeypatch,
-                                     lambda: mo.presentation_to_module(ring, 2, 1, entries))
-        assert _same(got[0], _contracted(R, 2, 1, entries)), ring.name
-        # only S contracts against its left_mult; R gathers from its table
-        assert any(products) == (ring is S), ring.name
 
 
 # -- the gathered quotient action ------------------------------------------------------

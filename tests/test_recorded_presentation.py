@@ -8,7 +8,7 @@ them.  Each record is checked here against the computed route
 [cover | I]): the same generators bit for bit, a section of the same cover,
 relations that span its kernel over R, and Hom and tensor carriers with the
 same fingerprint with the module on either side.  Entries with a unit term
-and structure-constant rings get no record.  The regular module's partial
+get no record.  The regular module's partial
 permutation comes from the ring's product table; it is checked against the
 one read off the action.
 """
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from semidual import modules as mo
-from semidual.algebra import algebra_from_monomial_quotient, algebra_from_structure_constants
+from semidual.algebra import algebra_from_monomial_quotient
 from semidual.corpus import corpus_sessions, random_module_pool
 from semidual.linalg import Field, Mat, _mul_arrays, kernel_basis, rref
 from semidual.sessions import parse_session_text
@@ -185,19 +185,6 @@ def test_a_unit_term_gives_no_record():
         assert all(_same(a, b) for a, b in zip(mo.presentation(M), mo._computed_presentation(M)))
     # the same module with the unit term gone does get one
     assert mo.presentation_to_module(R, 2, 1, [["x"], ["y"]])[0]._pres is not None
-
-
-def test_a_structure_constant_ring_gives_no_record():
-    R = algebra_from_monomial_quotient(Field(5), ["x", "y"], ["x^2", "y^3"])
-    S = algebra_from_structure_constants(R.field, R.structure, R.unit, name="S")
-    entries = [[R.element_from_string("x + y^2")], [R.element_from_string("y")]]
-    # nothing is read off the ring at construction: R's partial permutation
-    # is found from the action, lazily, as for any module
-    assert mo.regular_module(S)._perm is None
-    for M in (mo.presentation_to_module(S, 2, 1, entries)[0], mo.regular_module(S),
-              mo.residue_field_module(S)):
-        assert M._pres is None, M.label
-    assert mo.presentation_to_module(R, 2, 1, entries)[0]._pres is not None
 
 
 # -- the regular module's partial permutation -------------------------------------------------

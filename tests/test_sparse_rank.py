@@ -282,8 +282,8 @@ def test_products_and_kernel_bases_are_held_to_the_budget(monkeypatch, capsys):
     (n, 1) by (1, n) product has n^2 cells, and the kernel basis of a 1 x n
     row is n x (n - 1).  Past the budget each is refused with an InputError
     that names its shape, before numpy allocates it, and the CLI exits 2:
-    with 200 cells the first array refused is the (16, 16) product of R4's
-    associativity check."""
+    with 200 cells, Ext(M, M) over R4 to degree 6 is refused at the
+    coordinates of its differential into degree 6."""
     monkeypatch.setattr(linalg, "_MAX_CELLS", 1000)
     col = np.ones((100, 1), dtype=np.int64)
     with pytest.raises(InputError, match=r"product of shape \(100, 100\) has 10000 cells"):
@@ -296,9 +296,11 @@ def test_products_and_kernel_bases_are_held_to_the_budget(monkeypatch, capsys):
     assert linalg.kernel_basis(Mat(Field(5), col[:30].T)).data.shape == (30, 29)
     monkeypatch.setattr(linalg, "_MAX_CELLS", 200)
     capsys.readouterr()
-    rc = main(["ext", data_path("R4.session"), "--from", "M", "--to", "M", "--bound", "3"])
+    rc = main(["ext", data_path("R4.session"), "--from", "M", "--to", "M", "--bound", "6"])
     assert rc == 2
-    assert "product of shape (16, 16) has 256 cells" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: coordinates of an induced differential of shape (486, 1) has 486 cells, "
+        "over the budget of 200 cells per array\n")
 
 
 def test_cli_exits_2_past_the_budget(monkeypatch, capsys):
