@@ -12,6 +12,9 @@ unknown module name, bad flags).
 
 Vanishing statements are always bounded claims, so every report prints the
 bound in force; the default is 5 and --bound overrides it.
+
+verify-all runs the P1..P10 property battery, defined once as
+semidualizing.property_battery, and only formats its result here.
 """
 
 from __future__ import annotations
@@ -26,20 +29,11 @@ from .algebra import Algebra, ring_report
 from .complexes import (DimensionValue, bass_numbers, betti_numbers, exactness_profile,
                         ext_dims, id_exact, pd_exact, tor_dims)
 from .errors import CheckError, InputError
-from .modules import (dualizing_module, free_module, power_module, residue_field_module,
-                      tensor_space)
-from .semidualizing import (absolute_comparison_check,
-                            absolute_comparison_check_ic,
-                            auslander_membership, bass_membership,
-                            check_semidualizing, composition_identity_check,
-                            dimension_shift_check,
-                            exactness_equivalence_check, foxby_transport,
-                            ic_id, is_proper_ic, is_proper_pc,
-                            membership_transfer_check, pc_pd,
-                            projectivity_vanishing_check,
-                            proper_ic_resolution, proper_pc_resolution,
-                            rel_ext, rel_ext_ic, require_semidualizing,
-                            syzygy_projectivity_invariance)
+from .modules import dualizing_module, free_module
+from .semidualizing import (auslander_membership, bass_membership, check_semidualizing,
+                            foxby_transport, ic_id, is_proper_ic, is_proper_pc, pc_pd,
+                            property_battery, proper_ic_resolution, proper_pc_resolution,
+                            rel_ext, rel_ext_ic, require_semidualizing)
 from .sessions import SessionFile, parse_session
 
 DEFAULT_BOUND = 5
@@ -239,118 +233,19 @@ def _cmd_resolve(session, ring, opt) -> tuple:
 
 
 def _cmd_verify_all(session, ring, opt) -> tuple:
+    """semidualizing.property_battery over C = R and C = D on a seeded pool."""
     from .corpus import random_module_pool
-    for flag in ("pairs", "max_dim"):
+    for flag in ("bound", "pairs", "max_dim"):
         if opt[flag] < 1:
             raise InputError(f"--{flag.replace('_', '-')} must be at least 1, got {opt[flag]}")
-    B = opt["bound"]
     pool = random_module_pool(ring, opt["pairs"], max_dim=opt["max_dim"])
-    k = residue_field_module(ring)
-    D = dualizing_module(ring)
-    R1 = free_module(ring, 1)
-    named = [k, D, R1]
-    cs = [R1, D]
-    results: dict[str, str] = {}
-    wits: list[str] = []
-
-    def record(tag: str, ok: bool, detail: str = ""):
-        results[tag] = "pass" if ok else "fail"
-        if not ok:
-            wits.append(f"{tag} failed{': ' + detail if detail else ''}")
-
-    def battery(tag, fn):
-        try:
-            record(tag, fn())
-        except CheckError as exc:
-            record(tag, False, str(exc))
-
-    pairs = [(pool[j], pool[(j + 1) % len(pool)]) for j in range(len(pool))]
-
-    def p1():
-        for C in cs:
-            for M, N in pairs:
-                for i in range(3):
-                    rel_ext(i, C, M, N, mode="both")
-            M, N = pairs[0]
-            for i in range(2):
-                rel_ext_ic(i, C, M, N, mode="both")
-        return True
-
-    def p2():
-        for C in cs:
-            for M in pool + named:
-                T = tensor_space(C, M).module
-                if pd_exact(M) != pc_pd(C, T):
-                    return False
-                if ic_id(C, M) != id_exact(T):
-                    return False
-        return True
-
-    def p3():
-        return all(membership_transfer_check(C, M, B)
-                   for C in cs for M in pool + [k])
-
-    def p4():
-        return all(composition_identity_check(C, M)
-                   for C in cs for M in pool + named)
-
-    def p5():
-        for C in cs:
-            for M in pool + [k]:
-                if not exactness_equivalence_check(C, M, B):
-                    return False
-            for M in (tensor_space(C, R1).module, power_module(C, 2), D):
-                if bass_membership(C, M, B).passed:
-                    if exactness_profile(proper_pc_resolution(C, M, B)) != []:
-                        return False
-        return True
-
-    def p6():
-        return all(projectivity_vanishing_check(C, M)
-                   for C in cs for M in pool[:3] + [k])
-
-    def p7():
-        return all(syzygy_projectivity_invariance(C, M, 1)
-                   for C in cs for M in pool[:2] + [k])
-
-    def p8():
-        for C in cs:
-            members = [tensor_space(C, R1).module, power_module(C, 2), D]
-            for j, M in enumerate(members):
-                N = members[(j + 1) % len(members)]
-                for i in range(3):
-                    if absolute_comparison_check(i, C, M, N) is not True:
-                        return False
-            for i in range(2):
-                if absolute_comparison_check_ic(i, C, R1, R1) is not True:
-                    return False
-        return True
-
-    def p9():
-        for C in cs:
-            M, N = pairs[0]
-            if not dimension_shift_check(C, M, N, i=2, n=1):
-                return False
-        return True
-
-    def p10():
-        for C in cs:
-            for M in pool + [C, k]:
-                v = pc_pd(C, M)
-                if v.kind == "finite" and not bass_membership(C, M, B).passed:
-                    return False
-        return True
-
-    for tag, fn in [("P1", p1), ("P2", p2), ("P3", p3), ("P4", p4),
-                    ("P5", p5), ("P6", p6), ("P7", p7), ("P8", p8),
-                    ("P9", p9), ("P10", p10)]:
-        battery(tag, fn)
-
+    cs = [free_module(ring, 1), dualizing_module(ring)]
+    failures = property_battery(cs, pool, opt["bound"])
+    results = {tag: "fail" if detail is not None else "pass" for tag, detail in failures.items()}
+    wits = [f"{tag} failed{': ' + detail if detail else ''}"
+            for tag, detail in failures.items() if detail is not None]
     results["out_of_scope_items"] = len(OUT_OF_SCOPE)
-    wits.extend(OUT_OF_SCOPE)
-    verdict = "pass" if all(results[t] == "pass"
-                            for t in results if t.startswith("P")) else "fail"
-    return verdict, results, wits
+    return ("fail" if wits else "pass"), results, wits + list(OUT_OF_SCOPE)
 
 
 _HANDLERS = {

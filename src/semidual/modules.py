@@ -480,22 +480,6 @@ def free_module(R: Algebra, n: int) -> Module:
     return power_module(regular_module(R), n, label=f"{R.name}^{n}")
 
 
-def direct_sum(parts: list[Module], label: str | None = None) -> Module:
-    """Dense direct sum; meant for small modules."""
-    assert parts, "direct sum of nothing"
-    ring = parts[0].ring
-    d = ring.dim
-    n = sum(m.dim for m in parts)
-    act = np.zeros((d, n, n), dtype=np.int64)
-    off = 0
-    for m in parts:
-        act[:, off:off + m.dim, off:off + m.dim] = m.action
-        off += m.dim
-    if label is None:
-        label = " + ".join(m.label for m in parts)
-    return Module(ring, act, label=label, check=False)
-
-
 @memo
 def residue_field_module(R: Algebra) -> Module:
     """R / m as a module, one-dimensional: its action is the unit vector (1

@@ -17,7 +17,10 @@ a certified C this module builds the whole relative theory:
     independent computation,
   * Auslander and Bass classes with witnessed membership reports,
   * relative projective/injective dimension and Foxby transport,
-  * consistency checks for the structural theorems tying all of it together.
+  * consistency checks for the structural theorems tying all of it together,
+    and property_battery, which runs them as the P1..P10 table PROPERTIES
+    over a list of semidualizing modules and a sample pool (the battery
+    behind `semidual verify-all`).
 
 Vanishing conditions are always verified to a bound carried in the report;
 nothing here pretends to certify infinitely many degrees.
@@ -26,6 +29,7 @@ nothing here pretends to certify infinitely many degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +37,14 @@ from .complexes import (AugmentedComplex, DimensionValue, InducedComplex, RingEn
                         exactness_profile, ext_dims, homology_data, id_exact,
                         minimal_free_resolution, minimal_injective_resolution,
                         pd_exact, syzygy, tor_dims)
-from .errors import InputError, NotSemidualizingError, TheoremViolationError
+from .errors import CheckError, InputError, NotSemidualizingError, TheoremViolationError
 from .linalg import _mul_arrays
 from .memo import cache, memo
 from .modules import (HomSpace, Module, ModuleHom, _block_apply, adjunction_iso,
-                      coevaluation_mu, dualizing_module, evaluation_nu, hom_functor_map,
-                      hom_space, homothety_chi, is_free, is_injective, kernel, matlis_dual,
-                      minimal_generators, tensor_functor_map, tensor_space)
+                      coevaluation_mu, dualizing_module, evaluation_nu, free_module,
+                      hom_functor_map, hom_space, homothety_chi, is_free, is_injective,
+                      kernel, matlis_dual, minimal_generators, power_module,
+                      residue_field_module, tensor_functor_map, tensor_space)
 
 
 # -- semidualizing certificates ------------------------------------------------
@@ -60,14 +65,6 @@ class SemidualizingCertificate:
     @property
     def passed(self) -> bool:
         return self.homothety_bijective and self.failure_witness is None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "homothety_bijective": self.homothety_bijective,
-            "ext_vanishing_verified_to": self.ext_vanishing_verified_to,
-            "failure_witness": self.failure_witness,
-        }
 
 
 def check_semidualizing(C: Module, B: int = 5) -> SemidualizingCertificate:
@@ -101,36 +98,16 @@ _cert_cache = cache()           # fingerprint -> best bound certified
 
 
 def require_semidualizing(C: Module, B: int = 1) -> None:
-    """Raise unless C is certified semidualizing to bound B (cached)."""
+    """Raise unless C is certified semidualizing to bound B (cached; a bound
+    below 1 never hits the cache, check_semidualizing rejects it)."""
     got = _cert_cache.get(C.fingerprint)
-    if got is not None and got >= B:
+    if got is not None and 1 <= B <= got:
         return
     cert = check_semidualizing(C, B)
     if not cert.passed:
         raise NotSemidualizingError(
             f"{C.label} is not semidualizing: {cert.failure_witness}")
     _cert_cache[C.fingerprint] = max(B, got or 0)
-
-
-# -- C-projectives and C-injectives ---------------------------------------------
-
-
-def is_c_projective(C: Module, M: Module) -> bool:
-    """True iff M lies in the class {C (x) free}: Hom(C,M) must be free and
-    the evaluation map C (x) Hom(C,M) -> M bijective."""
-    require_semidualizing(C)
-    if is_free(hom_space(C, M).module) is None:
-        return False
-    return evaluation_nu(C, M).is_bijective()
-
-
-def is_c_injective(C: Module, M: Module) -> bool:
-    """True iff M lies in the class {Hom(C, injective)}: C (x) M must be
-    injective and the coevaluation map M -> Hom(C, C (x) M) bijective."""
-    require_semidualizing(C)
-    if is_injective(tensor_space(C, M).module) is None:
-        return False
-    return coevaluation_mu(C, M).is_bijective()
 
 
 # -- proper resolutions by transport ---------------------------------------------
@@ -642,21 +619,7 @@ def projectivity_vanishing_check(C: Module, M: Module) -> bool:
     X = proper_pc_resolution(C, M, 1)
     K0 = kernel(X.aug_map).carrier
     functional = rel_ext(1, C, M, K0, mode="both").dim == 0
-    return functional == is_c_projective(C, M)
-
-
-def dimension_vanishing_check(C: Module, M: Module, samples: list[Module],
-                              degrees: tuple[int, ...] = (1, 2)) -> bool:
-    """Vanishing of relative Ext detects relative projective dimension: a
-    module of finite dimension kills Ext^i for i >= 1 against every sample,
-    an infinite one is caught by Ext^1 into the augmentation kernel."""
-    v = pc_pd(C, M)
-    if v.kind in ("finite", "zero"):
-        return all(rel_ext(i, C, M, N, mode="both").dim == 0
-                   for N in samples for i in degrees)
-    X = proper_pc_resolution(C, M, 1)
-    K0 = kernel(X.aug_map).carrier
-    return rel_ext(1, C, M, K0, mode="both").dim != 0
+    return functional == (pc_pd(C, M).kind != "infinite")
 
 
 def two_of_three_check(C: Module, f: ModuleHom, g: ModuleHom,
@@ -724,11 +687,12 @@ def syzygy_projectivity_invariance(C: Module, M: Module, n: int,
                                    ) -> bool:
     """C-projectivity of the n-th syzygy does not depend on the choice of
     proper resolution: compare the transported resolution against a padded
-    one."""
+    one.  A zero syzygy is the zero sentinel and a padded one a nonzero
+    C-projective, so C-projectivity is "P_C-pd not infinite"."""
     X = proper_pc_resolution(C, M, max(n, 1) + 1)
     Xp = _padded_resolution(C, X, pad_spec)
-    return (is_c_projective(C, syzygy(X, n))
-            == is_c_projective(C, syzygy(Xp, n)))
+    return ((pc_pd(C, syzygy(X, n)).kind != "infinite")
+            == (pc_pd(C, syzygy(Xp, n)).kind != "infinite"))
 
 
 def absolute_comparison_check(i: int, C: Module, M: Module,
@@ -768,3 +732,123 @@ def dimension_shift_check(C: Module, M: Module, N: Module,
     om = syzygy(proper_pc_resolution(C, M, n + 1), n)
     rhs = rel_ext(i - n, C, om, N, mode="both").dim
     return lhs == rhs
+
+
+def dimension_transfer_check(C: Module, M: Module) -> bool:
+    """Dimensions transfer through C (x) -: pd(M) is the P_C-pd of C (x) M,
+    and the I_C-id of M is id(C (x) M)."""
+    T = tensor_space(C, M).module
+    return pd_exact(M) == pc_pd(C, T) and ic_id(C, M) == id_exact(T)
+
+
+def finite_pc_pd_check(C: Module, M: Module, B: int = 5) -> bool:
+    """A module of finite P_C-projective dimension lies in the Bass class
+    (checked at bound B)."""
+    return pc_pd(C, M).kind != "finite" or bass_membership(C, M, B).passed
+
+
+def bass_members(C: Module) -> list[Module]:
+    """Bass-class members for every semidualizing C: the C-projectives
+    C (x) R and C^2, and the injective D."""
+    return [tensor_space(C, free_module(C.ring, 1)).module, power_module(C, 2),
+            dualizing_module(C.ring)]
+
+
+# -- the property battery ----------------------------------------------------------
+
+
+class Sample(NamedTuple):
+    """What a battery check ranges over besides C: a random pool, its cyclic
+    pairs (M_j, M_(j+1)), the modules k, D and R, and the bound B."""
+    pool: list[Module]
+    pairs: list[tuple[Module, Module]]
+    k: Module
+    D: Module
+    R: Module
+    B: int
+
+
+def _route_agreement(C: Module, s: Sample) -> bool:
+    # rel_ext and rel_ext_ic raise when their two routes disagree
+    for M, N in s.pairs:
+        for i in range(3):
+            rel_ext(i, C, M, N, mode="both")
+    for i in range(2):
+        rel_ext_ic(i, C, *s.pairs[0], mode="both")
+    return True
+
+
+def _dimension_transfer(C: Module, s: Sample) -> bool:
+    return all(dimension_transfer_check(C, M) for M in s.pool + [s.k, s.D, s.R])
+
+
+def _membership_transfer(C: Module, s: Sample) -> bool:
+    return all(membership_transfer_check(C, M, s.B) for M in s.pool + [s.k])
+
+
+def _adjunction_identities(C: Module, s: Sample) -> bool:
+    return all(composition_identity_check(C, M) for M in s.pool + [s.k, s.D, s.R])
+
+
+def _proper_exactness(C: Module, s: Sample) -> bool:
+    return (all(exactness_equivalence_check(C, M, s.B) for M in s.pool + [s.k])
+            and all(not bass_membership(C, M, s.B).passed
+                    or exactness_profile(proper_pc_resolution(C, M, s.B)) == []
+                    for M in bass_members(C)))
+
+
+def _vanishing_detects_projectivity(C: Module, s: Sample) -> bool:
+    return all(projectivity_vanishing_check(C, M) for M in s.pool[:3] + [s.k])
+
+
+def _syzygy_invariance(C: Module, s: Sample) -> bool:
+    return all(syzygy_projectivity_invariance(C, M, 1) for M in s.pool[:2] + [s.k])
+
+
+def _relative_equals_absolute(C: Module, s: Sample) -> bool:
+    members = bass_members(C)
+    return (all(absolute_comparison_check(i, C, M, members[(j + 1) % len(members)]) is True
+                for j, M in enumerate(members) for i in range(3))
+            and all(absolute_comparison_check_ic(i, C, s.R, s.R) is True for i in range(2)))
+
+
+def _dimension_shifting(C: Module, s: Sample) -> bool:
+    return dimension_shift_check(C, *s.pairs[0], i=2, n=1)
+
+
+def _finite_pc_pd_in_bass(C: Module, s: Sample) -> bool:
+    return all(finite_pc_pd_check(C, M, s.B) for M in s.pool + [C, s.k])
+
+
+# (tag, name of the check); property_battery looks each check up by name when
+# it runs it, so a check replaced in this module's namespace is the one run
+PROPERTIES = (
+    ("P1", "_route_agreement"),
+    ("P2", "_dimension_transfer"),
+    ("P3", "_membership_transfer"),
+    ("P4", "_adjunction_identities"),
+    ("P5", "_proper_exactness"),
+    ("P6", "_vanishing_detects_projectivity"),
+    ("P7", "_syzygy_invariance"),
+    ("P8", "_relative_equals_absolute"),
+    ("P9", "_dimension_shifting"),
+    ("P10", "_finite_pc_pd_in_bass"),
+)
+
+
+def property_battery(cs: list[Module], pool: list[Module], B: int) -> dict[str, str | None]:
+    """Run PROPERTIES in order, each against the C of cs in turn, on pool
+    (nonempty) at bound B; a property stops at its first failing C and
+    module.  Returns {tag: None} where a property holds, else {tag: detail}:
+    "" when its check returned False, the message when it raised a CheckError."""
+    ring = pool[0].ring
+    s = Sample(pool, list(zip(pool, pool[1:] + pool[:1])), residue_field_module(ring),
+               dualizing_module(ring), free_module(ring, 1), B)
+    out: dict[str, str | None] = {}
+    for tag, name in PROPERTIES:
+        check = globals()[name]
+        try:
+            out[tag] = None if all(check(C, s) for C in cs) else ""
+        except CheckError as exc:
+            out[tag] = str(exc)
+    return out

@@ -202,3 +202,21 @@ def socle_and_loewy(R) -> tuple[int, int]:
         span = np.array(red[:len(piv)], dtype=np.int64).reshape(len(piv), d)
         loewy += 1
     return socle, loewy
+
+
+def direct_sum(parts: list, label: str | None = None):
+    """Dense direct sum of modules over one ring: the block-diagonal stack
+    of their action matrices, wrapped unchecked in semidual's Module."""
+    from semidual.modules import Module
+    assert parts, "direct sum of nothing"
+    ring = parts[0].ring
+    d = ring.dim
+    n = sum(m.dim for m in parts)
+    act = np.zeros((d, n, n), dtype=np.int64)
+    off = 0
+    for m in parts:
+        act[:, off:off + m.dim, off:off + m.dim] = m.action
+        off += m.dim
+    if label is None:
+        label = " + ".join(m.label for m in parts)
+    return Module(ring, act, label=label, check=False)

@@ -12,11 +12,11 @@ import sys
 
 import pytest
 
-from semidual import cli
+from semidual import cli, semidualizing
 from semidual.cli import Report, main, run_command
 from semidual.corpus import (corpus_rings, corpus_sessions, data_path, data_text, golden_cases,
                              random_module_pool)
-from semidual.errors import InputError
+from semidual.errors import InputError, TheoremViolationError
 from semidual.modules import clear_caches
 
 _FLAGS = {"src": "--from", "dst": "--to", "max_dim": "--max-dim"}
@@ -182,7 +182,8 @@ class TestExitCodes:
         assert rc == 2
         assert "--c is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--pairs", "0"], ["--pairs", "-1"], ["--max-dim", "0"]])
+    @pytest.mark.parametrize("flags", [["--pairs", "0"], ["--pairs", "-1"], ["--max-dim", "0"],
+                                       ["--bound", "0"]])
     def test_empty_sample_pool_exits_2(self, flags, capsys):
         rc = main(["verify-all", data_path("R1.session"), *flags])
         err = capsys.readouterr().err
@@ -293,6 +294,29 @@ class TestRunCommand:
         assert rep.dimensions["dim"] == 16
         assert "paths_agree" not in rep.dimensions
 
+    def test_bound_0_is_rejected_after_a_cached_certificate(self, sessions):
+        """A certificate cached at bound 3 does not let bound 0 through."""
+        opts = {"c": "D", "src": "k", "dst": "k", "i": 1}
+        with pytest.raises(InputError):
+            run_command("relext", sessions["R1"], bound=0, **opts)
+        assert run_command("relext", sessions["R1"], bound=3, **opts).dimensions["dim"] == 8
+        with pytest.raises(InputError):
+            run_command("relext", sessions["R1"], bound=0, **opts)
+
+    @pytest.mark.parametrize("command, opts", [
+        ("relext-ic", {"c": "D", "src": "k", "dst": "k", "i": 1}),
+        ("cpd", {"c": "D", "module": "k"}),
+        ("cid", {"c": "D", "module": "k"}),
+        ("classify", {"c": "D", "module": "k"}),
+        ("foxby", {"c": "D", "module": "k", "direction": "hom"}),
+        ("resolve", {"c": "D", "module": "k", "kind": "proper-pc"}),
+        ("resolve", {"c": "D", "module": "k", "kind": "proper-ic"}),
+    ])
+    def test_certified_commands_reject_bound_0_on_a_cache_hit(self, sessions, command, opts):
+        run_command(command, sessions["R1"], bound=3, **opts)
+        with pytest.raises(InputError, match="semidualizing bound must be >= 1"):
+            run_command(command, sessions["R1"], bound=0, **opts)
+
     def test_cheap_commands_after_cache_clear(self, sessions):
         clear_caches()
         rep = run_command("foxby", sessions["R2"], c="D", module="k",
@@ -319,3 +343,23 @@ class TestReportRendering:
         text = rep.to_text()
         assert "a = true" in text
         assert "b = [1, 2]" in text
+
+
+def test_verify_all_reports_failing_properties(monkeypatch, capsys):
+    """A battery check that returns False and one that raises a CheckError
+    give a failing verify-all: exit 1, each witness in P order, every other
+    P passing, and the three out-of-scope lines last."""
+    def broken(C, s):
+        raise TheoremViolationError("shifted dimensions differ")
+    monkeypatch.setattr(semidualizing, "_adjunction_identities", lambda C, s: False)
+    monkeypatch.setattr(semidualizing, "_dimension_shifting", broken)
+    rc = main(["verify-all", data_path("R1.session"), "--bound", "1", "--pairs", "1",
+               "--max-dim", "2", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1 and payload["verdict"] == "fail"
+    tags = [f"P{j}" for j in range(1, 11)]
+    assert payload["dimensions"] == {
+        **{tag: "fail" if tag in ("P4", "P9") else "pass" for tag in tags},
+        "out_of_scope_items": 3}
+    assert payload["witnesses"] == ["P4 failed", "P9 failed: shifted dimensions differ",
+                                    *cli.OUT_OF_SCOPE]

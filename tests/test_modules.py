@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_homs, hom_space_dim, tensor_dim_quotient
+from oracles import direct_sum, enumerate_homs, hom_space_dim, tensor_dim_quotient
 
 from semidual.algebra import algebra_from_monomial_quotient, radical, radical_generators
 from semidual.corpus import (corpus_rings, corpus_sessions, data_text, random_module,
@@ -12,7 +12,7 @@ from semidual.corpus import (corpus_rings, corpus_sessions, data_text, random_mo
 from semidual.errors import InputError
 from semidual.linalg import Field, Mat, _mul_arrays, expressor, kernel_basis, rank, rref
 from semidual.modules import (Module, ModuleHom, adjunction_iso, coevaluation_mu,
-                              cokernel, cover_matrix, direct_sum, dualizing_module,
+                              cokernel, cover_matrix, dualizing_module,
                               evaluation_nu, free_module, hom_functor_map,
                               hom_space, homothety_chi, identity_hom,
                               image, is_free, is_injective, kernel, matlis_dual,

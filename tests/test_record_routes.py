@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import direct_sum
 from semidual import linalg
 from semidual import modules as mo
 from semidual.algebra import algebra_from_monomial_quotient, radical
@@ -200,7 +201,7 @@ def test_gathered_quotient_action_on_generated_submodules():
     for R in _rings():
         p, d = R.field.p, R.dim
         reg, k, D = mo.regular_module(R), mo.residue_field_module(R), mo.dualizing_module(R)
-        kk = mo.direct_sum([k, k], label="kk")       # a base whose record is read on demand
+        kk = direct_sum([k, k], label="kk")       # a base whose record is read on demand
         for ambient in (reg, mo.power_module(reg, 2), D, mo.power_module(D, 3),
                         mo.power_module(k, 12), mo.power_module(kk, 6)):
             # the R-span of a random vector of m * ambient is action-stable

@@ -5,6 +5,7 @@ theorem checks."""
 import numpy as np
 import pytest
 
+from oracles import direct_sum
 from semidual.algebra import radical
 from semidual.complexes import (DimensionValue, betti_numbers,
                                 exactness_profile, ext_dims, id_exact,
@@ -13,8 +14,8 @@ from semidual.complexes import (DimensionValue, betti_numbers,
 from semidual.corpus import corpus_rings, corpus_sessions, random_module_pool
 from semidual.errors import (InputError, NotSemidualizingError,
                              TheoremViolationError)
-from semidual.modules import (Module, ModuleHom, clear_caches, direct_sum, dualizing_module,
-                              free_module, hom_space, homothety_chi, power_module,
+from semidual.modules import (Module, ModuleHom, clear_caches, dualizing_module,
+                              free_module, hom_space, homothety_chi, kernel, power_module,
                               radical_submodule, realise, regular_module,
                               residue_field_module, tensor_space)
 import semidual.semidualizing as sd
@@ -142,39 +143,40 @@ def test_operations_refuse_uncertified(r1_mods):
 
 
 # -- C-projectives and C-injectives ------------------------------------------------
+# M is C-projective iff its P_C-pd is 0, and C-injective iff its I_C-id is 0
 
 
 def test_c_projective_members(r1_mods):
     R, D = r1_mods["R"], r1_mods["D"]
-    assert sd.is_c_projective(D, D)
-    assert sd.is_c_projective(D, power_module(D, 3))
+    assert sd.pc_pd(D, D).kind == "finite"
+    assert sd.pc_pd(D, power_module(D, 3)).kind == "finite"
     ts = tensor_space(D, free_module(R.ring, 2))
-    assert sd.is_c_projective(D, ts.module)
-    assert sd.is_c_projective(R, free_module(R.ring, 2))
+    assert sd.pc_pd(D, ts.module).kind == "finite"
+    assert sd.pc_pd(R, free_module(R.ring, 2)).kind == "finite"
 
 
 def test_c_projective_rejects(r1_mods):
     R, D, k = r1_mods["R"], r1_mods["D"], r1_mods["k"]
-    assert not sd.is_c_projective(D, k)
-    assert not sd.is_c_projective(D, R)
-    assert not sd.is_c_projective(R, D)
-    assert not sd.is_c_projective(D, r1_mods["m"])
+    assert sd.pc_pd(D, k).kind == "infinite"
+    assert sd.pc_pd(D, R).kind == "infinite"
+    assert sd.pc_pd(R, D).kind == "infinite"
+    assert sd.pc_pd(D, r1_mods["m"]).kind == "infinite"
 
 
 def test_c_injective_members(r1_mods):
     R, D = r1_mods["R"], r1_mods["D"]
     # Hom(D, injective) = powers of the regular module when C = D
-    assert sd.is_c_injective(D, R)
-    assert sd.is_c_injective(D, power_module(R, 2))
-    assert sd.is_c_injective(R, D)
-    assert not sd.is_c_injective(D, D)
-    assert not sd.is_c_injective(D, r1_mods["k"])
+    assert sd.ic_id(D, R).kind == "finite"
+    assert sd.ic_id(D, power_module(R, 2)).kind == "finite"
+    assert sd.ic_id(R, D).kind == "finite"
+    assert sd.ic_id(D, D).kind == "infinite"
+    assert sd.ic_id(D, r1_mods["k"]).kind == "infinite"
 
 
 def test_zero_module_in_both_classes(r1, r1_mods):
     z = Module(r1, np.zeros((r1.dim, 0, 0), dtype=np.int64), label="0")
-    assert sd.is_c_projective(r1_mods["D"], z)
-    assert sd.is_c_injective(r1_mods["D"], z)
+    assert sd.pc_pd(r1_mods["D"], z) == DimensionValue.zero_sentinel()
+    assert sd.ic_id(r1_mods["D"], z) == DimensionValue.zero_sentinel()
 
 
 # -- proper resolutions -------------------------------------------------------------
@@ -598,9 +600,14 @@ def test_projectivity_vanishing(r1_mods):
 
 
 def test_dimension_vanishing(r1_mods):
+    """Relative Ext vanishes out of D, of P_C-pd 0, in degrees 1 and 2; k,
+    of infinite P_C-pd, has Ext^1 into its augmentation kernel."""
     D, k, m = r1_mods["D"], r1_mods["k"], r1_mods["m"]
-    assert sd.dimension_vanishing_check(D, D, [k, m])
-    assert sd.dimension_vanishing_check(D, k, [k, m])
+    assert sd.pc_pd(D, D).kind == "finite"
+    assert all(sd.rel_ext(i, D, D, N, mode="both").dim == 0 for N in (k, m) for i in (1, 2))
+    assert sd.pc_pd(D, k).kind == "infinite"
+    K0 = kernel(sd.proper_pc_resolution(D, k, 1).aug_map).carrier
+    assert sd.rel_ext(1, D, k, K0, mode="both").dim != 0
 
 
 def test_two_of_three_radical_sequence(r1, r1_mods):
