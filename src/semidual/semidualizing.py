@@ -29,7 +29,6 @@ nothing here pretends to certify infinitely many degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -757,83 +756,71 @@ def bass_members(C: Module) -> list[Module]:
 # -- the property battery ----------------------------------------------------------
 
 
-class Sample(NamedTuple):
-    """What a battery check ranges over besides C: a random pool, its cyclic
-    pairs (M_j, M_(j+1)), the modules k, D and R, and the bound B."""
-    pool: list[Module]
-    pairs: list[tuple[Module, Module]]
-    k: Module
-    D: Module
-    R: Module
-    B: int
-
-
-def _route_agreement(C: Module, s: Sample) -> bool:
+def _route_agreement(C: Module, pool: list[Module], B: int) -> bool:
     # rel_ext and rel_ext_ic raise when their two routes disagree
-    for M, N in s.pairs:
+    pairs = list(zip(pool, pool[1:] + pool[:1]))
+    for M, N in pairs:
         for i in range(3):
             rel_ext(i, C, M, N, mode="both")
     for i in range(2):
-        rel_ext_ic(i, C, *s.pairs[0], mode="both")
+        rel_ext_ic(i, C, *pairs[0], mode="both")
     return True
 
 
-def _dimension_transfer(C: Module, s: Sample) -> bool:
-    return all(dimension_transfer_check(C, M) for M in s.pool + [s.k, s.D, s.R])
+def _dimension_transfer(C: Module, pool: list[Module], B: int) -> bool:
+    R = C.ring
+    return all(dimension_transfer_check(C, M) for M in
+               pool + [residue_field_module(R), dualizing_module(R), free_module(R, 1)])
 
 
-def _membership_transfer(C: Module, s: Sample) -> bool:
-    return all(membership_transfer_check(C, M, s.B) for M in s.pool + [s.k])
+def _membership_transfer(C: Module, pool: list[Module], B: int) -> bool:
+    return all(membership_transfer_check(C, M, B) for M in pool + [residue_field_module(C.ring)])
 
 
-def _adjunction_identities(C: Module, s: Sample) -> bool:
-    return all(composition_identity_check(C, M) for M in s.pool + [s.k, s.D, s.R])
+def _adjunction_identities(C: Module, pool: list[Module], B: int) -> bool:
+    R = C.ring
+    return all(composition_identity_check(C, M) for M in
+               pool + [residue_field_module(R), dualizing_module(R), free_module(R, 1)])
 
 
-def _proper_exactness(C: Module, s: Sample) -> bool:
-    return (all(exactness_equivalence_check(C, M, s.B) for M in s.pool + [s.k])
-            and all(not bass_membership(C, M, s.B).passed
-                    or exactness_profile(proper_pc_resolution(C, M, s.B)) == []
+def _proper_exactness(C: Module, pool: list[Module], B: int) -> bool:
+    return (all(exactness_equivalence_check(C, M, B)
+                for M in pool + [residue_field_module(C.ring)])
+            and all(not bass_membership(C, M, B).passed
+                    or exactness_profile(proper_pc_resolution(C, M, B)) == []
                     for M in bass_members(C)))
 
 
-def _vanishing_detects_projectivity(C: Module, s: Sample) -> bool:
-    return all(projectivity_vanishing_check(C, M) for M in s.pool[:3] + [s.k])
+def _vanishing_detects_projectivity(C: Module, pool: list[Module], B: int) -> bool:
+    return all(projectivity_vanishing_check(C, M)
+               for M in pool[:3] + [residue_field_module(C.ring)])
 
 
-def _syzygy_invariance(C: Module, s: Sample) -> bool:
-    return all(syzygy_projectivity_invariance(C, M, 1) for M in s.pool[:2] + [s.k])
+def _syzygy_invariance(C: Module, pool: list[Module], B: int) -> bool:
+    return all(syzygy_projectivity_invariance(C, M, 1)
+               for M in pool[:2] + [residue_field_module(C.ring)])
 
 
-def _relative_equals_absolute(C: Module, s: Sample) -> bool:
-    members = bass_members(C)
+def _relative_equals_absolute(C: Module, pool: list[Module], B: int) -> bool:
+    members, R = bass_members(C), free_module(C.ring, 1)
     return (all(absolute_comparison_check(i, C, M, members[(j + 1) % len(members)]) is True
                 for j, M in enumerate(members) for i in range(3))
-            and all(absolute_comparison_check_ic(i, C, s.R, s.R) is True for i in range(2)))
+            and all(absolute_comparison_check_ic(i, C, R, R) is True for i in range(2)))
 
 
-def _dimension_shifting(C: Module, s: Sample) -> bool:
-    return dimension_shift_check(C, *s.pairs[0], i=2, n=1)
+def _dimension_shifting(C: Module, pool: list[Module], B: int) -> bool:
+    return dimension_shift_check(C, pool[0], pool[1 % len(pool)], i=2, n=1)
 
 
-def _finite_pc_pd_in_bass(C: Module, s: Sample) -> bool:
-    return all(finite_pc_pd_check(C, M, s.B) for M in s.pool + [C, s.k])
+def _finite_pc_pd_in_bass(C: Module, pool: list[Module], B: int) -> bool:
+    return all(finite_pc_pd_check(C, M, B) for M in pool + [C, residue_field_module(C.ring)])
 
 
-# (tag, name of the check); property_battery looks each check up by name when
-# it runs it, so a check replaced in this module's namespace is the one run
-PROPERTIES = (
-    ("P1", "_route_agreement"),
-    ("P2", "_dimension_transfer"),
-    ("P3", "_membership_transfer"),
-    ("P4", "_adjunction_identities"),
-    ("P5", "_proper_exactness"),
-    ("P6", "_vanishing_detects_projectivity"),
-    ("P7", "_syzygy_invariance"),
-    ("P8", "_relative_equals_absolute"),
-    ("P9", "_dimension_shifting"),
-    ("P10", "_finite_pc_pd_in_bass"),
-)
+PROPERTIES = (("P1", _route_agreement), ("P2", _dimension_transfer),
+              ("P3", _membership_transfer), ("P4", _adjunction_identities),
+              ("P5", _proper_exactness), ("P6", _vanishing_detects_projectivity),
+              ("P7", _syzygy_invariance), ("P8", _relative_equals_absolute),
+              ("P9", _dimension_shifting), ("P10", _finite_pc_pd_in_bass))
 
 
 def property_battery(cs: list[Module], pool: list[Module], B: int) -> dict[str, str | None]:
@@ -841,14 +828,10 @@ def property_battery(cs: list[Module], pool: list[Module], B: int) -> dict[str, 
     (nonempty) at bound B; a property stops at its first failing C and
     module.  Returns {tag: None} where a property holds, else {tag: detail}:
     "" when its check returned False, the message when it raised a CheckError."""
-    ring = pool[0].ring
-    s = Sample(pool, list(zip(pool, pool[1:] + pool[:1])), residue_field_module(ring),
-               dualizing_module(ring), free_module(ring, 1), B)
     out: dict[str, str | None] = {}
-    for tag, name in PROPERTIES:
-        check = globals()[name]
+    for tag, check in PROPERTIES:
         try:
-            out[tag] = None if all(check(C, s) for C in cs) else ""
+            out[tag] = None if all(check(C, pool, B) for C in cs) else ""
         except CheckError as exc:
             out[tag] = str(exc)
     return out

@@ -294,16 +294,8 @@ class TestRunCommand:
         assert rep.dimensions["dim"] == 16
         assert "paths_agree" not in rep.dimensions
 
-    def test_bound_0_is_rejected_after_a_cached_certificate(self, sessions):
-        """A certificate cached at bound 3 does not let bound 0 through."""
-        opts = {"c": "D", "src": "k", "dst": "k", "i": 1}
-        with pytest.raises(InputError):
-            run_command("relext", sessions["R1"], bound=0, **opts)
-        assert run_command("relext", sessions["R1"], bound=3, **opts).dimensions["dim"] == 8
-        with pytest.raises(InputError):
-            run_command("relext", sessions["R1"], bound=0, **opts)
-
     @pytest.mark.parametrize("command, opts", [
+        ("relext", {"c": "D", "src": "k", "dst": "k", "i": 1}),
         ("relext-ic", {"c": "D", "src": "k", "dst": "k", "i": 1}),
         ("cpd", {"c": "D", "module": "k"}),
         ("cid", {"c": "D", "module": "k"}),
@@ -313,6 +305,9 @@ class TestRunCommand:
         ("resolve", {"c": "D", "module": "k", "kind": "proper-ic"}),
     ])
     def test_certified_commands_reject_bound_0_on_a_cache_hit(self, sessions, command, opts):
+        """A certificate cached at bound 3 does not let bound 0 through."""
+        with pytest.raises(InputError, match="semidualizing bound must be >= 1"):
+            run_command(command, sessions["R1"], bound=0, **opts)
         run_command(command, sessions["R1"], bound=3, **opts)
         with pytest.raises(InputError, match="semidualizing bound must be >= 1"):
             run_command(command, sessions["R1"], bound=0, **opts)
@@ -349,10 +344,10 @@ def test_verify_all_reports_failing_properties(monkeypatch, capsys):
     """A battery check that returns False and one that raises a CheckError
     give a failing verify-all: exit 1, each witness in P order, every other
     P passing, and the three out-of-scope lines last."""
-    def broken(C, s):
+    def broken(*args, **kwargs):
         raise TheoremViolationError("shifted dimensions differ")
-    monkeypatch.setattr(semidualizing, "_adjunction_identities", lambda C, s: False)
-    monkeypatch.setattr(semidualizing, "_dimension_shifting", broken)
+    monkeypatch.setattr(semidualizing, "composition_identity_check", lambda C, M: False)
+    monkeypatch.setattr(semidualizing, "dimension_shift_check", broken)
     rc = main(["verify-all", data_path("R1.session"), "--bound", "1", "--pairs", "1",
                "--max-dim", "2", "--json"])
     payload = json.loads(capsys.readouterr().out)
